@@ -18,7 +18,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-__version__ = "0.1.0"
+from . import __version__
 
 EXIT_OK = 0
 EXIT_USAGE = 2

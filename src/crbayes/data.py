@@ -68,7 +68,8 @@ class SufficientStats:
         k: number of occasions.
         n_dot: total number of captures.
         n_j: captures per occasion, length ``k``.
-        y_i_dot: captures per observed animal, length ``m_k1``, each in 1..k.
+        y_i_dot: captures per observed animal, length ``m_k1``, each in 1..k;
+            the likelihoods read ``f_j`` instead.
         f_j: frequency of frequencies, length ``k``; ``f_j[j-1]`` is the number
             of animals caught on exactly j occasions.
     """

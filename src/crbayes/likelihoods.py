@@ -165,6 +165,41 @@ def m0_profile_mle(stats: SufficientStats, window: int = 20) -> tuple[int, float
     return best_n, p_hat
 
 
+def mh_log_obs_factor(f_j: Sequence[int], alpha, beta, log_x=None):
+    """Log product of the observed animals' integrated-likelihood factors.
+
+    An animal caught y of K times contributes
+    (alpha)_y (beta)_(K-y) / (alpha+beta)_K with rising factorials
+    (x)_n = x (x+1) ... (x+n-1), so the data enter only through the
+    capture frequencies f_y:
+
+        sum_y f_y [sum_{j<y} log(alpha+j) + sum_{j<K-y} log(beta+j)]
+            - M sum_{j<K} log(alpha+beta+j)
+
+    Both prefix sums are accumulated once, in K log calls each, and weighted
+    by f_y. ``alpha`` and ``beta`` broadcast against each other. Given
+    ``log_x`` = log(alpha/(alpha+beta)), the j = 0 terms log alpha and
+    log(alpha+beta) enter only through that ratio, which stays smooth in
+    mixing coordinates.
+    """
+    freqs = [int(v) for v in f_j]
+    k, m = len(freqs), sum(freqs)
+    first = 0 if log_x is None else 1
+    log_a = np.log(alpha) if log_x is None else log_x  # sum_{j<y} log(alpha+j) at y = 1
+    out = freqs[0] * log_a
+    for y in range(2, k + 1):
+        log_a = log_a + np.log(alpha + (y - 1))
+        out = out + freqs[y - 1] * log_a
+    log_b = 0.0  # sum_{j<z} log(beta+j) at z = K - y = 0
+    for z in range(1, k):
+        log_b = log_b + np.log(beta + (z - 1))
+        out = out + freqs[k - z - 1] * log_b
+    total = alpha + beta
+    for j in range(first, k):
+        out = out - m * np.log(total + j)
+    return out
+
+
 def mh_integrated_log_prob(stats: SufficientStats, n, params: HeterogeneityParams):
     """Log likelihood of a full history with Beta-distributed detection rates.
 
@@ -175,7 +210,8 @@ def mh_integrated_log_prob(stats: SufficientStats, n, params: HeterogeneityParam
         N!/((N-M)! M!) * [prod_{j<K}(beta+j)/(alpha+beta+j)]^(N-M)
         * prod_i [prod_{j<y_i}(alpha+j) prod_{j<K-y_i}(beta+j)] / prod_{j<K}(alpha+beta+j)
 
-    computed as sums of log-gamma differences. N < M gives -inf.
+    with the observed-animal product from :func:`mh_log_obs_factor`. N < M
+    gives -inf.
     """
     a, b = params.alpha, params.beta
     grid, scalar = _as_grid(n)
@@ -183,16 +219,7 @@ def mh_integrated_log_prob(stats: SufficientStats, n, params: HeterogeneityParam
     log_zero_cell = float(
         gammaln(b + k) - gammaln(b) - gammaln(a + b + k) + gammaln(a + b)
     )
-    log_obs = 0.0
-    for y in stats.y_i_dot:
-        log_obs += (
-            gammaln(a + y)
-            - gammaln(a)
-            + gammaln(b + k - y)
-            - gammaln(b)
-            - gammaln(a + b + k)
-            + gammaln(a + b)
-        )
+    log_obs = float(mh_log_obs_factor(stats.f_j, a, b))
     valid = grid >= m
     safe = np.where(valid, grid, m)
     out = (

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, roots_genlaguerre, roots_jacobi
 
 from .data import SufficientStats
-from .likelihoods import BetaParams, _as_grid, _maybe_scalar
+from .likelihoods import BetaParams, _as_grid, _maybe_scalar, mh_log_obs_factor
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -192,19 +192,7 @@ class MhMarginalKernel:
 
     def _log_obs(self, alpha, beta) -> np.ndarray:
         """Log product of the per-animal rising-factorial factors."""
-        st = self.stats
-        k = st.k
-        out = np.zeros(np.broadcast_shapes(np.shape(alpha), np.shape(beta)))
-        denom = gammaln(alpha + beta + k) - gammaln(alpha + beta)
-        for y in st.y_i_dot:
-            out += (
-                gammaln(alpha + y)
-                - gammaln(alpha)
-                + gammaln(beta + k - y)
-                - gammaln(beta)
-                - denom
-            )
-        return out
+        return mh_log_obs_factor(self.stats.f_j, alpha, beta)
 
     def _log_expectation_mixing(self, grid: np.ndarray, n_nodes: int) -> np.ndarray:
         g, st = self.gammas, self.stats
@@ -226,19 +214,7 @@ class MhMarginalKernel:
 
     def _log_obs_mixing(self, xi, x) -> np.ndarray:
         """Observed-animal factors written so the alpha/(alpha+beta) parts stay smooth."""
-        st = self.stats
-        k = st.k
-        alpha = xi * x
-        beta = xi * (1.0 - x)
-        out = np.zeros(np.broadcast_shapes(np.shape(xi), np.shape(x)))
-        for y in st.y_i_dot:
-            term = np.log(x) + np.zeros_like(out)  # (alpha + 0) / (xi + 0)
-            for j in range(1, y):
-                term += np.log(alpha + j) - np.log(xi + j)
-            for j in range(k - y):
-                term += np.log(beta + j) - np.log(xi + y + j)
-            out += term
-        return out
+        return mh_log_obs_factor(self.stats.f_j, xi * x, xi * (1.0 - x), log_x=np.log(x))
 
     def _log_expectation_rescaled(self, grid: np.ndarray, n_nodes: int) -> np.ndarray:
         g, st = self.gammas, self.stats

@@ -108,6 +108,31 @@ def quad_mh_integrated_log_prob(stats, n_val: int, alpha: float, beta: float) ->
     return float(out)
 
 
+def per_animal_log_obs(y_i_dot, k: int, alpha, beta):
+    """Observed-animal factor of the Beta-heterogeneous likelihood, animal by animal.
+
+    An animal caught y of k times contributes the log-gamma differences
+    log G(alpha+y) - log G(alpha) + log G(beta+k-y) - log G(beta)
+    - [log G(alpha+beta+k) - log G(alpha+beta)]; nothing is grouped by
+    capture frequency. ``alpha`` and ``beta`` broadcast against each other.
+    """
+    m = len(y_i_dot)
+    log_a = sum((gammaln(alpha + y) for y in y_i_dot), 0.0) - m * gammaln(alpha)
+    log_b = sum((gammaln(beta + (k - y)) for y in y_i_dot), 0.0) - m * gammaln(beta)
+    return log_a + log_b - m * (gammaln(alpha + beta + k) - gammaln(alpha + beta))
+
+
+def per_animal_mh_integrated_log_prob(stats, n_val: int, alpha: float, beta: float) -> float:
+    """Full Beta-heterogeneous likelihood with the per-animal observed factor."""
+    m, k = stats.m_k1, stats.k
+    log_zero_cell = (
+        gammaln(beta + k) - gammaln(beta) - gammaln(alpha + beta + k) + gammaln(alpha + beta)
+    )
+    log_comb = gammaln(n_val + 1) - gammaln(m + 1) - gammaln(n_val - m + 1)
+    log_obs = per_animal_log_obs(stats.y_i_dot, k, alpha, beta)
+    return float(log_comb + (n_val - m) * log_zero_cell + log_obs)
+
+
 def mc_beta_expectation(n_val: int, m_k1: int, a: float, b: float, draws: int, seed: int):
     """Monte Carlo estimate and standard error of E[(1-X)^(N-M) X^M], X ~ Beta(a, b)."""
     rng = np.random.default_rng(seed)
@@ -130,15 +155,7 @@ def mc_mh_marginal_log_kernel(stats, n_val: int, a: float, b: float, c: float, d
     log_vals = np.zeros(draws)
     for j in range(k):
         log_vals += (n_val - m) * (np.log(beta + j) - np.log(alpha + beta + j))
-    for y in stats.y_i_dot:
-        log_vals += (
-            gammaln(alpha + y)
-            - gammaln(alpha)
-            + gammaln(beta + k - y)
-            - gammaln(beta)
-            - gammaln(alpha + beta + k)
-            + gammaln(alpha + beta)
-        )
+    log_vals += per_animal_log_obs(stats.y_i_dot, k, alpha, beta)
     vals = np.exp(log_vals)
     log_comb = float(gammaln(n_val + 1) - gammaln(m + 1) - gammaln(n_val - m + 1))
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(draws)), log_comb

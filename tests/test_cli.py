@@ -218,6 +218,18 @@ def test_version_flag(capsys):
     assert "crbayes" in capsys.readouterr().out
 
 
+def test_version_flag_and_manifest_report_the_package_version(tmp_path, capsys):
+    import crbayes
+
+    assert run(["--version"]) == 0
+    assert capsys.readouterr().out.split() == ["crbayes", crbayes.__version__]
+    out = tmp_path / "d.json"
+    run(["simulate", "--model", "m0", "--n", "20", "--p", "0.5", "--k", "3",
+         "--seed", "1", "--out", str(out)])
+    manifest = json.loads((tmp_path / "d.json.manifest.json").read_text())
+    assert manifest["version"] == crbayes.__version__
+
+
 def test_thread_env_configures_blas_pools(monkeypatch):
     from crbayes.cli import _configure_threads
 
