@@ -93,32 +93,31 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", type=Path, required=True)
     sim.add_argument("--format", choices=("json", "csv"), default=None)
 
-    ana = sub.add_parser("analyze", help="posterior of N for a dataset")
+    # priors and quadrature settings shared by analyze and check-propriety
+    priors = argparse.ArgumentParser(add_help=False)
+    priors.add_argument("--n-prior", choices=("uniform", "scale"), default="uniform")
+    priors.add_argument("--a", type=_positive, default=1.0, help="Beta prior shape on p (m0)")
+    priors.add_argument("--b", type=_positive, default=1.0, help="Beta prior shape on p (m0)")
+    priors.add_argument("--shape-a", type=_positive, default=2.0, help="Gamma shape on alpha (mh)")
+    priors.add_argument("--shape-b", type=_positive, default=2.0, help="Gamma shape on beta (mh)")
+    priors.add_argument("--scale-c", type=_positive, default=1.0, help="common Gamma scale (mh)")
+    priors.add_argument("--nodes", type=_positive_int, default=64, help="quadrature nodes per axis (mh)")
+    priors.add_argument("--check-nodes", type=_positive_int, default=96)
+    priors.add_argument("--quad-rtol", type=_positive, default=1e-4)
+
+    ana = sub.add_parser("analyze", parents=[priors], help="posterior of N for a dataset")
     ana.add_argument("--data", type=Path, required=True)
     ana.add_argument("--model", choices=("m0", "mh"), required=True)
-    ana.add_argument("--n-prior", choices=("uniform", "scale"), default="uniform")
-    ana.add_argument("--a", type=_positive, default=1.0, help="Beta prior shape on p (m0)")
-    ana.add_argument("--b", type=_positive, default=1.0, help="Beta prior shape on p (m0)")
-    ana.add_argument("--shape-a", type=_positive, default=2.0, help="Gamma shape on alpha (mh)")
-    ana.add_argument("--shape-b", type=_positive, default=2.0, help="Gamma shape on beta (mh)")
-    ana.add_argument("--scale-c", type=_positive, default=1.0, help="common Gamma scale (mh)")
     ana.add_argument("--n-max", type=_positive_int, default=10_000)
     ana.add_argument("--level", type=_probability, default=0.95)
-    ana.add_argument("--nodes", type=_positive_int, default=64, help="quadrature nodes per axis (mh)")
-    ana.add_argument("--check-nodes", type=_positive_int, default=96)
-    ana.add_argument("--quad-rtol", type=_positive, default=1e-4)
     ana.add_argument("--improper-margin", type=_positive, default=0.05)
     ana.add_argument("--out", type=Path, required=True, help="output prefix (.json/.csv added)")
 
-    chk = sub.add_parser("check-propriety", help="analytic verdict vs fitted tail exponent")
+    chk = sub.add_parser(
+        "check-propriety", parents=[priors], help="analytic verdict vs fitted tail exponent"
+    )
     chk.add_argument("--model", choices=("m0", "mh", "ym"))
     chk.add_argument("--data", type=Path, help="dataset (m0/mh)")
-    chk.add_argument("--n-prior", choices=("uniform", "scale"), default="uniform")
-    chk.add_argument("--a", type=_positive, default=1.0, help="Beta shape on p (m0)")
-    chk.add_argument("--b", type=_positive, default=1.0, help="Beta shape on p (m0)")
-    chk.add_argument("--shape-a", type=_positive, default=2.0, help="Gamma shape on alpha (mh)")
-    chk.add_argument("--shape-b", type=_positive, default=2.0, help="Gamma shape on beta (mh)")
-    chk.add_argument("--scale-c", type=_positive, default=1.0)
     chk.add_argument("--n", type=_positive_int, help="observed count (ym)")
     chk.add_argument("--k", type=_positive_int, help="cells (ym)")
     chk.add_argument("--delta", type=_positive, help="Dirichlet parameter (ym)")
@@ -126,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--fit-hi", type=_positive, default=None)
     chk.add_argument("--fit-points", type=_positive_int, default=50)
     chk.add_argument("--tolerance", type=_positive, default=0.05)
-    chk.add_argument("--nodes", type=_positive_int, default=64)
-    chk.add_argument("--check-nodes", type=_positive_int, default=96)
-    chk.add_argument("--quad-rtol", type=_positive, default=1e-4)
     chk.add_argument(
         "--synthetic-exponent",
         type=_positive,

@@ -12,7 +12,7 @@ of N keeps climbing with M, which is the diagnostic this module exists for.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -228,25 +228,15 @@ def m_sweep(
 
     Each M gets its own chain (seeded from the base seed plus its index).
     """
-    if len(m_values) < 2:
-        raise ValueError("need at least two augmented sizes to sweep")
+    if len(set(m_values)) < 2:
+        raise ValueError("need at least two distinct augmented sizes to sweep")
     m_k1 = summarize(data).m_k1
     if any(m < m_k1 for m in m_values):
         raise ValueError("every augmented size must cover the observed animals")
 
     entries = []
     for i, m in enumerate(m_values):
-        cfg = DaConfig(
-            m=int(m),
-            iters=base.iters,
-            burnin=base.burnin,
-            thin=base.thin,
-            seed=base.seed + i,
-            psi_prior=base.psi_prior,
-            p_prior=base.p_prior,
-            fix_psi=base.fix_psi,
-        )
-        chains = da_gibbs(data, cfg)
+        chains = da_gibbs(data, replace(base, m=int(m), seed=base.seed + i))
         ess = effective_sample_size(chains.n)
         sd = float(chains.n.std(ddof=1))
         entries.append(

@@ -23,7 +23,11 @@ class NoFiniteMLEError(RuntimeError):
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Shape parameters of a Beta distribution on a detection probability."""
+    """Shapes of a Beta distribution on a detection probability.
+
+    Serves both as the prior on the constant detection rate and as the
+    population from which per-animal rates are drawn in the heterogeneous model.
+    """
 
     a: float
     b: float
@@ -31,18 +35,6 @@ class BetaParams:
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
             raise ValueError("Beta shapes must be positive")
-
-
-@dataclass(frozen=True)
-class HeterogeneityParams:
-    """Beta(alpha, beta) population from which per-animal detection rates are drawn."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("heterogeneity shapes must be positive")
 
 
 def _as_grid(n):
@@ -53,6 +45,23 @@ def _as_grid(n):
 
 def _maybe_scalar(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
+
+
+def _on_support(n, lo, body):
+    """Evaluate ``body`` on N >= lo and return -inf below it.
+
+    N below ``lo`` is clamped to ``lo`` before ``body`` sees it, so the body
+    never leaves its domain; those entries are then masked. Scalar in, float out.
+    """
+    grid, scalar = _as_grid(n)
+    valid = grid >= lo
+    safe = np.where(valid, grid, lo)
+    return _maybe_scalar(np.where(valid, body(safe), -np.inf), scalar)
+
+
+def log_falling(n, m):
+    """log N!/(N-M)!, the ordered ways to pick the M observed animals out of N."""
+    return gammaln(n + 1) - gammaln(n - m + 1)
 
 
 def _check_p(p: float) -> None:
@@ -93,37 +102,24 @@ def m0_log_prob(stats: SufficientStats, n, p: float):
     were observed; N < M gives -inf by convention.
     """
     _check_p(p)
-    grid, scalar = _as_grid(n)
     m, k, n_dot = stats.m_k1, stats.k, stats.n_dot
-    valid = grid >= m
-    safe = np.where(valid, grid, m)
-    out = (
-        gammaln(safe + 1)
-        - gammaln(safe - m + 1)
-        - gammaln(m + 1)
-        + xlogy(n_dot, p)
-        + xlog1py(k * safe - n_dot, -p)
-    )
-    out = np.where(valid, out, -np.inf)
-    return _maybe_scalar(out, scalar)
+    return _on_support(n, m, lambda safe: (
+        log_falling(safe, m) - gammaln(m + 1) + xlogy(n_dot, p) + xlog1py(k * safe - n_dot, -p)
+    ))
 
 
 def m0_profile_log_lik(stats: SufficientStats, n):
     """Profile log likelihood: detection rate replaced by its plug-in n./(K N)."""
-    grid, scalar = _as_grid(n)
     m, k, n_dot = stats.m_k1, stats.k, stats.n_dot
-    valid = grid >= max(m, 1)
-    safe = np.where(valid, grid, max(m, 1))
-    p_hat = n_dot / (k * safe)
-    out = (
-        gammaln(safe + 1)
-        - gammaln(safe - m + 1)
-        - gammaln(m + 1)
-        + xlogy(n_dot, p_hat)
-        + xlogy(k * safe - n_dot, 1.0 - p_hat)
-    )
-    out = np.where(valid, out, -np.inf)
-    return _maybe_scalar(out, scalar)
+
+    def body(safe):
+        p_hat = n_dot / (k * safe)
+        return (
+            log_falling(safe, m) - gammaln(m + 1)
+            + xlogy(n_dot, p_hat) + xlogy(k * safe - n_dot, 1.0 - p_hat)
+        )
+
+    return _on_support(n, max(m, 1), body)
 
 
 def m0_profile_mle(stats: SufficientStats, window: int = 20) -> tuple[int, float]:
@@ -200,7 +196,7 @@ def mh_log_obs_factor(f_j: Sequence[int], alpha, beta, log_x=None):
     return out
 
 
-def mh_integrated_log_prob(stats: SufficientStats, n, params: HeterogeneityParams):
+def mh_integrated_log_prob(stats: SufficientStats, n, params: BetaParams):
     """Log likelihood of a full history with Beta-distributed detection rates.
 
     Each animal's detection probability is integrated out against
@@ -210,33 +206,24 @@ def mh_integrated_log_prob(stats: SufficientStats, n, params: HeterogeneityParam
         N!/((N-M)! M!) * [prod_{j<K}(beta+j)/(alpha+beta+j)]^(N-M)
         * prod_i [prod_{j<y_i}(alpha+j) prod_{j<K-y_i}(beta+j)] / prod_{j<K}(alpha+beta+j)
 
-    with the observed-animal product from :func:`mh_log_obs_factor`. N < M
-    gives -inf.
+    with the observed-animal product from :func:`mh_log_obs_factor`. The
+    zero-cell factor is summed term by term, as that helper does: its
+    log-gamma form cancels terms far larger than the result, and the rounding
+    left over is multiplied by N - M. N < M gives -inf.
     """
-    a, b = params.alpha, params.beta
-    grid, scalar = _as_grid(n)
+    a, b = params.a, params.b
     m, k = stats.m_k1, stats.k
-    log_zero_cell = float(
-        gammaln(b + k) - gammaln(b) - gammaln(a + b + k) + gammaln(a + b)
-    )
+    log_zero_cell = sum(float(np.log(b + j) - np.log(a + b + j)) for j in range(k))
     log_obs = float(mh_log_obs_factor(stats.f_j, a, b))
-    valid = grid >= m
-    safe = np.where(valid, grid, m)
-    out = (
-        gammaln(safe + 1)
-        - gammaln(safe - m + 1)
-        - gammaln(m + 1)
-        + (safe - m) * log_zero_cell
-        + log_obs
-    )
-    out = np.where(valid, out, -np.inf)
-    return _maybe_scalar(out, scalar)
+    return _on_support(n, m, lambda safe: (
+        log_falling(safe, m) - gammaln(m + 1) + (safe - m) * log_zero_cell + log_obs
+    ))
 
 
-def beta_binomial_log_pmf(j, k: int, params: HeterogeneityParams):
+def beta_binomial_log_pmf(j, k: int, params: BetaParams):
     """Log mass at j captures out of k occasions with a Beta-mixed rate."""
     j = np.asarray(j, dtype=float)
-    a, b = params.alpha, params.beta
+    a, b = params.a, params.b
     return (
         gammaln(k + 1)
         - gammaln(j + 1)
@@ -247,7 +234,7 @@ def beta_binomial_log_pmf(j, k: int, params: HeterogeneityParams):
 
 
 def mh_summary_log_prob(
-    f_j: Sequence[int], m_k1: int, n, k: int, params: HeterogeneityParams
+    f_j: Sequence[int], m_k1: int, n, k: int, params: BetaParams
 ):
     """Log likelihood of the capture-frequency summary under Beta-mixed detection.
 
@@ -260,19 +247,13 @@ def mh_summary_log_prob(
         raise ValueError("f_j must have one nonnegative count per occasion")
     if int(freqs.sum()) != m_k1:
         raise ValueError("f_j must sum to the number of observed animals")
-    grid, scalar = _as_grid(n)
     log_pi = beta_binomial_log_pmf(np.arange(k + 1), k, params)
-    valid = grid >= m_k1
-    safe = np.where(valid, grid, m_k1)
-    out = (
-        gammaln(safe + 1)
-        - gammaln(safe - m_k1 + 1)
+    return _on_support(n, m_k1, lambda safe: (
+        log_falling(safe, m_k1)
         - gammaln(freqs + 1).sum()
         + (safe - m_k1) * log_pi[0]
         + float(freqs @ log_pi[1:])
-    )
-    out = np.where(valid, out, -np.inf)
-    return _maybe_scalar(out, scalar)
+    ))
 
 
 def york_madigan_log_kernel(n_grid, n_obs: int, k: int, delta: float):
@@ -288,14 +269,6 @@ def york_madigan_log_kernel(n_grid, n_obs: int, k: int, delta: float):
         raise ValueError("delta must be positive")
     if n_obs < 0:
         raise ValueError("observed count must be nonnegative")
-    grid, scalar = _as_grid(n_grid)
-    valid = grid >= n_obs
-    safe = np.where(valid, grid, n_obs)
-    out = (
-        gammaln(safe + 1)
-        - gammaln(safe - n_obs + 1)
-        + gammaln(safe - n_obs + delta)
-        - gammaln(safe + k * delta)
-    )
-    out = np.where(valid, out, -np.inf)
-    return _maybe_scalar(out, scalar)
+    return _on_support(n_grid, n_obs, lambda safe: (
+        log_falling(safe, n_obs) + gammaln(safe - n_obs + delta) - gammaln(safe + k * delta)
+    ))

@@ -13,13 +13,13 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, roots_genlaguerre, roots_jacobi
 
 from .data import SufficientStats
-from .likelihoods import BetaParams, _as_grid, _maybe_scalar, mh_log_obs_factor
+from .likelihoods import BetaParams, _as_grid, _maybe_scalar, _on_support, log_falling, mh_log_obs_factor
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -45,26 +45,6 @@ class GammaPriors:
             raise ValueError("Gamma shapes and scale must be positive")
 
 
-@dataclass(frozen=True)
-class PriorSpec:
-    """Prior on N plus exactly one detection-parameter prior family.
-
-    ``n_prior`` is either "uniform" (flat over nonnegative integers) or
-    "scale" (proportional to 1/N). ``beta`` configures the constant-detection
-    analysis, ``gammas`` the heterogeneous one; setting both is an error.
-    """
-
-    n_prior: Literal["uniform", "scale"]
-    beta: BetaParams | None = None
-    gammas: GammaPriors | None = None
-
-    def __post_init__(self):
-        if self.n_prior not in ("uniform", "scale"):
-            raise ValueError(f"unknown prior on N: {self.n_prior!r}")
-        if self.beta is not None and self.gammas is not None:
-            raise ValueError("configure exactly one detection-prior family per analysis")
-
-
 def m0_marginal_log_kernel(n, stats: SufficientStats, beta: BetaParams):
     """Log marginal kernel of N for constant detection with a Beta(a, b) prior.
 
@@ -75,18 +55,12 @@ def m0_marginal_log_kernel(n, stats: SufficientStats, beta: BetaParams):
     up to factors constant in N; the prior on N is applied elsewhere. Decays
     like N^-(r + a) with r = n. - M recaptures.
     """
-    grid, scalar = _as_grid(n)
     m, k, n_dot = stats.m_k1, stats.k, stats.n_dot
-    valid = grid >= m
-    safe = np.where(valid, grid, m)
-    out = (
-        gammaln(safe + 1)
-        - gammaln(safe - m + 1)
+    return _on_support(n, m, lambda safe: (
+        log_falling(safe, m)
         + gammaln(k * safe - n_dot + beta.b)
         - gammaln(k * safe + beta.a + beta.b)
-    )
-    out = np.where(valid, out, -np.inf)
-    return _maybe_scalar(out, scalar)
+    ))
 
 
 def log_beta_expectation(n, m_k1: int, a: float, b: float):
@@ -246,12 +220,13 @@ class MhMarginalKernel:
 
     def log_kernel(self, n):
         """Log kernel values; raises QuadratureConvergenceError if unsettled."""
-        grid, scalar = _as_grid(n)
         m = self.stats.m_k1
-        valid = grid >= m
-        safe = np.where(valid, grid, m)
-        log_e = self._log_expectation(safe, self.nodes)
-        if self.check:
+
+        def body(safe):
+            comb = log_falling(safe, m) - gammaln(m + 1)
+            log_e = self._log_expectation(safe, self.nodes)
+            if not self.check:
+                return comb + log_e
             log_e_fine = self._log_expectation(safe, self.check_nodes)
             with np.errstate(invalid="ignore"):
                 rel = np.abs(np.expm1(log_e - log_e_fine))
@@ -259,43 +234,19 @@ class MhMarginalKernel:
             worst = float(rel.max()) if rel.size else 0.0
             self.diagnostics["max_rel_change"] = worst
             if worst > self.rtol:
-                comb = gammaln(safe + 1) - gammaln(safe - m + 1) - gammaln(m + 1)
                 raise QuadratureConvergenceError(
                     f"quadrature changed by {worst:.3e} (> rtol {self.rtol:.1e}) "
                     f"between {self.nodes}^2 and {self.check_nodes}^2 nodes; the "
                     "integrand sharpens as observed animals accumulate, so raise "
                     "nodes/check_nodes (e.g. 128/192) or relax rtol",
-                    log_coarse=np.where(valid, comb + log_e, -np.inf),
-                    log_fine=np.where(valid, comb + log_e_fine, -np.inf),
+                    # both value sets carry the same -inf below M as the result
+                    log_coarse=_on_support(n, m, lambda _: comb + log_e),
+                    log_fine=_on_support(n, m, lambda _: comb + log_e_fine),
                     max_rel_change=worst,
                 )
-            log_e = log_e_fine
-        out = (
-            gammaln(safe + 1)
-            - gammaln(safe - m + 1)
-            - gammaln(m + 1)
-            + log_e
-        )
-        out = np.where(valid, out, -np.inf)
-        return _maybe_scalar(out, scalar)
+            return comb + log_e_fine
 
-
-def mh_marginal_log_kernel(
-    n,
-    stats: SufficientStats,
-    prior: PriorSpec,
-    nodes: int = 64,
-    check_nodes: int = 96,
-    rtol: float = 1e-4,
-    check: bool = True,
-):
-    """Log marginal kernel of N for heterogeneous detection under Gamma priors."""
-    if prior.gammas is None:
-        raise ValueError("heterogeneous analysis needs Gamma priors on the shapes")
-    kern = MhMarginalKernel(
-        stats, prior.gammas, nodes=nodes, check_nodes=check_nodes, rtol=rtol, check=check
-    )
-    return kern.log_kernel(n)
+        return _on_support(n, m, body)
 
 
 @dataclass

@@ -25,7 +25,6 @@ from .likelihoods import BetaParams, york_madigan_log_kernel
 from .posterior import (
     GammaPriors,
     MhMarginalKernel,
-    PriorSpec,
     fit_log_log_slope,
     m0_marginal_log_kernel,
 )
@@ -250,7 +249,6 @@ def propriety_report(
     ym_n: int | None = None,
     ym_k: int | None = None,
     ym_delta: float | None = None,
-    prior: PriorSpec | None = None,
     fit: FitConfig | None = None,
     quad_nodes: int = 64,
     quad_check_nodes: int = 96,
@@ -261,16 +259,12 @@ def propriety_report(
     ``model`` is "m0", "mh", or "ym". The constant-detection model needs
     ``stats`` and ``beta``; the heterogeneous model needs ``stats`` and
     ``gammas``; the Dirichlet-multinomial model needs ``ym_n``, ``ym_k`` and
-    ``ym_delta``. A ``prior`` spec may carry the detection-prior family
-    instead of passing it directly. Agreement compares the fitted exponent of
-    prior * kernel against the prior-adjusted analytic exponent at
-    ``fit.tolerance`` (one-sided for the heterogeneous bound).
+    ``ym_delta``. Agreement compares the fitted exponent of prior * kernel
+    against the prior-adjusted analytic exponent at ``fit.tolerance``
+    (one-sided for the heterogeneous bound).
     """
     _check_n_prior(n_prior)
     fit = fit or FitConfig()
-    if prior is not None:
-        beta = beta if beta is not None else prior.beta
-        gammas = gammas if gammas is not None else prior.gammas
 
     warnings: list[str] = []
     if model == "m0":

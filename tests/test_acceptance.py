@@ -13,7 +13,6 @@ from crbayes.data import CaptureHistory, simulate_m0, simulate_mh, summarize
 from crbayes.gibbs import DaConfig, da_gibbs, m_sweep
 from crbayes.likelihoods import (
     BetaParams,
-    HeterogeneityParams,
     m0_profile_log_lik,
     m0_profile_mle,
     mh_integrated_log_prob,
@@ -142,7 +141,7 @@ def test_criterion_04_summary_and_complete_data_posteriors_agree():
         if not 1 <= stats.m_k1 <= 5:
             continue
         datasets += 1
-        params = HeterogeneityParams(0.8 + 0.3 * seed, 1.1)
+        params = BetaParams(0.8 + 0.3 * seed, 1.1)
         grid = np.arange(stats.m_k1, 501, dtype=float)
         log_complete = mh_integrated_log_prob(stats, grid, params)
         log_summary = mh_summary_log_prob(stats.f_j, stats.m_k1, grid, stats.k, params)

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from crbayes.cli import main
+from crbayes.cli import build_parser, main
 from crbayes.data import load_history, store_history, simulate_m0
 from crbayes.data import CaptureHistory
 
@@ -167,6 +167,42 @@ class TestCheckPropriety:
         assert rc == 2
 
 
+SHARED_FLAGS = [  # (flag, dest, default, a non-default value)
+    ("--n-prior", "n_prior", "uniform", "scale"),
+    ("--a", "a", 1.0, 1.5),
+    ("--b", "b", 1.0, 2.5),
+    ("--shape-a", "shape_a", 2.0, 0.7),
+    ("--shape-b", "shape_b", 2.0, 3.0),
+    ("--scale-c", "scale_c", 1.0, 0.5),
+    ("--nodes", "nodes", 64, 32),
+    ("--check-nodes", "check_nodes", 96, 48),
+    ("--quad-rtol", "quad_rtol", 1e-4, 1e-6),
+]
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["defaults", "explicit"])
+def test_analyze_and_check_propriety_share_prior_and_quadrature_flags(explicit):
+    argv = [tok for flag, _, _, value in SHARED_FLAGS for tok in (flag, str(value))] if explicit else []
+    parser = build_parser()
+    ana = vars(parser.parse_args(["analyze", "--data", "d", "--model", "mh", "--out", "o", *argv]))
+    chk = vars(parser.parse_args(["check-propriety", "--out", "o", *argv]))
+    want = [value if explicit else default for _, _, default, value in SHARED_FLAGS]
+    assert [ana[dest] for _, dest, _, _ in SHARED_FLAGS] == want
+    assert [chk[dest] for _, dest, _, _ in SHARED_FLAGS] == want
+
+
+def test_manifest_params_keys(m0_dataset, tmp_path):
+    run(["analyze", "--data", str(m0_dataset), "--model", "m0", "--out", str(tmp_path / "a")])
+    run(["check-propriety", "--model", "m0", "--data", str(m0_dataset), "--out", str(tmp_path / "c")])
+    ana = json.loads((tmp_path / "a.json.manifest.json").read_text())["params"]
+    chk = json.loads((tmp_path / "c.json.manifest.json").read_text())["params"]
+    shared = ["a", "b", "check_nodes", "data", "model", "n_prior", "nodes", "out",
+              "quad_rtol", "scale_c", "shape_a", "shape_b"]
+    assert sorted(ana) == sorted(shared + ["improper_margin", "level", "n_max"])
+    assert sorted(chk) == sorted(shared + ["delta", "fit_hi", "fit_lo", "fit_points", "k", "n",
+                                           "synthetic_exponent", "tolerance"])
+
+
 class TestDaSweep:
     def test_sweep_outputs(self, m0_dataset, tmp_path, capsys):
         rc = run(["da-sweep", "--data", str(m0_dataset), "--m", "150,300",
@@ -184,6 +220,12 @@ class TestDaSweep:
         rc = run(["da-sweep", "--data", str(m0_dataset), "--m", "10,x",
                   "--out", str(tmp_path / "s")])
         assert rc == 2
+
+    def test_repeated_m_is_usage_error(self, m0_dataset, tmp_path, capsys):
+        rc = run(["da-sweep", "--data", str(m0_dataset), "--m", "200,200",
+                  "--iters", "400", "--burnin", "40", "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert "distinct" in capsys.readouterr().err
 
 
 class TestYm:

@@ -154,8 +154,9 @@ class TestMSweep:
         assert report.sd_ratio > 1.0  # spreading support inflates the sd when improper
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="two"):
-            m_sweep(no_recapture_history(), [200], DaConfig(m=200))
+        for m_values in ([200], [200, 200]):
+            with pytest.raises(ValueError, match="two"):
+                m_sweep(no_recapture_history(), m_values, DaConfig(m=200))
         with pytest.raises(ValueError, match="cover"):
             m_sweep(no_recapture_history(), [2, 200], DaConfig(m=200))
 

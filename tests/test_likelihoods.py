@@ -5,7 +5,7 @@ import pytest
 
 from crbayes.data import CaptureHistory, SufficientStats, simulate_mh, summarize
 from crbayes.likelihoods import (
-    HeterogeneityParams,
+    BetaParams,
     NoFiniteMLEError,
     kahn_log_prob,
     m0_log_prob,
@@ -15,10 +15,12 @@ from crbayes.likelihoods import (
     mh_summary_log_prob,
     york_madigan_log_kernel,
 )
+from crbayes.posterior import GammaPriors, MhMarginalKernel, m0_marginal_log_kernel
 
 from oracles import enumerate_kahn_log_prob, enumerate_m0_log_prob, quad_mh_integrated_log_prob
 
 TWO_ANIMALS = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))
+THREE_ANIMALS = summarize(CaptureHistory(k=3, rows=((1, 0, 0), (1, 1, 0), (0, 1, 1))))
 
 
 def stats_from(m_k1, k, n_dot, n_j, y_i_dot, f_j):
@@ -114,12 +116,12 @@ class TestProfileMLE:
 class TestMhIntegrated:
     def test_one_seen_one_missed_uniform_mixing(self):
         stats = stats_from(1, 1, 1, [1], [1], [1])
-        value = mh_integrated_log_prob(stats, 2, HeterogeneityParams(1.0, 1.0))
+        value = mh_integrated_log_prob(stats, 2, BetaParams(1.0, 1.0))
         assert value == pytest.approx(math.log(0.5), rel=1e-12)
 
     def test_nothing_observed_reduces_to_zero_cell_power(self):
         stats = stats_from(0, 2, 0, [0, 0], [], [0, 0])
-        params = HeterogeneityParams(2.0, 3.0)
+        params = BetaParams(2.0, 3.0)
         zero_cell = (3.0 / 5.0) * (4.0 / 6.0)  # prod (beta+j)/(alpha+beta+j), K=2
         assert mh_integrated_log_prob(stats, 4, params) == pytest.approx(
             4 * math.log(zero_cell)
@@ -127,28 +129,47 @@ class TestMhIntegrated:
 
     def test_rejects_nonpositive_shapes(self):
         with pytest.raises(ValueError):
-            HeterogeneityParams(0.0, 1.0)
+            BetaParams(0.0, 1.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_matches_per_animal_quadrature(self, alpha, beta):
         history = CaptureHistory(k=3, rows=((1, 0, 0), (1, 1, 0), (0, 1, 1)))
         stats = summarize(history)
-        params = HeterogeneityParams(alpha, beta)
+        params = BetaParams(alpha, beta)
         for n_val in (3, 5, 12):
             expected = quad_mh_integrated_log_prob(stats, n_val, alpha, beta)
             assert mh_integrated_log_prob(stats, n_val, params) == pytest.approx(
                 expected, rel=1e-10
             )
 
+    @pytest.mark.parametrize("k", range(2, 9))
+    @pytest.mark.parametrize("a, b", [(1, 1000), (1000, 1), (1000, 1000), (37, 613), (500, 3)])
+    def test_zero_cell_factor_does_not_drift_with_n(self, k, a, b):
+        # each of the N - M unseen animals contributes prod_{j<K} (b+j)/(a+b+j);
+        # its rounding is multiplied by N - M, so compare against exact integer products
+        rows = tuple(tuple(int(j <= i) for j in range(k)) for i in range(k))
+        stats = summarize(CaptureHistory(k=k, rows=rows))
+        m, d = stats.m_k1, 500
+        params = BetaParams(float(a), float(b))
+        got = (
+            mh_integrated_log_prob(stats, m + d, params)
+            - mh_integrated_log_prob(stats, m, params)
+            - math.log(math.comb(m + d, m))
+        )
+        num = math.prod(range(b, b + k))
+        den = math.prod(range(a + b, a + b + k))
+        want = d * (math.log(num) - math.log(den))
+        assert abs(got - want) <= 1e-13 * d
+
 
 class TestMhSummary:
     def test_single_occasion_uniform_mixing(self):
-        value = mh_summary_log_prob([1], 1, 2, 1, HeterogeneityParams(1.0, 1.0))
+        value = mh_summary_log_prob([1], 1, 2, 1, BetaParams(1.0, 1.0))
         assert value == pytest.approx(math.log(0.5), rel=1e-12)
 
     def test_no_captures_reduces_to_zero_cell_power(self):
-        params = HeterogeneityParams(2.0, 3.0)
+        params = BetaParams(2.0, 3.0)
         pi0 = (3.0 / 5.0) * (4.0 / 6.0)
         assert mh_summary_log_prob([0, 0], 0, 7, 2, params) == pytest.approx(
             7 * math.log(pi0)
@@ -156,7 +177,7 @@ class TestMhSummary:
 
     def test_rejects_inconsistent_frequencies(self):
         with pytest.raises(ValueError, match="sum"):
-            mh_summary_log_prob([1, 1], 3, 5, 2, HeterogeneityParams(1.0, 1.0))
+            mh_summary_log_prob([1, 1], 3, 5, 2, BetaParams(1.0, 1.0))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_posterior_as_integrated_form(self, seed):
@@ -166,7 +187,7 @@ class TestMhSummary:
         stats = summarize(history)
         if stats.m_k1 == 0:
             pytest.skip("degenerate draw")
-        params = HeterogeneityParams(1.5, 2.5)
+        params = BetaParams(1.5, 2.5)
         grid = np.arange(stats.m_k1, 200, dtype=float)
         via_summary = mh_summary_log_prob(stats.f_j, stats.m_k1, grid, stats.k, params)
         via_integrated = mh_integrated_log_prob(stats, grid, params)
@@ -203,7 +224,7 @@ class TestYorkMadigan:
     "kernel",
     [
         lambda n: m0_log_prob(TWO_ANIMALS, n, 0.4),
-        lambda n: mh_integrated_log_prob(TWO_ANIMALS, n, HeterogeneityParams(1.0, 2.0)),
+        lambda n: mh_integrated_log_prob(TWO_ANIMALS, n, BetaParams(1.0, 2.0)),
         lambda n: york_madigan_log_kernel(n, 3, 4, 0.5),
     ],
 )
@@ -213,3 +234,37 @@ def test_kernels_finite_then_eventually_decreasing(kernel):
     assert np.isfinite(vals).all()
     peak = int(np.argmax(vals))
     assert np.all(np.diff(vals[peak:]) <= 0)
+
+
+@pytest.mark.parametrize(
+    "kernel, lo",
+    [
+        (lambda n: m0_log_prob(THREE_ANIMALS, n, 0.4), 3),
+        (lambda n: m0_profile_log_lik(THREE_ANIMALS, n), 3),
+        (lambda n: m0_profile_log_lik(stats_from(0, 2, 0, [0, 0], [], [0, 0]), n), 1),
+        (lambda n: mh_integrated_log_prob(THREE_ANIMALS, n, BetaParams(1.0, 2.0)), 3),
+        (lambda n: mh_summary_log_prob(THREE_ANIMALS.f_j, 3, n, 3, BetaParams(1.0, 2.0)), 3),
+        (lambda n: york_madigan_log_kernel(n, 4, 3, 0.5), 4),
+        (lambda n: m0_marginal_log_kernel(n, THREE_ANIMALS, BetaParams(1.0, 1.0)), 3),
+        (MhMarginalKernel(THREE_ANIMALS, GammaPriors(2.0, 2.0, 1.0)).log_kernel, 3),
+    ],
+    ids=[
+        "m0_log_prob",
+        "m0_profile_log_lik",
+        "m0_profile_log_lik-empty",
+        "mh_integrated_log_prob",
+        "mh_summary_log_prob",
+        "york_madigan_log_kernel",
+        "m0_marginal_log_kernel",
+        "MhMarginalKernel",
+    ],
+)
+def test_kernels_are_neg_inf_exactly_below_support(kernel, lo):
+    below, on = kernel(lo - 1), kernel(lo)
+    assert type(below) is float and below == -math.inf
+    assert type(on) is float and math.isfinite(on)
+    grid = np.array([lo - 3, lo - 1, lo - 0.5, lo, lo + 0.5, lo + 1, lo + 40], dtype=float)
+    vals = kernel(grid)
+    assert isinstance(vals, np.ndarray) and vals.shape == grid.shape
+    assert (vals[grid < lo] == -np.inf).all()
+    assert np.isfinite(vals[grid >= lo]).all()

@@ -12,7 +12,7 @@ from scipy.special import gammaln
 
 from crbayes.data import CaptureHistory, simulate_mh, summarize
 from crbayes.likelihoods import (
-    HeterogeneityParams,
+    BetaParams,
     mh_integrated_log_prob,
     mh_log_obs_factor,
     mh_summary_log_prob,
@@ -65,7 +65,7 @@ def test_integrated_likelihood_matches_per_animal_oracle(history, alpha, beta, e
     stats = summarize(history)
     n_val = stats.m_k1 + excess
     want = per_animal_mh_integrated_log_prob(stats, n_val, alpha, beta)
-    got = mh_integrated_log_prob(stats, n_val, HeterogeneityParams(alpha, beta))
+    got = mh_integrated_log_prob(stats, n_val, BetaParams(alpha, beta))
     assert_agrees(got, want, (n_val + 1) * log_gamma_scale(alpha, beta, stats.k))
 
 
@@ -74,7 +74,7 @@ def test_integrated_likelihood_matches_per_animal_oracle(history, alpha, beta, e
 def test_summary_and_integrated_forms_differ_by_a_constant_in_n(history, alpha, beta):
     stats = summarize(history)
     m, k = stats.m_k1, stats.k
-    params = HeterogeneityParams(alpha, beta)
+    params = BetaParams(alpha, beta)
     grid = m + np.array([0.0, 1.0, 7.0, 20.0, 50.0])
     diff = mh_summary_log_prob(stats.f_j, m, grid, k, params) - mh_integrated_log_prob(
         stats, grid, params

@@ -11,14 +11,13 @@ from crbayes.likelihoods import BetaParams
 from crbayes.posterior import (
     GammaPriors,
     MhMarginalKernel,
-    PriorSpec,
     QuadratureConvergenceError,
     beta_expectation,
     log_beta_expectation,
     m0_marginal_log_kernel,
-    mh_marginal_log_kernel,
     posterior_table,
 )
+from crbayes.propriety import propriety_report
 
 from oracles import mc_beta_expectation, mc_mh_marginal_log_kernel, quad_m0_marginal_log_kernel
 
@@ -79,33 +78,32 @@ class TestMhMarginal:
         # with one occasion the zero-cell factor is beta/(alpha+beta) = 1 - X
         # and X = alpha/(alpha+beta) ~ Beta(a, b) under common-scale Gammas
         a, b = shapes
-        prior = PriorSpec("uniform", gammas=GammaPriors(a, b, 1.0))
+        kern = MhMarginalKernel(EMPTY_K1, GammaPriors(a, b, 1.0), rtol=1e-5)
         for n_val in (0, 1, 5, 100, 10_000, 10**6):
-            got = mh_marginal_log_kernel(float(n_val), EMPTY_K1, prior, rtol=1e-5)
+            got = kern.log_kernel(float(n_val))
             expected = log_beta_expectation(n_val, 0, a, b)
             assert got == pytest.approx(expected, abs=1e-7)
 
     def test_observed_animals_single_occasion_closed_form(self):
         stats = summarize(CaptureHistory(k=1, rows=((1,), (1,))))
-        prior = PriorSpec("uniform", gammas=GammaPriors(1.5, 2.0, 1.0))
+        kern = MhMarginalKernel(stats, GammaPriors(1.5, 2.0, 1.0), rtol=1e-5)
         comb = {2: 1.0, 3: 3.0, 12: 66.0}  # C(N, 2)
         for n_val, c in comb.items():
-            got = mh_marginal_log_kernel(n_val, stats, prior, rtol=1e-5)
+            got = kern.log_kernel(n_val)
             expected = math.log(c) + log_beta_expectation(n_val, 2, 1.5, 2.0)
             assert got == pytest.approx(expected, abs=1e-8)
 
     def test_all_observed_has_no_zero_cell(self):
         stats = summarize(CaptureHistory(k=3, rows=((1, 0, 0), (1, 1, 0))))
-        prior = PriorSpec("uniform", gammas=GammaPriors(2.0, 2.0, 1.0))
-        got = mh_marginal_log_kernel(stats.m_k1, stats, prior)
+        got = MhMarginalKernel(stats, GammaPriors(2.0, 2.0, 1.0)).log_kernel(stats.m_k1)
         est, se, log_comb = mc_mh_marginal_log_kernel(stats, stats.m_k1, 2.0, 2.0, 1.0, 10**6, 7)
         assert abs(math.exp(got - log_comb) - est) <= 3.0 * se
 
     def test_matches_monte_carlo_expectation(self):
         stats = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))
-        prior = PriorSpec("uniform", gammas=GammaPriors(2.0, 2.0, 1.0))
+        kern = MhMarginalKernel(stats, GammaPriors(2.0, 2.0, 1.0))
         for n_val in (4, 17):
-            got = mh_marginal_log_kernel(n_val, stats, prior)
+            got = kern.log_kernel(n_val)
             est, se, log_comb = mc_mh_marginal_log_kernel(stats, n_val, 2.0, 2.0, 1.0, 10**6, 99)
             assert abs(math.exp(got - log_comb) - est) <= 3.0 * se
 
@@ -115,14 +113,13 @@ class TestMhMarginal:
         k = 3
         fwd = summarize(CaptureHistory(k=k, rows=((1, 0, 0), (1, 1, 0))))
         rev = summarize(CaptureHistory(k=k, rows=((1, 1, 0), (1, 0, 0))))  # y: 2,1
-        lhs = mh_marginal_log_kernel(2, fwd, PriorSpec("uniform", gammas=GammaPriors(1.3, 2.6, 1.0)))
-        rhs = mh_marginal_log_kernel(2, rev, PriorSpec("uniform", gammas=GammaPriors(2.6, 1.3, 1.0)))
+        lhs = MhMarginalKernel(fwd, GammaPriors(1.3, 2.6, 1.0)).log_kernel(2)
+        rhs = MhMarginalKernel(rev, GammaPriors(2.6, 1.3, 1.0)).log_kernel(2)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_below_support(self):
         stats = summarize(CaptureHistory(k=2, rows=((1, 1),)))
-        prior = PriorSpec("uniform", gammas=GammaPriors(2.0, 2.0, 1.0))
-        assert mh_marginal_log_kernel(0, stats, prior) == -np.inf
+        assert MhMarginalKernel(stats, GammaPriors(2.0, 2.0, 1.0)).log_kernel(0) == -np.inf
 
     def test_unconverged_quadrature_raises_with_both_values(self):
         stats = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))
@@ -153,19 +150,13 @@ class TestMhMarginal:
         fine.log_kernel(grid)
         assert fine.diagnostics["max_rel_change"] < 1e-4
 
-    def test_requires_gamma_priors(self):
-        with pytest.raises(ValueError, match="Gamma"):
-            mh_marginal_log_kernel(5, TWO_ANIMALS, PriorSpec("uniform", beta=BetaParams(1, 1)))
-
-
-def test_prior_spec_rejects_two_families():
-    with pytest.raises(ValueError, match="exactly one"):
-        PriorSpec("uniform", beta=BetaParams(1, 1), gammas=GammaPriors(1, 1, 1))
-
 
 def test_prior_spec_rejects_unknown_prior():
+    kernel = lambda n: m0_marginal_log_kernel(n, TWO_ANIMALS, BetaParams(1.0, 1.0))
     with pytest.raises(ValueError, match="prior"):
-        PriorSpec("jeffreys")
+        posterior_table(kernel, "jeffreys", stats=TWO_ANIMALS, n_max=100)
+    with pytest.raises(ValueError, match="prior"):
+        propriety_report("m0", "jeffreys", stats=TWO_ANIMALS, beta=BetaParams(1.0, 1.0))
 
 
 class TestPosteriorTable:
