@@ -12,28 +12,37 @@ plotting) plus a run manifest, and reports through exit codes:
 
 import argparse
 import hashlib
-import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
+from .data import InvalidHistoryError, load_history, simulate_m0, simulate_mh, store_history, summarize, write_json
+from .gibbs import DaConfig, m_sweep
+from .likelihoods import BetaParams, york_madigan_log_kernel
+from .posterior import (
+    GammaPriors,
+    MhMarginalKernel,
+    QuadratureConvergenceError,
+    m0_marginal_log_kernel,
+    posterior_table,
+)
+from .propriety import (
+    FitConfig,
+    TailFitError,
+    fit_tail_exponent,
+    propriety_report,
+    write_exponent_csv,
+    ym_propriety_condition,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IMPROPER = 3
 EXIT_DISAGREEMENT = 4
 EXIT_NUMERIC = 5
-
-
-def _configure_threads() -> None:
-    """Honor CRBAYES_THREADS for the BLAS pools before numpy gets imported."""
-    want = os.environ.get("CRBAYES_THREADS")
-    if not want:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, want)
 
 
 def _digest(path: Path) -> str:
@@ -49,7 +58,7 @@ def _write_manifest(out_path: Path, command: str, params: dict, seed, input_path
         "input_digest": _digest(input_path) if input_path else None,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    Path(str(out_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    write_json(Path(str(out_path) + ".manifest.json"), manifest)
 
 
 def _probability(text: str) -> float:
@@ -159,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    from .data import simulate_m0, simulate_mh, store_history
-
     if args.model == "m0":
         if args.p is None:
             raise SystemExit(_usage("simulate --model m0 needs --p"))
@@ -185,10 +192,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .data import load_history, summarize
-    from .likelihoods import BetaParams
-    from .posterior import GammaPriors, MhMarginalKernel, m0_marginal_log_kernel, posterior_table
-
     history = load_history(args.data)
     stats = summarize(history)
     extra: dict = {"model": args.model, "n_prior": args.n_prior}
@@ -236,13 +239,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_check_propriety(args) -> int:
-    import numpy as np
-
-    from .data import load_history, summarize
-    from .likelihoods import BetaParams
-    from .posterior import GammaPriors
-    from .propriety import FitConfig, fit_tail_exponent, propriety_report, write_exponent_csv
-
     fit = FitConfig(
         n_lo=args.fit_lo, n_hi=args.fit_hi, points=args.fit_points, tolerance=args.tolerance
     )
@@ -251,18 +247,17 @@ def _cmd_check_propriety(args) -> int:
     if args.synthetic_exponent is not None:
         d = args.synthetic_exponent
         log_kernel = lambda n: -d * np.log(n)
-        lo = args.fit_lo if args.fit_lo is not None else 1e3
-        hi = args.fit_hi if args.fit_hi is not None else 1e6
-        fitted, stderr = fit_tail_exponent(log_kernel, lo, hi, args.fit_points)
+        lo, hi = fit.resolve(1)
+        fitted, stderr = fit_tail_exponent(log_kernel, lo, hi, fit.points)
         payload = {
             "model": "synthetic",
             "requested_exponent": d,
             "fitted_exponent": fitted,
             "fitted_std_err": stderr,
-            "agreement": bool(abs(fitted - d) <= args.tolerance),
+            "agreement": bool(abs(fitted - d) <= fit.tolerance),
         }
-        json_path.write_text(json.dumps(payload, indent=2) + "\n")
-        write_exponent_csv(log_kernel, lo, hi, args.fit_points, Path(str(args.out) + ".csv"))
+        write_json(json_path, payload)
+        write_exponent_csv(log_kernel, lo, hi, fit.points, Path(str(args.out) + ".csv"))
         _write_manifest(json_path, "check-propriety", _params_of(args), None, None)
         print(f"synthetic kernel N^-{d}: fitted exponent {fitted:.4f} +- {stderr:.2e}")
         return EXIT_OK if payload["agreement"] else EXIT_DISAGREEMENT
@@ -305,10 +300,6 @@ def _cmd_check_propriety(args) -> int:
 
 
 def _cmd_da_sweep(args) -> int:
-    from .data import load_history
-    from .gibbs import DaConfig, m_sweep
-    from .likelihoods import BetaParams
-
     history = load_history(args.data)
     try:
         m_values = [int(v) for v in args.m.split(",") if v.strip()]
@@ -342,10 +333,6 @@ def _cmd_da_sweep(args) -> int:
 
 
 def _cmd_ym(args) -> int:
-    from .likelihoods import york_madigan_log_kernel
-    from .posterior import posterior_table
-    from .propriety import FitConfig, propriety_report, ym_propriety_condition
-
     log_kernel = lambda n: york_madigan_log_kernel(n, args.n, args.k, args.delta)
     table = posterior_table(
         log_kernel,
@@ -390,7 +377,6 @@ def _usage(message: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -404,10 +390,6 @@ def main(argv: list[str] | None = None) -> int:
         "da-sweep": _cmd_da_sweep,
         "ym": _cmd_ym,
     }
-    from .data import InvalidHistoryError
-    from .posterior import QuadratureConvergenceError
-    from .propriety import TailFitError
-
     try:
         return handlers[args.command](args)
     except SystemExit as exc:

@@ -166,18 +166,25 @@ def _format_from_path(path: Path, fmt: str | None) -> str:
     raise ValueError(f"cannot infer dataset format from {path.name}; pass fmt=")
 
 
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` as JSON indented by two spaces, with a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def write_csv(path: str | Path, rows) -> None:
+    """Write an iterable of rows, header first, as CSV; floats are written as their repr."""
+    with Path(path).open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def store_history(history: CaptureHistory, path: str | Path, fmt: str | None = None) -> None:
     """Write a dataset as JSON ({"K": ..., "histories": [...]}) or header-less CSV."""
     path = Path(path)
     fmt = _format_from_path(path, fmt)
     if fmt == "json":
-        payload = {"K": history.k, "histories": [list(row) for row in history.rows]}
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        write_json(path, {"K": history.k, "histories": [list(row) for row in history.rows]})
     elif fmt == "csv":
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in history.rows:
-                writer.writerow(row)
+        write_csv(path, history.rows)
     else:
         raise ValueError(f"unknown dataset format {fmt!r}")
 

@@ -10,14 +10,12 @@ chain for increasing M: when the underlying posterior is improper the mean
 of N keeps climbing with M, which is the diagnostic this module exists for.
 """
 
-import csv
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import CaptureHistory, summarize
+from .data import CaptureHistory, summarize, write_csv, write_json
 from .likelihoods import BetaParams
 
 
@@ -187,35 +185,18 @@ class SweepReport:
     stability_threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "M": e.m,
-                    "mean_N": e.mean_n,
-                    "sd_N": e.sd_n,
-                    "ess": e.ess,
-                    "se_mean": e.se_mean,
-                }
-                for e in self.entries
-            ],
-            "slope": self.slope,
-            "slope_se": self.slope_se,
-            "slope_z": self.slope_z,
-            "stable": self.stable,
-            "relative_change": self.relative_change,
-            "sd_ratio": self.sd_ratio,
-            "stability_threshold": self.stability_threshold,
-        }
+        entries = [
+            {"M": e.m, "mean_N": e.mean_n, "sd_N": e.sd_n, "ess": e.ess, "se_mean": e.se_mean}
+            for e in self.entries
+        ]
+        return {**asdict(self), "entries": entries}
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        write_json(path, self.to_dict())
 
     def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["M", "mean_N", "sd_N", "ess"])
-            for e in self.entries:
-                writer.writerow([e.m, repr(e.mean_n), repr(e.sd_n), repr(e.ess)])
+        rows = [(e.m, e.mean_n, e.sd_n, e.ess) for e in self.entries]
+        write_csv(path, [("M", "mean_N", "sd_N", "ess"), *rows])
 
 
 def m_sweep(

@@ -196,6 +196,17 @@ def mh_log_obs_factor(f_j: Sequence[int], alpha, beta, log_x=None):
     return out
 
 
+def _log_zero_cell(params: BetaParams, k: int) -> float:
+    """log prod_{j<K} (b+j)/(a+b+j), the chance that a Beta-mixed animal is never caught.
+
+    Summed term by term, as :func:`mh_log_obs_factor` does: the log-gamma form
+    cancels terms far larger than the result, and the kernels multiply the
+    rounding left over by N - M.
+    """
+    a, b = params.a, params.b
+    return sum(float(np.log(b + j) - np.log(a + b + j)) for j in range(k))
+
+
 def mh_integrated_log_prob(stats: SufficientStats, n, params: BetaParams):
     """Log likelihood of a full history with Beta-distributed detection rates.
 
@@ -206,15 +217,12 @@ def mh_integrated_log_prob(stats: SufficientStats, n, params: BetaParams):
         N!/((N-M)! M!) * [prod_{j<K}(beta+j)/(alpha+beta+j)]^(N-M)
         * prod_i [prod_{j<y_i}(alpha+j) prod_{j<K-y_i}(beta+j)] / prod_{j<K}(alpha+beta+j)
 
-    with the observed-animal product from :func:`mh_log_obs_factor`. The
-    zero-cell factor is summed term by term, as that helper does: its
-    log-gamma form cancels terms far larger than the result, and the rounding
-    left over is multiplied by N - M. N < M gives -inf.
+    with the observed-animal product from :func:`mh_log_obs_factor` and the
+    zero-cell factor from :func:`_log_zero_cell`. N < M gives -inf.
     """
-    a, b = params.a, params.b
-    m, k = stats.m_k1, stats.k
-    log_zero_cell = sum(float(np.log(b + j) - np.log(a + b + j)) for j in range(k))
-    log_obs = float(mh_log_obs_factor(stats.f_j, a, b))
+    m = stats.m_k1
+    log_zero_cell = _log_zero_cell(params, stats.k)
+    log_obs = float(mh_log_obs_factor(stats.f_j, params.a, params.b))
     return _on_support(n, m, lambda safe: (
         log_falling(safe, m) - gammaln(m + 1) + (safe - m) * log_zero_cell + log_obs
     ))
@@ -239,20 +247,19 @@ def mh_summary_log_prob(
     """Log likelihood of the capture-frequency summary under Beta-mixed detection.
 
     Models the counts (N - M, f_1, ..., f_K) of animals caught 0, 1, ..., K
-    times as a multinomial with beta-binomial cell probabilities. Up to a
-    factor constant in N this matches :func:`mh_integrated_log_prob`.
+    times as a multinomial with beta-binomial cell probabilities; the zero
+    cell, raised to the power N - M, comes from :func:`_log_zero_cell`. Up to
+    a factor constant in N this matches :func:`mh_integrated_log_prob`.
     """
     freqs = np.asarray(f_j, dtype=int)
     if freqs.ndim != 1 or freqs.size != k or (freqs < 0).any():
         raise ValueError("f_j must have one nonnegative count per occasion")
     if int(freqs.sum()) != m_k1:
         raise ValueError("f_j must sum to the number of observed animals")
-    log_pi = beta_binomial_log_pmf(np.arange(k + 1), k, params)
+    log_zero_cell = _log_zero_cell(params, k)
+    log_seen = float(freqs @ beta_binomial_log_pmf(np.arange(1, k + 1), k, params))
     return _on_support(n, m_k1, lambda safe: (
-        log_falling(safe, m_k1)
-        - gammaln(freqs + 1).sum()
-        + (safe - m_k1) * log_pi[0]
-        + float(freqs @ log_pi[1:])
+        log_falling(safe, m_k1) - gammaln(freqs + 1).sum() + (safe - m_k1) * log_zero_cell + log_seen
     ))
 
 

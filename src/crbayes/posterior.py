@@ -8,17 +8,16 @@ hidden: every table carries a power-law extrapolation of the mass beyond its
 upper endpoint and warns when that extrapolation diverges.
 """
 
-import csv
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, roots_genlaguerre, roots_jacobi
 
-from .data import SufficientStats
+from .data import SufficientStats, write_csv, write_json
 from .likelihoods import BetaParams, _as_grid, _maybe_scalar, _on_support, log_falling, mh_log_obs_factor
 
 
@@ -279,7 +278,7 @@ class PosteriorTable:
     def to_dict(self) -> dict:
         return {
             "support": [self.n_min, self.n_max],
-            "mass": [float(v) for v in self.mass],
+            "mass": self.mass.tolist(),
             "mean": self.mean,
             "sd": self.sd,
             "ci": list(self.ci),
@@ -290,25 +289,11 @@ class PosteriorTable:
         }
 
     def write_json(self, path: str | Path, extra: dict | None = None) -> None:
-        payload = self.to_dict()
-        if extra:
-            payload.update(extra)
-        Path(path).write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
+        write_json(path, {**self.to_dict(), **(extra or {})})
 
     def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["N", "mass", "log_kernel"])
-            for n_val, mass, logk in zip(self.support, self.mass, self.log_kernel):
-                writer.writerow([int(n_val), repr(float(mass)), repr(float(logk))])
-
-
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"unserializable {type(value)!r}")
+        rows = zip(self.support.tolist(), self.mass.tolist(), self.log_kernel.tolist())
+        write_csv(path, chain([("N", "mass", "log_kernel")], rows))
 
 
 def fit_log_log_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -324,6 +309,16 @@ def fit_log_log_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float
     dof = max(n_pts - 2, 1)
     stderr = float(np.sqrt((resid @ resid) / dof / sxx))
     return slope, intercept, stderr
+
+
+def _check_n_prior(n_prior: str) -> None:
+    if n_prior not in ("uniform", "scale"):
+        raise ValueError(f"unknown prior on N: {n_prior!r}")
+
+
+def _log_n_prior(n, n_prior: str):
+    """Log prior on N up to a constant: 0 for the flat prior, -log N for the 1/N scale prior."""
+    return -np.log(n) if n_prior == "scale" else 0.0
 
 
 def posterior_table(
@@ -344,8 +339,7 @@ def posterior_table(
     d within ``improper_margin`` of 1 (or below) the table is flagged as
     likely improper instead of silently reporting a normalized answer.
     """
-    if n_prior not in ("uniform", "scale"):
-        raise ValueError(f"unknown prior on N: {n_prior!r}")
+    _check_n_prior(n_prior)
     if (stats is None) == (n_min is None):
         raise ValueError("pass exactly one of stats or n_min")
     lo = stats.m_k1 if stats is not None else int(n_min)
@@ -360,8 +354,7 @@ def posterior_table(
     logk = np.asarray(log_kernel(support.astype(float)), dtype=float)
     if np.isnan(logk).any():
         raise ValueError("kernel returned NaN on the support")
-    log_prior = -np.log(support) if n_prior == "scale" else np.zeros_like(logk)
-    log_total = logk + log_prior
+    log_total = logk + _log_n_prior(support, n_prior)
     if not np.isfinite(log_total).any():
         raise ValueError("kernel is zero everywhere on the support")
 

@@ -11,20 +11,21 @@ one. The empirical side fits the tail exponent of prior * kernel on a
 geometric grid and checks it against the analytic value.
 """
 
-import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
 
-from .data import SufficientStats
+from .data import SufficientStats, write_csv, write_json
 from .likelihoods import BetaParams, york_madigan_log_kernel
 from .posterior import (
     GammaPriors,
     MhMarginalKernel,
+    _check_n_prior,
+    _log_n_prior,
     fit_log_log_slope,
     m0_marginal_log_kernel,
 )
@@ -84,11 +85,6 @@ def ym_propriety_condition(k: int, delta: float, n_prior: str) -> str:
     if n_prior == "scale":
         return PROPER
     return PROPER if delta > 1.0 / (k - 1) else IMPROPER
-
-
-def _check_n_prior(n_prior: str) -> None:
-    if n_prior not in ("uniform", "scale"):
-        raise ValueError(f"unknown prior on N: {n_prior!r}")
 
 
 def local_exponent(log_kernel: Callable[[np.ndarray], np.ndarray], n: float) -> float:
@@ -189,24 +185,10 @@ class ProprietyReport:
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "n_prior": self.n_prior,
-            "analytic_exponent": self.analytic_exponent,
-            "analytic_total_exponent": self.analytic_total_exponent,
-            "predicted": self.predicted,
-            "fitted_exponent": self.fitted_exponent,
-            "fitted_std_err": self.fitted_std_err,
-            "local_exponent": self.local_exponent,
-            "fit_range": list(self.fit_range),
-            "fit_points": self.fit_points,
-            "tolerance": self.tolerance,
-            "agreement": self.agreement,
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        write_json(path, self.to_dict())
 
 
 def write_exponent_csv(
@@ -221,23 +203,8 @@ def write_exponent_csv(
     vals = np.asarray(log_kernel(grid), dtype=float)
     vals2 = np.asarray(log_kernel(2.0 * grid), dtype=float)
     local = -(vals2 - vals) / np.log(2.0)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "log_kernel", "local_exponent"])
-        for n_val, lk, le in zip(grid, vals, local):
-            writer.writerow([repr(float(n_val)), repr(float(lk)), repr(float(le))])
-
-
-def _with_prior(
-    log_kernel: Callable[[np.ndarray], np.ndarray], n_prior: str
-) -> Callable[[np.ndarray], np.ndarray]:
-    if n_prior == "uniform":
-        return log_kernel
-
-    def scaled(n):
-        return log_kernel(n) - np.log(n)
-
-    return scaled
+    rows = zip(grid.tolist(), vals.tolist(), local.tolist())
+    write_csv(path, chain([("N", "log_kernel", "local_exponent")], rows))
 
 
 def propriety_report(
@@ -298,7 +265,7 @@ def propriety_report(
         raise ValueError(f"unknown model {model!r}")
 
     n_lo, n_hi = fit.resolve(scale)
-    target = _with_prior(kernel, n_prior)
+    target = lambda n: kernel(n) + _log_n_prior(n, n_prior)
     fitted, stderr = fit_tail_exponent(target, n_lo, n_hi, fit.points)
     probe = local_exponent(target, float(np.sqrt(n_lo * n_hi)))
 

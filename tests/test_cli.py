@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -270,12 +269,3 @@ def test_version_flag_and_manifest_report_the_package_version(tmp_path, capsys):
          "--seed", "1", "--out", str(out)])
     manifest = json.loads((tmp_path / "d.json.manifest.json").read_text())
     assert manifest["version"] == crbayes.__version__
-
-
-def test_thread_env_configures_blas_pools(monkeypatch):
-    from crbayes.cli import _configure_threads
-
-    monkeypatch.setenv("CRBAYES_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    _configure_threads()
-    assert os.environ["OMP_NUM_THREADS"] == "2"

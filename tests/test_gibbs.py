@@ -170,5 +170,13 @@ class TestMSweep:
         report.write_csv(tmp_path / "s.csv")
         payload = json.loads((tmp_path / "s.json").read_text())
         assert [e["M"] for e in payload["entries"]] == [50, 200]
-        header = (tmp_path / "s.csv").read_text().splitlines()[0]
+        assert payload["entries"] == [
+            {"M": e.m, "mean_N": e.mean_n, "sd_N": e.sd_n, "ess": e.ess, "se_mean": e.se_mean}
+            for e in report.entries
+        ]
+        assert payload["slope"] == report.slope
+        header, *rows = (tmp_path / "s.csv").read_text().splitlines()
         assert header == "M,mean_N,sd_N,ess"
+        assert [[float(v) for v in row.split(",")] for row in rows] == [
+            [e.m, e.mean_n, e.sd_n, e.ess] for e in report.entries
+        ]

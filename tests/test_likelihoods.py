@@ -147,20 +147,23 @@ class TestMhIntegrated:
     @pytest.mark.parametrize("a, b", [(1, 1000), (1000, 1), (1000, 1000), (37, 613), (500, 3)])
     def test_zero_cell_factor_does_not_drift_with_n(self, k, a, b):
         # each of the N - M unseen animals contributes prod_{j<K} (b+j)/(a+b+j);
-        # its rounding is multiplied by N - M, so compare against exact integer products
+        # its rounding is multiplied by N - M, so compare against exact integer products.
+        # Both kernels are checked here rather than by one more parametrize, which
+        # would rename every case of this test.
         rows = tuple(tuple(int(j <= i) for j in range(k)) for i in range(k))
         stats = summarize(CaptureHistory(k=k, rows=rows))
         m, d = stats.m_k1, 500
         params = BetaParams(float(a), float(b))
-        got = (
-            mh_integrated_log_prob(stats, m + d, params)
-            - mh_integrated_log_prob(stats, m, params)
-            - math.log(math.comb(m + d, m))
-        )
         num = math.prod(range(b, b + k))
         den = math.prod(range(a + b, a + b + k))
         want = d * (math.log(num) - math.log(den))
-        assert abs(got - want) <= 1e-13 * d
+        kernels = {
+            "integrated": lambda n: mh_integrated_log_prob(stats, n, params),
+            "summary": lambda n: mh_summary_log_prob(stats.f_j, m, n, k, params),
+        }
+        for name, kernel in kernels.items():
+            got = kernel(m + d) - kernel(m) - math.log(math.comb(m + d, m))
+            assert abs(got - want) <= 1e-13 * d, name
 
 
 class TestMhSummary:

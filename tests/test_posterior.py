@@ -230,14 +230,25 @@ class TestPosteriorTable:
         table = posterior_table(kernel, "uniform", stats=TWO_ANIMALS, n_max=500)
         table.write_json(tmp_path / "t.json", extra={"model": "m0"})
         table.write_csv(tmp_path / "t.csv")
-        payload = json.loads((tmp_path / "t.json").read_text())
+        text = (tmp_path / "t.json").read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2) + "\n"
         assert payload["support"] == [2, 500]
         assert payload["model"] == "m0"
         assert payload["mean"] == pytest.approx(table.mean)
-        assert len(payload["mass"]) == 499
-        header, first = (tmp_path / "t.csv").read_text().splitlines()[:2]
+        assert payload["mass"] == table.mass.tolist()
+        header, *rows = (tmp_path / "t.csv").read_text().splitlines()
         assert header == "N,mass,log_kernel"
-        assert first.startswith("2,")
+        cells = [row.split(",") for row in rows]
+        assert [int(c[0]) for c in cells] == table.support.tolist()
+        assert [float(c[1]) for c in cells] == table.mass.tolist()
+        assert [float(c[2]) for c in cells] == table.log_kernel.tolist()
+
+        no_recapture = summarize(CaptureHistory(k=2, rows=((1, 0), (0, 1))))
+        kernel = lambda n: m0_marginal_log_kernel(n, no_recapture, BetaParams(1.0, 1.0))
+        improper = posterior_table(kernel, "uniform", stats=no_recapture, n_max=500)
+        improper.write_json(tmp_path / "i.json")
+        assert '"tail_mass_estimate": Infinity,' in (tmp_path / "i.json").read_text()
 
 
 @settings(max_examples=20, deadline=None)

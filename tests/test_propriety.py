@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ from crbayes.likelihoods import BetaParams, york_madigan_log_kernel
 from crbayes.posterior import GammaPriors, m0_marginal_log_kernel
 from crbayes.propriety import (
     FitConfig,
+    ProprietyReport,
     TailFitError,
     fit_tail_exponent,
     gamma_ratio_asymptotic_check,
@@ -212,15 +214,22 @@ class TestProprietyReport:
         report = propriety_report("ym", "uniform", ym_n=4, ym_k=6, ym_delta=0.25)
         report.write_json(tmp_path / "r.json")
         payload = json.loads((tmp_path / "r.json").read_text())
+        assert list(payload) == [f.name for f in dataclasses.fields(ProprietyReport)]
         assert payload["model"] == "ym"
         assert payload["predicted"] == "proper"
-        assert payload["fitted_exponent"] == pytest.approx(report.fitted_exponent)
+        assert payload["fitted_exponent"] == report.fitted_exponent
+        assert payload["fit_range"] == list(report.fit_range)
 
 
 def test_exponent_csv_export(tmp_path):
-    write_exponent_csv(lambda n: -2.0 * np.log(n), 1e3, 1e6, 12, tmp_path / "k.csv")
+    log_kernel = lambda n: -2.0 * np.log(n)
+    write_exponent_csv(log_kernel, 1e3, 1e6, 12, tmp_path / "k.csv")
     lines = (tmp_path / "k.csv").read_text().splitlines()
     assert lines[0] == "N,log_kernel,local_exponent"
     assert len(lines) == 13
-    local = float(lines[1].split(",")[2])
-    assert local == pytest.approx(2.0)
+    cells = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    grid = np.geomspace(1e3, 1e6, 12)
+    assert cells[:, 0].tolist() == grid.tolist()
+    assert cells[:, 1].tolist() == log_kernel(grid).tolist()
+    assert cells[:, 2].tolist() == (-(log_kernel(2.0 * grid) - log_kernel(grid)) / np.log(2.0)).tolist()
+    assert cells[0, 2] == pytest.approx(2.0)
