@@ -35,7 +35,6 @@ from .propriety import (
     fit_tail_exponent,
     propriety_report,
     write_exponent_csv,
-    ym_propriety_condition,
 )
 
 EXIT_OK = 0
@@ -170,12 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     if args.model == "m0":
         if args.p is None:
-            raise SystemExit(_usage("simulate --model m0 needs --p"))
+            raise ValueError("simulate --model m0 needs --p")
         history = simulate_m0(args.n, args.p, args.k, args.seed)
         params = {"model": "m0", "n": args.n, "p": args.p, "k": args.k, "format": args.format}
     else:
         if args.alpha is None or args.beta is None:
-            raise SystemExit(_usage("simulate --model mh needs --alpha and --beta"))
+            raise ValueError("simulate --model mh needs --alpha and --beta")
         history = simulate_mh(args.n, args.alpha, args.beta, args.k, args.seed)
         params = {
             "model": "mh",
@@ -263,12 +262,12 @@ def _cmd_check_propriety(args) -> int:
         return EXIT_OK if payload["agreement"] else EXIT_DISAGREEMENT
 
     if args.model is None:
-        raise SystemExit(_usage("check-propriety needs --model or --synthetic-exponent"))
+        raise ValueError("check-propriety needs --model or --synthetic-exponent")
     kwargs: dict = {}
     input_path = None
     if args.model in ("m0", "mh"):
         if args.data is None:
-            raise SystemExit(_usage(f"check-propriety --model {args.model} needs --data"))
+            raise ValueError(f"check-propriety --model {args.model} needs --data")
         stats = summarize(load_history(args.data))
         kwargs["stats"] = stats
         input_path = args.data
@@ -281,7 +280,7 @@ def _cmd_check_propriety(args) -> int:
             kwargs["quad_rtol"] = args.quad_rtol
     else:
         if args.n is None or args.k is None or args.delta is None:
-            raise SystemExit(_usage("check-propriety --model ym needs --n, --k and --delta"))
+            raise ValueError("check-propriety --model ym needs --n, --k and --delta")
         kwargs.update(ym_n=args.n, ym_k=args.k, ym_delta=args.delta)
 
     report = propriety_report(args.model, args.n_prior, fit=fit, **kwargs)
@@ -304,7 +303,7 @@ def _cmd_da_sweep(args) -> int:
     try:
         m_values = [int(v) for v in args.m.split(",") if v.strip()]
     except ValueError as exc:
-        raise SystemExit(_usage(f"bad --m list: {exc}"))
+        raise ValueError(f"bad --m list: {exc}")
     base = DaConfig(
         m=max(m_values),
         iters=args.iters,
@@ -345,21 +344,20 @@ def _cmd_ym(args) -> int:
     report = propriety_report(
         "ym", args.prior, ym_n=args.n, ym_k=args.k, ym_delta=args.delta, fit=FitConfig()
     )
-    verdict = ym_propriety_condition(args.k, args.delta, args.prior)
 
     json_path = Path(str(args.out) + ".json")
     table.write_json(json_path, extra={"model": "ym", "n_prior": args.prior,
-                                       "verdict": verdict, "propriety": report.to_dict()})
+                                       "verdict": report.predicted, "propriety": report.to_dict()})
     table.write_csv(Path(str(args.out) + ".csv"))
     _write_manifest(json_path, "ym", _params_of(args), None, None)
 
-    print(f"Dirichlet-multinomial: k={args.k}, delta={args.delta}, {args.prior} prior -> {verdict}")
+    print(f"Dirichlet-multinomial: k={args.k}, delta={args.delta}, {args.prior} prior -> {report.predicted}")
     print(f"  kernel exponent: analytic {report.analytic_exponent:.4f}, "
           f"fitted {report.fitted_exponent:.4f} +- {report.fitted_std_err:.2e}")
     print(f"  truncated posterior mean = {table.mean:.4f}, sd = {table.sd:.4f}")
     for warning in table.warnings:
         print(f"  WARNING: {warning}", file=sys.stderr)
-    return EXIT_IMPROPER if (verdict == "improper" or table.warnings) else EXIT_OK
+    return EXIT_IMPROPER if (report.predicted == "improper" or table.warnings) else EXIT_OK
 
 
 def _params_of(args) -> dict:
@@ -369,11 +367,6 @@ def _params_of(args) -> dict:
             continue
         params[key] = str(value) if isinstance(value, Path) else value
     return params
-
-
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -392,8 +385,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except (InvalidHistoryError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,21 +32,23 @@ class CaptureHistory:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidHistoryError(f"need at least one occasion, got k={self.k}")
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        if self.k != int(self.k) or self.k < 1:
+            raise InvalidHistoryError(f"need a positive whole number of occasions, got k={self.k!r}")
+        rows = tuple(map(tuple, self.rows))
         for i, row in enumerate(rows):
             if len(row) != self.k:
                 raise InvalidHistoryError(
                     f"row {i} has length {len(row)}, expected k={self.k}"
                 )
+            # checked before int() so that 0.5 or 1.9 cannot truncate to a valid entry
             if any(v not in (0, 1) for v in row):
                 raise InvalidHistoryError(f"row {i} has non-binary entries")
             if not any(row):
                 raise InvalidHistoryError(
                     f"row {i} is all zeros: unobserved individuals are never stored"
                 )
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "rows", tuple(tuple(map(int, row)) for row in rows))
 
     @property
     def n_observed(self) -> int:
@@ -68,8 +70,6 @@ class SufficientStats:
         k: number of occasions.
         n_dot: total number of captures.
         n_j: captures per occasion, length ``k``.
-        y_i_dot: captures per observed animal, length ``m_k1``, each in 1..k;
-            the likelihoods read ``f_j`` instead.
         f_j: frequency of frequencies, length ``k``; ``f_j[j-1]`` is the number
             of animals caught on exactly j occasions.
     """
@@ -78,21 +78,16 @@ class SufficientStats:
     k: int
     n_dot: int
     n_j: tuple[int, ...]
-    y_i_dot: tuple[int, ...]
     f_j: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.n_j) != self.k or len(self.f_j) != self.k:
             raise ValueError("n_j and f_j must have one entry per occasion")
-        if len(self.y_i_dot) != self.m_k1:
-            raise ValueError("y_i_dot must have one entry per observed animal")
         checks = [
             self.n_dot == sum(self.n_j),
-            self.n_dot == sum(self.y_i_dot),
             self.n_dot == sum(j * f for j, f in enumerate(self.f_j, start=1)),
             self.m_k1 == sum(self.f_j),
             all(0 <= n <= self.m_k1 for n in self.n_j),
-            all(1 <= y <= self.k for y in self.y_i_dot),
         ]
         if not all(checks):
             raise ValueError("inconsistent sufficient statistics")
@@ -107,24 +102,18 @@ def summarize(history: CaptureHistory) -> SufficientStats:
     """Reduce a capture history to its sufficient statistics."""
     mat = history.matrix()
     k = history.k
-    if mat.shape[0] == 0:
-        return SufficientStats(0, k, 0, (0,) * k, (), (0,) * k)
-    n_j = mat.sum(axis=0)
-    y_i = mat.sum(axis=1)
-    f_j = np.bincount(y_i, minlength=k + 1)[1 : k + 1]
+    f_j = np.bincount(mat.sum(axis=1), minlength=k + 1)[1 : k + 1]
     return SufficientStats(
         m_k1=int(mat.shape[0]),
         k=k,
         n_dot=int(mat.sum()),
-        n_j=tuple(int(v) for v in n_j),
-        y_i_dot=tuple(int(v) for v in y_i),
-        f_j=tuple(int(v) for v in f_j),
+        n_j=tuple(mat.sum(axis=0).tolist()),
+        f_j=tuple(f_j.tolist()),
     )
 
 
 def _keep_observed(full: np.ndarray, k: int) -> CaptureHistory:
-    seen = full[full.sum(axis=1) > 0]
-    return CaptureHistory(k=k, rows=tuple(tuple(int(v) for v in row) for row in seen))
+    return CaptureHistory(k=k, rows=full[full.sum(axis=1) > 0].tolist())
 
 
 def simulate_m0(n_true: int, p: float, k: int, seed: int) -> CaptureHistory:
@@ -206,7 +195,7 @@ def load_history(path: str | Path, fmt: str | None = None) -> CaptureHistory:
         if not isinstance(payload, dict) or "K" not in payload or "histories" not in payload:
             raise InvalidHistoryError('JSON dataset needs keys "K" and "histories"')
         try:
-            return CaptureHistory(k=int(payload["K"]), rows=tuple(map(tuple, payload["histories"])))
+            return CaptureHistory(k=payload["K"], rows=payload["histories"])
         except (TypeError, ValueError) as exc:
             if isinstance(exc, InvalidHistoryError):
                 raise

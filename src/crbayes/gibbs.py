@@ -173,6 +173,8 @@ class SweepReport:
     significance; a posterior whose mean keeps growing with M is the
     practical signature of impropriety. ``stable`` holds when the means vary
     by less than ``stability_threshold`` relative to the first sweep point.
+    ``sd_ratio`` is the last chain's sd of N over the first's; it is infinite
+    when the first sd is 0, as when that M equals the observed count.
     """
 
     entries: list[SweepEntry]
@@ -246,6 +248,6 @@ def m_sweep(
         slope_z=slope / slope_se if slope_se > 0 else np.inf,
         stable=rel_change < stability_threshold,
         relative_change=rel_change,
-        sd_ratio=float(entries[-1].sd_n / entries[0].sd_n),
+        sd_ratio=entries[-1].sd_n / entries[0].sd_n if entries[0].sd_n > 0 else np.inf,
         stability_threshold=stability_threshold,
     )

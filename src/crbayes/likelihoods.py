@@ -90,7 +90,7 @@ def kahn_log_prob(n_j: Sequence[int], n, p: float):
     n_dot = int(counts.sum())
     out = np.zeros_like(grid)
     for c in counts:
-        out += gammaln(grid + 1) - gammaln(c + 1) - gammaln(grid - c + 1)
+        out += log_falling(grid, c) - gammaln(c + 1)
     out += xlogy(n_dot, p) + xlog1py(k * grid - n_dot, -p)
     return _maybe_scalar(out, scalar)
 

@@ -138,16 +138,14 @@ class MhMarginalKernel:
         nodes: int = 64,
         check_nodes: int = 96,
         rtol: float = 1e-4,
-        check: bool = True,
     ):
-        if nodes < 2 or (check and check_nodes <= nodes):
+        if not check_nodes > nodes >= 2:
             raise ValueError("need check_nodes > nodes >= 2")
         self.stats = stats
         self.gammas = gammas
         self.nodes = nodes
         self.check_nodes = check_nodes
         self.rtol = rtol
-        self.check = check
         self.diagnostics: dict = {
             "nodes": nodes,
             "check_nodes": check_nodes,
@@ -220,32 +218,26 @@ class MhMarginalKernel:
     def log_kernel(self, n):
         """Log kernel values; raises QuadratureConvergenceError if unsettled."""
         m = self.stats.m_k1
-
-        def body(safe):
-            comb = log_falling(safe, m) - gammaln(m + 1)
-            log_e = self._log_expectation(safe, self.nodes)
-            if not self.check:
-                return comb + log_e
-            log_e_fine = self._log_expectation(safe, self.check_nodes)
-            with np.errstate(invalid="ignore"):
-                rel = np.abs(np.expm1(log_e - log_e_fine))
-            rel = np.where(np.isfinite(rel), rel, 0.0)
-            worst = float(rel.max()) if rel.size else 0.0
-            self.diagnostics["max_rel_change"] = worst
-            if worst > self.rtol:
-                raise QuadratureConvergenceError(
-                    f"quadrature changed by {worst:.3e} (> rtol {self.rtol:.1e}) "
-                    f"between {self.nodes}^2 and {self.check_nodes}^2 nodes; the "
-                    "integrand sharpens as observed animals accumulate, so raise "
-                    "nodes/check_nodes (e.g. 128/192) or relax rtol",
-                    # both value sets carry the same -inf below M as the result
-                    log_coarse=_on_support(n, m, lambda _: comb + log_e),
-                    log_fine=_on_support(n, m, lambda _: comb + log_e_fine),
-                    max_rel_change=worst,
-                )
-            return comb + log_e_fine
-
-        return _on_support(n, m, body)
+        log_e = _on_support(n, m, lambda safe: self._log_expectation(safe, self.nodes))
+        log_e_fine = _on_support(n, m, lambda safe: self._log_expectation(safe, self.check_nodes))
+        # only the quadrature is compared; -inf - -inf below M counts as no change
+        with np.errstate(invalid="ignore"):
+            rel = np.abs(np.expm1(log_e - log_e_fine))
+        rel = np.where(np.isfinite(rel), rel, 0.0)
+        worst = float(rel.max()) if rel.size else 0.0
+        self.diagnostics["max_rel_change"] = worst
+        comb = _on_support(n, m, lambda safe: log_falling(safe, m) - gammaln(m + 1))
+        if worst > self.rtol:
+            raise QuadratureConvergenceError(
+                f"quadrature changed by {worst:.3e} (> rtol {self.rtol:.1e}) "
+                f"between {self.nodes}^2 and {self.check_nodes}^2 nodes; the "
+                "integrand sharpens as observed animals accumulate, so raise "
+                "nodes/check_nodes (e.g. 128/192) or relax rtol",
+                log_coarse=comb + log_e,
+                log_fine=comb + log_e_fine,
+                max_rel_change=worst,
+            )
+        return comb + log_e_fine
 
 
 @dataclass

@@ -237,8 +237,7 @@ def propriety_report(
     if model == "m0":
         if stats is None or beta is None:
             raise ValueError("constant-detection report needs stats and Beta prior")
-        d, predicted = m0_propriety_condition(stats, beta.a, n_prior)
-        analytic = stats.recaptures + beta.a
+        analytic, predicted = m0_propriety_condition(stats, beta.a, n_prior)
         kernel = lambda n: m0_marginal_log_kernel(n, stats, beta)
         scale = stats.m_k1
         one_sided = False

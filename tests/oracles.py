@@ -103,12 +103,17 @@ def quad_mh_integrated_log_prob(stats, n_val: int, alpha: float, beta: float) ->
 
     out = gammaln(n_val + 1) - gammaln(m + 1) - gammaln(n_val - m + 1)
     out += (n_val - m) * math.log(cell(0))
-    for y in stats.y_i_dot:
+    for y in per_animal_counts(stats.f_j):
         out += math.log(cell(y))
     return float(out)
 
 
-def per_animal_log_obs(y_i_dot, k: int, alpha, beta):
+def per_animal_counts(f_j) -> list[int]:
+    """Expand capture frequencies into one capture count per observed animal."""
+    return [y for y, f in enumerate(f_j, start=1) for _ in range(f)]
+
+
+def per_animal_log_obs(y_i, k: int, alpha, beta):
     """Observed-animal factor of the Beta-heterogeneous likelihood, animal by animal.
 
     An animal caught y of k times contributes the log-gamma differences
@@ -116,9 +121,9 @@ def per_animal_log_obs(y_i_dot, k: int, alpha, beta):
     - [log G(alpha+beta+k) - log G(alpha+beta)]; nothing is grouped by
     capture frequency. ``alpha`` and ``beta`` broadcast against each other.
     """
-    m = len(y_i_dot)
-    log_a = sum((gammaln(alpha + y) for y in y_i_dot), 0.0) - m * gammaln(alpha)
-    log_b = sum((gammaln(beta + (k - y)) for y in y_i_dot), 0.0) - m * gammaln(beta)
+    m = len(y_i)
+    log_a = sum((gammaln(alpha + y) for y in y_i), 0.0) - m * gammaln(alpha)
+    log_b = sum((gammaln(beta + (k - y)) for y in y_i), 0.0) - m * gammaln(beta)
     return log_a + log_b - m * (gammaln(alpha + beta + k) - gammaln(alpha + beta))
 
 
@@ -129,7 +134,7 @@ def per_animal_mh_integrated_log_prob(stats, n_val: int, alpha: float, beta: flo
         gammaln(beta + k) - gammaln(beta) - gammaln(alpha + beta + k) + gammaln(alpha + beta)
     )
     log_comb = gammaln(n_val + 1) - gammaln(m + 1) - gammaln(n_val - m + 1)
-    log_obs = per_animal_log_obs(stats.y_i_dot, k, alpha, beta)
+    log_obs = per_animal_log_obs(per_animal_counts(stats.f_j), k, alpha, beta)
     return float(log_comb + (n_val - m) * log_zero_cell + log_obs)
 
 
@@ -155,7 +160,7 @@ def mc_mh_marginal_log_kernel(stats, n_val: int, a: float, b: float, c: float, d
     log_vals = np.zeros(draws)
     for j in range(k):
         log_vals += (n_val - m) * (np.log(beta + j) - np.log(alpha + beta + j))
-    log_vals += per_animal_log_obs(stats.y_i_dot, k, alpha, beta)
+    log_vals += per_animal_log_obs(per_animal_counts(stats.f_j), k, alpha, beta)
     vals = np.exp(log_vals)
     log_comb = float(gammaln(n_val + 1) - gammaln(m + 1) - gammaln(n_val - m + 1))
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(draws)), log_comb
@@ -178,6 +183,5 @@ def recount_stats(rows, k: int) -> dict:
         "m_k1": m,
         "n_dot": sum(n_j),
         "n_j": tuple(n_j),
-        "y_i_dot": tuple(y_i),
         "f_j": tuple(f_j),
     }

@@ -53,11 +53,6 @@ class TestSimulate:
         assert rc == 2
         assert "probability" in capsys.readouterr().err
 
-    def test_missing_model_parameters_is_usage_error(self, tmp_path, capsys):
-        rc = run(["simulate", "--model", "mh", "--n", "10", "--k", "2",
-                  "--seed", "1", "--out", str(tmp_path / "x.json")])
-        assert rc == 2
-
     def test_csv_output(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = run(["simulate", "--model", "m0", "--n", "30", "--p", "0.5",
@@ -161,9 +156,44 @@ class TestCheckPropriety:
                   "--tolerance", "1e-12", "--out", str(tmp_path / "dis")])
         assert rc == 4
 
-    def test_model_or_synthetic_required(self, tmp_path, capsys):
-        rc = run(["check-propriety", "--out", str(tmp_path / "x")])
-        assert rc == 2
+
+USAGE_ERRORS = {  # argv without --out, and the one line written to stderr
+    "simulate-m0-without-p": (
+        ["simulate", "--model", "m0", "--n", "10", "--k", "2", "--seed", "1"],
+        "simulate --model m0 needs --p",
+    ),
+    "simulate-mh-without-shapes": (
+        ["simulate", "--model", "mh", "--n", "10", "--k", "2", "--seed", "1"],
+        "simulate --model mh needs --alpha and --beta",
+    ),
+    "check-propriety-without-model": (
+        ["check-propriety"],
+        "check-propriety needs --model or --synthetic-exponent",
+    ),
+    "check-propriety-m0-without-data": (
+        ["check-propriety", "--model", "m0"],
+        "check-propriety --model m0 needs --data",
+    ),
+    "check-propriety-ym-without-counts": (
+        ["check-propriety", "--model", "ym", "--n", "4"],
+        "check-propriety --model ym needs --n, --k and --delta",
+    ),
+    "da-sweep-bad-m-list": (
+        ["da-sweep", "--data", "{data}", "--m", "10,x"],
+        "bad --m list: invalid literal for int() with base 10: 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_missing_model_parameters_is_usage_error(case, m0_dataset, tmp_path, capsys):
+    argv, message = USAGE_ERRORS[case]
+    argv = [a.format(data=m0_dataset) for a in argv] + ["--out", str(tmp_path / "x.json")]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not any(tmp_path.glob("x.json*"))
 
 
 SHARED_FLAGS = [  # (flag, dest, default, a non-default value)
@@ -215,10 +245,14 @@ class TestDaSweep:
         assert "slope" in payload and "stable" in payload
         assert "slope of mean vs M" in capsys.readouterr().out
 
-    def test_bad_m_list(self, m0_dataset, tmp_path, capsys):
-        rc = run(["da-sweep", "--data", str(m0_dataset), "--m", "10,x",
-                  "--out", str(tmp_path / "s")])
-        assert rc == 2
+    def test_first_size_at_observed_count(self, tmp_path, capsys):
+        data = tmp_path / "d.json"
+        store_history(simulate_m0(100, 0.3, 5, seed=7), data)  # 82 observed animals
+        rc = run(["da-sweep", "--data", str(data), "--m", "82,282",
+                  "--iters", "2000", "--burnin", "200", "--out", str(tmp_path / "s")])
+        assert rc == 0
+        assert json.loads((tmp_path / "s.json").read_text())["sd_ratio"] == float("inf")
+        assert "sd ratio last/first = inf" in capsys.readouterr().out
 
     def test_repeated_m_is_usage_error(self, m0_dataset, tmp_path, capsys):
         rc = run(["da-sweep", "--data", str(m0_dataset), "--m", "200,200",

@@ -22,7 +22,6 @@ def test_summarize_small_example():
     assert stats.m_k1 == 2
     assert stats.n_dot == 3
     assert stats.n_j == (2, 1)
-    assert stats.y_i_dot == (1, 2)
     assert stats.f_j == (1, 1)
     assert stats.recaptures == 1
 
@@ -32,7 +31,6 @@ def test_summarize_empty_dataset():
     assert stats.m_k1 == 0
     assert stats.n_dot == 0
     assert stats.f_j == (0, 0, 0)
-    assert stats.y_i_dot == ()
 
 
 def test_all_zero_row_rejected():
@@ -46,13 +44,15 @@ def test_ragged_rows_rejected():
 
 
 def test_non_binary_entries_rejected():
-    with pytest.raises(InvalidHistoryError, match="non-binary"):
-        CaptureHistory(k=2, rows=((1, 2),))
+    # fractional entries must not truncate to 0 or 1
+    for entry in (2, 0.5, 1.9):
+        with pytest.raises(InvalidHistoryError, match="non-binary"):
+            CaptureHistory(k=2, rows=((1, entry),))
 
 
 def test_inconsistent_stats_rejected():
     with pytest.raises(ValueError):
-        SufficientStats(m_k1=2, k=2, n_dot=4, n_j=(2, 1), y_i_dot=(1, 2), f_j=(1, 1))
+        SufficientStats(m_k1=2, k=2, n_dot=4, n_j=(2, 1), f_j=(1, 1))
 
 
 def test_summarize_matches_double_loop_recount():
@@ -62,7 +62,6 @@ def test_summarize_matches_double_loop_recount():
     assert stats.m_k1 == expected["m_k1"]
     assert stats.n_dot == expected["n_dot"]
     assert stats.n_j == expected["n_j"]
-    assert stats.y_i_dot == expected["y_i_dot"]
     assert stats.f_j == expected["f_j"]
     assert stats.n_dot == sum(j * f for j, f in enumerate(stats.f_j, start=1))
 
@@ -122,7 +121,7 @@ def test_simulate_mh_concentrated_beta_approaches_constant_detection():
 
 def test_simulate_mh_single_occasion_counts():
     history = simulate_mh(50, 2.0, 1.0, 1, seed=3)
-    assert all(y == 1 for y in summarize(history).y_i_dot)
+    assert summarize(history).f_j == (history.n_observed,)
 
 
 def test_simulators_reproducible_per_seed():
@@ -176,9 +175,14 @@ def test_load_rejects_non_binary_csv(tmp_path):
 
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(InvalidHistoryError):
-        load_history(path)
+    for text in (
+        "{not json",
+        '{"K": 2, "histories": [[1, 0.5], [1, 1]]}',
+        '{"K": 2.7, "histories": [[1, 0], [1, 1]]}',
+    ):
+        path.write_text(text)
+        with pytest.raises(InvalidHistoryError):
+            load_history(path)
 
 
 @st.composite

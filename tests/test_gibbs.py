@@ -153,6 +153,14 @@ class TestMSweep:
         )
         assert report.sd_ratio > 1.0  # spreading support inflates the sd when improper
 
+    def test_first_size_at_observed_count_gives_infinite_sd_ratio(self):
+        history = simulate_m0(100, 0.3, 5, seed=7)
+        assert history.n_observed == 82
+        report = m_sweep(history, [82, 282], DaConfig(m=282, iters=2000, burnin=200, seed=0))
+        assert report.entries[0].sd_n == 0.0  # no free rows, so N is pinned at 82
+        assert report.entries[-1].sd_n > 0.0
+        assert report.sd_ratio == np.inf
+
     def test_validation(self):
         for m_values in ([200], [200, 200]):
             with pytest.raises(ValueError, match="two"):

@@ -23,8 +23,8 @@ TWO_ANIMALS = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))
 THREE_ANIMALS = summarize(CaptureHistory(k=3, rows=((1, 0, 0), (1, 1, 0), (0, 1, 1))))
 
 
-def stats_from(m_k1, k, n_dot, n_j, y_i_dot, f_j):
-    return SufficientStats(m_k1, k, n_dot, tuple(n_j), tuple(y_i_dot), tuple(f_j))
+def stats_from(m_k1, k, n_dot, n_j, f_j):
+    return SufficientStats(m_k1, k, n_dot, tuple(n_j), tuple(f_j))
 
 
 class TestKahn:
@@ -50,11 +50,11 @@ class TestKahn:
 
 class TestM0:
     def test_two_animal_one_occasion(self):
-        stats = stats_from(1, 1, 1, [1], [1], [1])
+        stats = stats_from(1, 1, 1, [1], [1])
         assert m0_log_prob(stats, 2, 0.5) == pytest.approx(math.log(0.5))
 
     def test_nothing_observed(self):
-        stats = stats_from(0, 2, 0, [0, 0], [], [0, 0])
+        stats = stats_from(0, 2, 0, [0, 0], [0, 0])
         for n_val in [0, 3, 10]:
             assert m0_log_prob(stats, n_val, 0.3) == pytest.approx(
                 2 * n_val * math.log(0.7)
@@ -115,12 +115,12 @@ class TestProfileMLE:
 
 class TestMhIntegrated:
     def test_one_seen_one_missed_uniform_mixing(self):
-        stats = stats_from(1, 1, 1, [1], [1], [1])
+        stats = stats_from(1, 1, 1, [1], [1])
         value = mh_integrated_log_prob(stats, 2, BetaParams(1.0, 1.0))
         assert value == pytest.approx(math.log(0.5), rel=1e-12)
 
     def test_nothing_observed_reduces_to_zero_cell_power(self):
-        stats = stats_from(0, 2, 0, [0, 0], [], [0, 0])
+        stats = stats_from(0, 2, 0, [0, 0], [0, 0])
         params = BetaParams(2.0, 3.0)
         zero_cell = (3.0 / 5.0) * (4.0 / 6.0)  # prod (beta+j)/(alpha+beta+j), K=2
         assert mh_integrated_log_prob(stats, 4, params) == pytest.approx(
@@ -244,7 +244,7 @@ def test_kernels_finite_then_eventually_decreasing(kernel):
     [
         (lambda n: m0_log_prob(THREE_ANIMALS, n, 0.4), 3),
         (lambda n: m0_profile_log_lik(THREE_ANIMALS, n), 3),
-        (lambda n: m0_profile_log_lik(stats_from(0, 2, 0, [0, 0], [], [0, 0]), n), 1),
+        (lambda n: m0_profile_log_lik(stats_from(0, 2, 0, [0, 0], [0, 0]), n), 1),
         (lambda n: mh_integrated_log_prob(THREE_ANIMALS, n, BetaParams(1.0, 2.0)), 3),
         (lambda n: mh_summary_log_prob(THREE_ANIMALS.f_j, 3, n, 3, BetaParams(1.0, 2.0)), 3),
         (lambda n: york_madigan_log_kernel(n, 4, 3, 0.5), 4),

@@ -13,13 +13,14 @@ from scipy.special import gammaln
 from crbayes.data import CaptureHistory, simulate_mh, summarize
 from crbayes.likelihoods import (
     BetaParams,
+    log_falling,
     mh_integrated_log_prob,
     mh_log_obs_factor,
     mh_summary_log_prob,
 )
 from crbayes.posterior import GammaPriors, MhMarginalKernel
 
-from oracles import per_animal_log_obs, per_animal_mh_integrated_log_prob
+from oracles import per_animal_counts, per_animal_log_obs, per_animal_mh_integrated_log_prob
 
 
 @st.composite
@@ -52,7 +53,7 @@ def assert_agrees(got, want, scale: float) -> None:
 @given(histories(), shapes, shapes)
 def test_grouped_factor_matches_per_animal_oracle(history, alpha, beta):
     stats = summarize(history)
-    want = float(per_animal_log_obs(stats.y_i_dot, stats.k, alpha, beta))
+    want = float(per_animal_log_obs(per_animal_counts(stats.f_j), stats.k, alpha, beta))
     scale = stats.m_k1 * log_gamma_scale(alpha, beta, stats.k)
     assert_agrees(float(mh_log_obs_factor(stats.f_j, alpha, beta)), want, scale)
     kern = MhMarginalKernel(stats, GammaPriors(2.0, 2.0))
@@ -88,10 +89,10 @@ class PerAnimalKernel(MhMarginalKernel):
     """The mh kernel with its observed-animal factor summed animal by animal."""
 
     def _log_obs(self, alpha, beta):
-        return per_animal_log_obs(self.stats.y_i_dot, self.stats.k, alpha, beta)
+        return per_animal_log_obs(per_animal_counts(self.stats.f_j), self.stats.k, alpha, beta)
 
     def _log_obs_mixing(self, xi, x):
-        return per_animal_log_obs(self.stats.y_i_dot, self.stats.k, xi * x, xi * (1.0 - x))
+        return self._log_obs(xi * x, xi * (1.0 - x))
 
 
 def test_kernel_and_verdict_points_match_per_animal_kernel():
@@ -107,7 +108,8 @@ def test_kernel_and_verdict_points_match_per_animal_kernel():
     gammas = GammaPriors(2.0, 2.0)
     kern = MhMarginalKernel(stats, gammas, nodes=128, check_nodes=192)
     # a converged 128/192 evaluation returns its 192-node values
-    ref = PerAnimalKernel(stats, gammas, nodes=192, check=False)
+    ref = PerAnimalKernel(stats, gammas)
     for name, grid in grids.items():
-        got, want = kern.log_kernel(grid), ref.log_kernel(grid)
+        got = kern.log_kernel(grid)
+        want = log_falling(grid, m) - gammaln(m + 1) + ref._log_expectation(grid, 192)
         assert np.abs(np.expm1(got - want)).max() <= 1e-10, name

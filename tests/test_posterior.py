@@ -22,7 +22,7 @@ from crbayes.propriety import propriety_report
 from oracles import mc_beta_expectation, mc_mh_marginal_log_kernel, quad_m0_marginal_log_kernel
 
 TWO_ANIMALS = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))
-EMPTY_K1 = SufficientStats(0, 1, 0, (0,), (), (0,))
+EMPTY_K1 = SufficientStats(0, 1, 0, (0,), (0,))
 
 
 def test_m0_marginal_small_case_closed_form():
@@ -125,10 +125,13 @@ class TestMhMarginal:
         stats = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))
         kern = MhMarginalKernel(stats, GammaPriors(0.5, 0.5, 1.0), nodes=4, check_nodes=8, rtol=1e-12)
         with pytest.raises(QuadratureConvergenceError) as info:
-            kern.log_kernel(np.array([10.0, 50.0]))
+            kern.log_kernel(np.array([1.0, 10.0, 50.0]))  # N = 1 lies below M = 2
         err = info.value
         assert err.max_rel_change > 1e-12
-        assert np.isfinite(err.log_coarse).all() and np.isfinite(err.log_fine).all()
+        for values in (err.log_coarse, err.log_fine):
+            assert values[0] == -np.inf and np.isfinite(values[1:]).all()
+        rel = np.abs(np.expm1(err.log_coarse[1:] - err.log_fine[1:]))
+        assert err.max_rel_change == rel.max()
 
     def test_diagnostics_recorded(self):
         kern = MhMarginalKernel(TWO_ANIMALS, GammaPriors(2.0, 2.0, 1.0))
