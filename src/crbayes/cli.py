@@ -48,11 +48,11 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out_path: Path, command: str, params: dict, seed, input_path: Path | None) -> None:
+def _write_manifest(args, out_path: Path, input_path: Path | None) -> None:
     manifest = {
-        "command": command,
-        "params": params,
-        "seed": seed,
+        "command": args.command,
+        "params": _params_of(args),
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "input_digest": _digest(input_path) if input_path else None,
         "created_at": datetime.now(timezone.utc).isoformat(),
@@ -109,8 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     priors.add_argument("--shape-a", type=_positive, default=2.0, help="Gamma shape on alpha (mh)")
     priors.add_argument("--shape-b", type=_positive, default=2.0, help="Gamma shape on beta (mh)")
     priors.add_argument("--scale-c", type=_positive, default=1.0, help="common Gamma scale (mh)")
-    priors.add_argument("--nodes", type=_positive_int, default=64, help="quadrature nodes per axis (mh)")
-    priors.add_argument("--check-nodes", type=_positive_int, default=96)
+    priors.add_argument("--nodes", type=_positive_int, default=64,
+                        help="quadrature nodes per axis (mh), at most 363")
+    priors.add_argument("--check-nodes", type=_positive_int, default=96, help="check rule nodes, at most 363")
     priors.add_argument("--quad-rtol", type=_positive, default=1e-4)
 
     ana = sub.add_parser("analyze", parents=[priors], help="posterior of N for a dataset")
@@ -139,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fit a pure N^-d kernel instead of a model (sanity mode)",
     )
-    chk.add_argument("--out", type=Path, required=True, help="output prefix (.json/.csv added)")
+    chk.add_argument("--out", type=Path, required=True,
+                     help="output prefix (.json added; .csv too with --synthetic-exponent)")
 
     swp = sub.add_parser("da-sweep", help="posterior mean of N versus augmented size M")
     swp.add_argument("--data", type=Path, required=True)
@@ -171,21 +173,12 @@ def _cmd_simulate(args) -> int:
         if args.p is None:
             raise ValueError("simulate --model m0 needs --p")
         history = simulate_m0(args.n, args.p, args.k, args.seed)
-        params = {"model": "m0", "n": args.n, "p": args.p, "k": args.k, "format": args.format}
     else:
         if args.alpha is None or args.beta is None:
             raise ValueError("simulate --model mh needs --alpha and --beta")
         history = simulate_mh(args.n, args.alpha, args.beta, args.k, args.seed)
-        params = {
-            "model": "mh",
-            "n": args.n,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "k": args.k,
-            "format": args.format,
-        }
     store_history(history, args.out, fmt=args.format)
-    _write_manifest(args.out, "simulate", params, args.seed, args.out)
+    _write_manifest(args, args.out, args.out)
     print(f"wrote {history.n_observed} observed histories over {history.k} occasions to {args.out}")
     return EXIT_OK
 
@@ -223,7 +216,7 @@ def _cmd_analyze(args) -> int:
     json_path = Path(str(args.out) + ".json")
     table.write_json(json_path, extra=extra)
     table.write_csv(Path(str(args.out) + ".csv"))
-    _write_manifest(json_path, "analyze", _params_of(args), None, args.data)
+    _write_manifest(args, json_path, args.data)
 
     print(f"posterior of N on [{table.n_min}, {table.n_max}] ({args.model}, {args.n_prior} prior)")
     print(f"  mean = {table.mean:.4f}   sd = {table.sd:.4f}")
@@ -257,7 +250,7 @@ def _cmd_check_propriety(args) -> int:
         }
         write_json(json_path, payload)
         write_exponent_csv(log_kernel, lo, hi, fit.points, Path(str(args.out) + ".csv"))
-        _write_manifest(json_path, "check-propriety", _params_of(args), None, None)
+        _write_manifest(args, json_path, None)
         print(f"synthetic kernel N^-{d}: fitted exponent {fitted:.4f} +- {stderr:.2e}")
         return EXIT_OK if payload["agreement"] else EXIT_DISAGREEMENT
 
@@ -285,7 +278,7 @@ def _cmd_check_propriety(args) -> int:
 
     report = propriety_report(args.model, args.n_prior, fit=fit, **kwargs)
     report.write_json(json_path)
-    _write_manifest(json_path, "check-propriety", _params_of(args), None, input_path)
+    _write_manifest(args, json_path, input_path)
 
     print(f"{args.model} under {args.n_prior} prior: predicted {report.predicted}")
     print(
@@ -317,7 +310,7 @@ def _cmd_da_sweep(args) -> int:
     json_path = Path(str(args.out) + ".json")
     report.write_json(json_path)
     report.write_csv(Path(str(args.out) + ".csv"))
-    _write_manifest(json_path, "da-sweep", _params_of(args), args.seed, args.data)
+    _write_manifest(args, json_path, args.data)
 
     print("M        mean_N      sd_N        ESS")
     for e in report.entries:
@@ -349,7 +342,7 @@ def _cmd_ym(args) -> int:
     table.write_json(json_path, extra={"model": "ym", "n_prior": args.prior,
                                        "verdict": report.predicted, "propriety": report.to_dict()})
     table.write_csv(Path(str(args.out) + ".csv"))
-    _write_manifest(json_path, "ym", _params_of(args), None, None)
+    _write_manifest(args, json_path, None)
 
     print(f"Dirichlet-multinomial: k={args.k}, delta={args.delta}, {args.prior} prior -> {report.predicted}")
     print(f"  kernel exponent: analytic {report.analytic_exponent:.4f}, "

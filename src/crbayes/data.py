@@ -56,9 +56,7 @@ class CaptureHistory:
 
     def matrix(self) -> np.ndarray:
         """Detection matrix of shape (n_observed, k); empty datasets give (0, k)."""
-        if not self.rows:
-            return np.zeros((0, self.k), dtype=int)
-        return np.array(self.rows, dtype=int)
+        return np.array(self.rows, dtype=int).reshape(-1, self.k)
 
 
 @dataclass(frozen=True)

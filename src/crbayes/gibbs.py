@@ -26,8 +26,7 @@ class DaConfig:
     ``psi_prior`` are the Beta shapes on the inclusion probability; (1, 1)
     induces a flat prior on N over {0..M}, while a small first shape such as
     (0.001, 1) only *approximates* a 1/N prior on N (the induced prior is
-    beta-binomial, not exactly scale). ``fix_psi`` pins psi instead of
-    sampling it, which with 1.0 makes every row a member.
+    beta-binomial, not exactly scale).
     """
 
     m: int
@@ -37,7 +36,6 @@ class DaConfig:
     seed: int = 0
     psi_prior: tuple[float, float] = (1.0, 1.0)
     p_prior: BetaParams = field(default_factory=lambda: BetaParams(1.0, 1.0))
-    fix_psi: float | None = None
 
     def __post_init__(self):
         if self.m < 0:
@@ -48,8 +46,6 @@ class DaConfig:
             raise ValueError("thin must be at least 1")
         if self.psi_prior[0] <= 0 or self.psi_prior[1] <= 0:
             raise ValueError("psi prior shapes must be positive")
-        if self.fix_psi is not None and not 0.0 < self.fix_psi <= 1.0:
-            raise ValueError("fixed psi must be in (0, 1]")
 
 
 @dataclass
@@ -59,8 +55,6 @@ class DaChains:
     n: np.ndarray
     psi: np.ndarray
     p: np.ndarray
-    m: int
-    m_k1: int
 
     def summary(self) -> dict:
         out = {}
@@ -126,9 +120,7 @@ def da_gibbs(data: CaptureHistory, config: DaConfig) -> DaChains:
     # detection and inclusion rates from their priors
     extra = int(rng.binomial(n_free, 0.5)) if n_free else 0
     p = float(rng.beta(a_p, b_p))
-    psi = config.fix_psi if config.fix_psi is not None else float(rng.beta(a_psi, b_psi))
-    if config.fix_psi == 1.0:
-        extra = n_free
+    psi = float(rng.beta(a_psi, b_psi))
 
     kept = (config.iters - config.burnin + config.thin - 1) // config.thin
     out_n = np.empty(kept, dtype=int)
@@ -138,8 +130,7 @@ def da_gibbs(data: CaptureHistory, config: DaConfig) -> DaChains:
     for it in range(config.iters):
         members = m_k1 + extra
         p = float(rng.beta(a_p + n_dot, b_p + k * members - n_dot))
-        if config.fix_psi is None:
-            psi = float(rng.beta(a_psi + members, b_psi + config.m - members))
+        psi = float(rng.beta(a_psi + members, b_psi + config.m - members))
         if n_free:
             w = psi * (1.0 - p) ** k
             denom = w + (1.0 - psi)
@@ -152,7 +143,7 @@ def da_gibbs(data: CaptureHistory, config: DaConfig) -> DaChains:
             out_psi[idx] = psi
             out_p[idx] = p
             idx += 1
-    return DaChains(n=out_n, psi=out_psi, p=out_p, m=config.m, m_k1=m_k1)
+    return DaChains(n=out_n, psi=out_psi, p=out_p)
 
 
 @dataclass
@@ -201,18 +192,18 @@ class SweepReport:
         write_csv(path, [("M", "mean_N", "sd_N", "ess"), *rows])
 
 
-def m_sweep(
-    data: CaptureHistory,
-    m_values: list[int],
-    base: DaConfig,
-    stability_threshold: float = 0.05,
-) -> SweepReport:
+_STABILITY_THRESHOLD = 0.05
+
+
+def m_sweep(data: CaptureHistory, m_values: list[int], base: DaConfig) -> SweepReport:
     """Rerun the sampler across augmented sizes and test mean-of-N stability.
 
     Each M gets its own chain (seeded from the base seed plus its index).
     """
     if len(set(m_values)) < 2:
         raise ValueError("need at least two distinct augmented sizes to sweep")
+    if m_values[0] == m_values[-1]:
+        raise ValueError("the first and last augmented sizes must differ: the sd ratio compares them")
     m_k1 = summarize(data).m_k1
     if any(m < m_k1 for m in m_values):
         raise ValueError("every augmented size must cover the observed animals")
@@ -246,8 +237,8 @@ def m_sweep(
         slope=slope,
         slope_se=slope_se,
         slope_z=slope / slope_se if slope_se > 0 else np.inf,
-        stable=rel_change < stability_threshold,
+        stable=rel_change < _STABILITY_THRESHOLD,
         relative_change=rel_change,
         sd_ratio=entries[-1].sd_n / entries[0].sd_n if entries[0].sd_n > 0 else np.inf,
-        stability_threshold=stability_threshold,
+        stability_threshold=_STABILITY_THRESHOLD,
     )

@@ -122,14 +122,17 @@ def m0_profile_log_lik(stats: SufficientStats, n):
     return _on_support(n, max(m, 1), body)
 
 
-def m0_profile_mle(stats: SufficientStats, window: int = 20) -> tuple[int, float]:
+_MLE_WINDOW = 20
+
+
+def m0_profile_mle(stats: SufficientStats) -> tuple[int, float]:
     """Maximize the profile likelihood over integer population sizes.
 
     Scans upward from the number of observed animals in doubling blocks and
-    stops once the profile has decreased for ``window`` consecutive integers
-    past the best point (the profile is unimodal in practice; the window
-    guards against plateaus). Requires at least one recapture, otherwise the
-    profile increases forever and no finite maximizer exists.
+    stops once the profile has decreased for ``_MLE_WINDOW`` consecutive
+    integers past the best point (the profile is unimodal in practice; the
+    window guards against plateaus). Requires at least one recapture,
+    otherwise the profile increases forever and no finite maximizer exists.
     """
     if stats.m_k1 == 0:
         raise NoFiniteMLEError("empty dataset: nothing to estimate")
@@ -150,7 +153,7 @@ def m0_profile_mle(stats: SufficientStats, window: int = 20) -> tuple[int, float
                 best_val, best_n = float(val), int(n_val)
             run = run + 1 if val < prev else 0
             prev = float(val)
-            if run >= window:
+            if run >= _MLE_WINDOW:
                 done = True
                 break
         start += block

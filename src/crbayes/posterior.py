@@ -80,11 +80,6 @@ def log_beta_expectation(n, m_k1: int, a: float, b: float):
     return _maybe_scalar(out, scalar)
 
 
-def beta_expectation(n, m_k1: int, a: float, b: float):
-    """E[(1-X)^(N-M) X^M] for X ~ Beta(a, b)."""
-    return np.exp(log_beta_expectation(n, m_k1, a, b))
-
-
 @lru_cache(maxsize=32)
 def _laguerre_table(n_nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and log weights for weight t^alpha e^-t; zero weights are masked out."""
@@ -109,6 +104,9 @@ def _jacobi_table(n_nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndar
 # rule takes over (both are ~1e-7 accurate at the handoff with 64 nodes).
 _BRANCH_THRESHOLD = 128
 
+# scipy's generalized Gauss-Laguerre rule returns NaN from 364 nodes on
+_MAX_NODES = 363
+
 
 class MhMarginalKernel:
     """Log marginal kernel of N for Beta-heterogeneous detection.
@@ -128,7 +126,7 @@ class MhMarginalKernel:
     Every evaluation is repeated at ``check_nodes`` per axis; if any grid
     point moves by more than ``rtol`` in relative terms the evaluation fails
     with both value sets attached. ``diagnostics`` keeps the worst observed
-    relative change of the most recent call.
+    relative change of the most recent call. Neither node count may exceed 363.
     """
 
     def __init__(
@@ -141,6 +139,8 @@ class MhMarginalKernel:
     ):
         if not check_nodes > nodes >= 2:
             raise ValueError("need check_nodes > nodes >= 2")
+        if check_nodes > _MAX_NODES:
+            raise ValueError(f"at most {_MAX_NODES} quadrature nodes per axis, got {check_nodes}")
         self.stats = stats
         self.gammas = gammas
         self.nodes = nodes
@@ -220,14 +220,14 @@ class MhMarginalKernel:
         m = self.stats.m_k1
         log_e = _on_support(n, m, lambda safe: self._log_expectation(safe, self.nodes))
         log_e_fine = _on_support(n, m, lambda safe: self._log_expectation(safe, self.check_nodes))
-        # only the quadrature is compared; -inf - -inf below M counts as no change
+        # only the quadrature is compared; both -inf below M is no change; NaN fails
+        below_m = (log_e == -np.inf) & (log_e_fine == -np.inf)
         with np.errstate(invalid="ignore"):
-            rel = np.abs(np.expm1(log_e - log_e_fine))
-        rel = np.where(np.isfinite(rel), rel, 0.0)
+            rel = np.where(below_m, 0.0, np.abs(np.expm1(log_e - log_e_fine)))
         worst = float(rel.max()) if rel.size else 0.0
         self.diagnostics["max_rel_change"] = worst
         comb = _on_support(n, m, lambda safe: log_falling(safe, m) - gammaln(m + 1))
-        if worst > self.rtol:
+        if not worst <= self.rtol:
             raise QuadratureConvergenceError(
                 f"quadrature changed by {worst:.3e} (> rtol {self.rtol:.1e}) "
                 f"between {self.nodes}^2 and {self.check_nodes}^2 nodes; the "
@@ -253,7 +253,6 @@ class PosteriorTable:
     n_min: int
     n_max: int
     log_kernel: np.ndarray
-    log_normalizer: float
     mass: np.ndarray
     mean: float
     sd: float
@@ -388,7 +387,6 @@ def posterior_table(
         n_min=int(lo),
         n_max=int(n_max),
         log_kernel=logk,
-        log_normalizer=log_z,
         mass=mass,
         mean=mean,
         sd=sd,

@@ -182,6 +182,10 @@ USAGE_ERRORS = {  # argv without --out, and the one line written to stderr
         ["da-sweep", "--data", "{data}", "--m", "10,x"],
         "bad --m list: invalid literal for int() with base 10: 'x'",
     ),
+    "analyze-mh-check-nodes-above-cap": (
+        ["analyze", "--data", "{data}", "--model", "mh", "--check-nodes", "364"],
+        "at most 363 quadrature nodes per axis, got 364",
+    ),
 }
 
 
@@ -221,6 +225,11 @@ def test_analyze_and_check_propriety_share_prior_and_quadrature_flags(explicit):
 
 
 def test_manifest_params_keys(m0_dataset, tmp_path):
+    sim_argv = ["simulate", "--model", "m0", "--n", "30", "--p", "0.4", "--k", "3", "--seed", "2",
+                "--out", str(tmp_path / "s.json")]
+    run(sim_argv)
+    sim = json.loads((tmp_path / "s.json.manifest.json").read_text())["params"]
+    assert sorted(sim) == sorted(set(vars(build_parser().parse_args(sim_argv))) - {"command"})
     run(["analyze", "--data", str(m0_dataset), "--model", "m0", "--out", str(tmp_path / "a")])
     run(["check-propriety", "--model", "m0", "--data", str(m0_dataset), "--out", str(tmp_path / "c")])
     ana = json.loads((tmp_path / "a.json.manifest.json").read_text())["params"]
@@ -253,6 +262,15 @@ class TestDaSweep:
         assert rc == 0
         assert json.loads((tmp_path / "s.json").read_text())["sd_ratio"] == float("inf")
         assert "sd ratio last/first = inf" in capsys.readouterr().out
+
+    def test_first_size_repeated_at_end_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "d.json"
+        store_history(simulate_m0(100, 0.3, 5, seed=7), data)  # 82 observed animals
+        rc = run(["da-sweep", "--data", str(data), "--m", "82,282,82",
+                  "--iters", "500", "--burnin", "50", "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert "first and last" in capsys.readouterr().err
+        assert not any(tmp_path.glob("s.*"))
 
     def test_repeated_m_is_usage_error(self, m0_dataset, tmp_path, capsys):
         rc = run(["da-sweep", "--data", str(m0_dataset), "--m", "200,200",

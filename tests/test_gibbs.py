@@ -75,15 +75,14 @@ def test_chains_reproducible_per_seed():
 
 
 def test_fixed_psi_gives_exact_conjugate_detection_chain():
-    # with psi pinned at 1 every row is a member, so the p-draws are iid
-    # Beta(a_p + n., b_p + K M - n.)
+    # with M equal to the observed count there are no augmented rows, every
+    # row is a member, and the p-draws are iid Beta(a_p + n., b_p + K M - n.)
     history = simulate_m0(30, 0.4, 4, seed=77)
     stats = summarize(history)
-    chains = da_gibbs(
-        history, DaConfig(m=50, iters=110_000, burnin=10_000, seed=21, fix_psi=1.0)
-    )
-    assert (chains.n == 50).all()
-    target = beta_rv(1 + stats.n_dot, 1 + 4 * 50 - stats.n_dot)
+    m = stats.m_k1
+    chains = da_gibbs(history, DaConfig(m=m, iters=110_000, burnin=10_000, seed=21))
+    assert (chains.n == m).all()
+    target = beta_rv(1 + stats.n_dot, 1 + 4 * m - stats.n_dot)
     assert kstest(chains.p, target.cdf).pvalue > 0.01
 
 
@@ -101,8 +100,6 @@ def test_config_validation():
         DaConfig(m=10, thin=0)
     with pytest.raises(ValueError):
         DaConfig(m=10, psi_prior=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        DaConfig(m=10, fix_psi=1.5)
 
 
 def test_summary_and_ess():
@@ -167,6 +164,10 @@ class TestMSweep:
                 m_sweep(no_recapture_history(), m_values, DaConfig(m=200))
         with pytest.raises(ValueError, match="cover"):
             m_sweep(no_recapture_history(), [2, 200], DaConfig(m=200))
+        # sds 0, 4.9 and 0 would give a 0/0 sd ratio
+        with pytest.raises(ValueError, match="first and last"):
+            m_sweep(simulate_m0(100, 0.3, 5, seed=7), [82, 282, 82],
+                    DaConfig(m=282, iters=500, burnin=50))
 
     def test_serialization(self, tmp_path):
         report = m_sweep(

@@ -12,7 +12,6 @@ from crbayes.posterior import (
     GammaPriors,
     MhMarginalKernel,
     QuadratureConvergenceError,
-    beta_expectation,
     log_beta_expectation,
     m0_marginal_log_kernel,
     posterior_table,
@@ -57,12 +56,12 @@ def test_m0_marginal_below_support():
 
 class TestBetaExpectation:
     def test_mean_of_uniform(self):
-        assert beta_expectation(1, 0, 1.0, 1.0) == pytest.approx(0.5)
-        assert beta_expectation(1, 1, 1.0, 1.0) == pytest.approx(0.5)
+        assert math.exp(log_beta_expectation(1, 0, 1.0, 1.0)) == pytest.approx(0.5)
+        assert math.exp(log_beta_expectation(1, 1, 1.0, 1.0)) == pytest.approx(0.5)
 
     def test_matches_monte_carlo(self):
         est, se = mc_beta_expectation(100, 5, 2.0, 3.0, draws=10**7, seed=404)
-        exact = beta_expectation(100, 5, 2.0, 3.0)
+        exact = math.exp(log_beta_expectation(100, 5, 2.0, 3.0))
         assert abs(exact - est) <= 3.0 * se
 
     def test_validation(self):
@@ -132,6 +131,28 @@ class TestMhMarginal:
             assert values[0] == -np.inf and np.isfinite(values[1:]).all()
         rel = np.abs(np.expm1(err.log_coarse[1:] - err.log_fine[1:]))
         assert err.max_rel_change == rel.max()
+
+    def test_nan_quadrature_raises_instead_of_returning(self, monkeypatch):
+        kern = MhMarginalKernel(TWO_ANIMALS, GammaPriors(2.0, 2.0, 1.0))
+        real = kern._log_expectation
+
+        def nan_at_ten(grid, n_nodes):
+            out = real(grid, n_nodes)
+            return np.where(grid == 10.0, np.nan, out)
+
+        monkeypatch.setattr(kern, "_log_expectation", nan_at_ten)
+        with pytest.raises(QuadratureConvergenceError) as info:
+            kern.log_kernel(np.array([1.0, 5.0, 10.0, 50.0]))
+        assert np.isnan(info.value.max_rel_change)
+        assert np.isnan(info.value.log_fine[2])
+
+    def test_node_counts_capped_at_363(self):
+        # scipy's Gauss-Laguerre rule returns NaN from 364 nodes on
+        gammas = GammaPriors(2.0, 2.0, 1.0)
+        for nodes, check_nodes in ((364, 400), (64, 364)):
+            with pytest.raises(ValueError, match="363"):
+                MhMarginalKernel(TWO_ANIMALS, gammas, nodes=nodes, check_nodes=check_nodes)
+        MhMarginalKernel(TWO_ANIMALS, gammas, nodes=64, check_nodes=363)
 
     def test_diagnostics_recorded(self):
         kern = MhMarginalKernel(TWO_ANIMALS, GammaPriors(2.0, 2.0, 1.0))
