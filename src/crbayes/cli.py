@@ -223,8 +223,9 @@ def _cmd_analyze(args) -> int:
     print(f"  {int(table.level * 100)}% equal-tail CI = [{table.ci[0]:.0f}, {table.ci[1]:.0f}]")
     print(f"  tail mass beyond N_max ~ {table.tail_mass_estimate:.3e} (fitted exponent {table.tail_exponent:.3f})")
     if args.model == "mh":
-        print(f"  quadrature max relative change {kern.diagnostics['max_rel_change']:.3e} "
-              f"({kern.diagnostics['nodes']}^2 vs {kern.diagnostics['check_nodes']}^2 nodes)")
+        q = kern.diagnostics
+        print(f"  {q['rule']} quadrature max relative change {q['max_rel_change']:.3e} "
+              f"({q['nodes']}^2 vs {q['check_nodes']}^2 nodes)")
     for warning in table.warnings:
         print(f"  WARNING: {warning}", file=sys.stderr)
     return EXIT_IMPROPER if table.warnings else EXIT_OK

@@ -3,9 +3,12 @@
 For the constant-detection model the detection probability is integrated out
 in closed form; for the heterogeneous model the two Beta-population shapes
 get independent Gamma(shape, common scale) priors and are integrated out by
-tensor-product generalized Gauss-Laguerre quadrature. Truncation is never
-hidden: every table carries a power-law extrapolation of the mass beyond its
-upper endpoint and warns when that extrapolation diverges.
+tensor-product Gaussian quadrature: Gauss-Hermite centred on the integrand's
+mode in (log alpha, log beta) when the data make both log-scale left tails
+steep, and generalized Gauss-Laguerre rules matched to the priors otherwise
+(see MhMarginalKernel). Truncation is never hidden: every table carries a
+power-law extrapolation of the mass beyond its upper endpoint and warns when
+that extrapolation diverges.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, roots_genlaguerre, roots_jacobi
+from scipy.special import gammaln, logsumexp, roots_genlaguerre, roots_hermite, roots_jacobi
 
 from .data import SufficientStats, write_csv, write_json
 from .likelihoods import BetaParams, _as_grid, _maybe_scalar, _on_support, log_falling, mh_log_obs_factor
@@ -80,6 +83,17 @@ def log_beta_expectation(n, m_k1: int, a: float, b: float):
     return _maybe_scalar(out, scalar)
 
 
+def _log_sum_exp(values: np.ndarray) -> float:
+    """log(sum(exp(values))) over every entry, shifted by the largest one.
+
+    Every entry -inf gives -inf; a NaN anywhere gives NaN.
+    """
+    top = values.max()
+    if not np.isfinite(top):
+        return float(top)
+    return float(top + np.log(np.exp(values - top).sum()))
+
+
 @lru_cache(maxsize=32)
 def _laguerre_table(n_nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and log weights for weight t^alpha e^-t; zero weights are masked out."""
@@ -96,7 +110,16 @@ def _jacobi_table(n_nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndar
     nodes = (1.0 + x) / 2.0
     with np.errstate(divide="ignore"):
         logw = np.log(w)
-    return nodes, logw - logsumexp(logw)
+    return nodes, logw - _log_sum_exp(logw)
+
+
+@lru_cache(maxsize=32)
+def _hermite_table(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and log weights for weight e^(-x^2), with e^(x^2) folded into the weights."""
+    x, w = roots_hermite(n_nodes)
+    with np.errstate(divide="ignore"):
+        logw = np.log(w)
+    return x, logw + x * x
 
 
 # Below this excess N - M the smooth mixing-fraction rule is more accurate;
@@ -107,26 +130,65 @@ _BRANCH_THRESHOLD = 128
 # scipy's generalized Gauss-Laguerre rule returns NaN from 364 nodes on
 _MAX_NODES = 363
 
+# The log integrand rises like (a + M) log alpha and (b + M - f_K) log beta
+# as either shape goes to 0. The mode-centred Gauss-Hermite rule runs when
+# both rates reach this value; below it the left tail is too heavy for a
+# Gaussian fit and the prior-matched rules run.
+_HERMITE_MIN_RATE = 2.0
+
+# What a failed check says, after the rule and the change it saw
+_CONVERGENCE_ADVICE = {
+    "hermite": (
+        "the mode-centred Gauss-Hermite rule has too few nodes for an integrand "
+        "this far from Gaussian in (log alpha, log beta); raise nodes/check_nodes "
+        "(e.g. 128/192) or relax rtol"
+    ),
+    "laguerre": (
+        "the prior-matched Gauss-Laguerre rule ran because a + M or b + M - f_K "
+        f"is below {_HERMITE_MIN_RATE:g}, and its nodes miss the integrand's peak "
+        "as observed animals accumulate; raise nodes/check_nodes (e.g. 128/192) "
+        "or relax rtol"
+    ),
+}
+
+# Newton search for the mode in (log alpha, log beta): at most this many
+# steps, each at most this long per coordinate, stopping once every step is
+# shorter than the tolerance.
+_MODE_MAX_ITER = 100
+_MODE_MAX_STEP = 3.0
+_MODE_TOL = 1e-8
+
 
 class MhMarginalKernel:
     """Log marginal kernel of N for Beta-heterogeneous detection.
 
     Combines the combinatorial term with the expectation of the integrated
     likelihood's data factor over the Gamma priors on (alpha, beta). The
-    2-D expectation uses tensor-product Gaussian rules whose weights match
-    the joint gamma prior:
+    2-D expectation uses one of two tensor-product Gaussian rules, chosen
+    from the data alone (``rule``):
 
-    * for moderate N - M, in mixing coordinates xi = alpha + beta ~
+    * ``"hermite"``: Gauss-Hermite in (u, v) = (log alpha, log beta),
+      centred on the integrand's mode at each N and scaled by the Cholesky
+      factor of the inverse negative Hessian there (adaptive quadrature,
+      Naylor & Smith 1982; Liu & Pierce 1994). The integrand behaves like a
+      posterior over the two shapes and sharpens as animals accumulate, so
+      the nodes follow it. Used when both log-scale left-tail rates a + M
+      and b + (M - f_K) are at least ``_HERMITE_MIN_RATE``.
+    * ``"laguerre"``: rules whose weights match the joint Gamma prior, for
+      sparse data where the integrand is close to the prior. For moderate
+      N - M these work in mixing coordinates xi = alpha + beta ~
       Gamma(a+b, c) and X = alpha/xi ~ Beta(a, b), where every likelihood
-      factor is smooth (generalized Gauss-Laguerre times Gauss-Jacobi);
-    * for large N - M, with the zero-cell factor's exponential decay in
-      alpha absorbed into the Laguerre node scale, so the nodes track the
+      factor is smooth (generalized Gauss-Laguerre times Gauss-Jacobi); for
+      large N - M the zero-cell factor's exponential decay in alpha is
+      absorbed into the Laguerre node scale, so the nodes track the
       O(1/N)-wide region that still contributes.
 
-    Every evaluation is repeated at ``check_nodes`` per axis; if any grid
-    point moves by more than ``rtol`` in relative terms the evaluation fails
-    with both value sets attached. ``diagnostics`` keeps the worst observed
-    relative change of the most recent call. Neither node count may exceed 363.
+    Every evaluation is repeated at ``check_nodes`` per axis with the same
+    rule (and the same Hermite centres); if any grid point moves by more
+    than ``rtol`` in relative terms the evaluation fails with both value
+    sets attached. ``diagnostics`` records the rule and the worst observed
+    relative change of the most recent call. Neither node count may exceed
+    363.
     """
 
     def __init__(
@@ -147,12 +209,24 @@ class MhMarginalKernel:
         self.check_nodes = check_nodes
         self.rtol = rtol
         self.diagnostics: dict = {
+            "rule": self.rule,
             "nodes": nodes,
             "check_nodes": check_nodes,
             "max_rel_change": None,
         }
 
-    def _log_expectation(self, grid: np.ndarray, n_nodes: int) -> np.ndarray:
+    @property
+    def rule(self) -> str:
+        """"hermite" when a + M and b + (M - f_K) both reach ``_HERMITE_MIN_RATE``, else "laguerre"."""
+        m = self.stats.m_k1
+        rates = (self.gammas.a + m, self.gammas.b + m - self.stats.f_j[-1])
+        return "hermite" if min(rates) >= _HERMITE_MIN_RATE else "laguerre"
+
+    def _log_expectation(self, grid: np.ndarray, n_nodes: int, centre) -> np.ndarray:
+        """Log prior expectation of the data factor at each N: the Hermite rule
+        about ``centre``, or the prior-matched rules when ``centre`` is None."""
+        if centre is not None:
+            return self._log_expectation_hermite(grid, n_nodes, centre)
         out = np.empty_like(grid)
         small = grid - self.stats.m_k1 <= _BRANCH_THRESHOLD
         if small.any():
@@ -180,7 +254,7 @@ class MhMarginalKernel:
         base = logw[:, None] - gammaln(a + b) + logv[None, :] + self._log_obs_mixing(xi, x)
         out = np.empty_like(grid)
         for i, n_val in enumerate(grid):
-            out[i] = logsumexp(base + (n_val - m) * log_zero_cell)
+            out[i] = _log_sum_exp(base + (n_val - m) * log_zero_cell)
         return out
 
     def _log_obs_mixing(self, xi, x) -> np.ndarray:
@@ -212,32 +286,140 @@ class MhMarginalKernel:
                 + excess * rho
                 + self._log_obs(alpha, beta)
             )
-            out[i] = logsumexp(logint) - gammaln(a) - gammaln(b)
+            out[i] = _log_sum_exp(logint) - gammaln(a) - gammaln(b)
         return out
+
+    def _hermite_centre(self, grid: np.ndarray):
+        """Mode (u, v) of the log integrand at each N and the Cholesky factor
+        (l11, l21, l22) of the inverse negative Hessian there.
+
+        In (u, v) = (log alpha, log beta), with e = N - M, the log integrand is,
+        up to constants,
+
+            a u + b v - (alpha + beta)/c + sum_i w_i log(alpha + i)
+            + sum_i (z_i + e) log(beta + i) - N sum_i log(alpha + beta + i)
+
+        over i < K, where w_i animals were caught and z_i missed more than i
+        times. Damped Newton runs on the whole grid at once; where the Hessian
+        is not negative definite it takes a gradient step instead, and a
+        halving line search keeps every step uphill.
+        """
+        g, st = self.gammas, self.stats
+        a, b, c = g.a, g.b, g.c
+        f, k, m = st.f_j, st.k, st.m_k1
+        caught = [sum(f[i:]) for i in range(k)]
+        missed = [sum(f[: k - 1 - i]) for i in range(k)]
+        excess = grid - m
+
+        def objective(u, v):
+            alpha, beta = np.exp(u), np.exp(v)
+            out = a * u + b * v - (alpha + beta) / c
+            for i in range(k):
+                out = out + caught[i] * np.log(alpha + i) + missed[i] * np.log(beta + i)
+                out = out - m * np.log(alpha + beta + i) - excess * np.log1p(alpha / (beta + i))
+            return out
+
+        def derivatives(u, v):
+            alpha, beta = np.exp(u), np.exp(v)
+            gu, gv = a - alpha / c, b - beta / c
+            huu, hvv, huv = -alpha / c, -beta / c, np.zeros_like(u)
+            for i in range(k):
+                ai, bi, ci = alpha + i, beta + i, alpha + beta + i
+                gu = gu + caught[i] * alpha / ai - grid * alpha / ci
+                # the excess terms of d/dv cancel to e*alpha*beta/(bi*ci); summed that way
+                gv = gv + missed[i] * beta / bi - m * beta / ci + excess * alpha * beta / (bi * ci)
+                huu = huu + caught[i] * alpha * i / ai**2 - grid * alpha * bi / ci**2
+                hvv = hvv + (missed[i] + excess) * beta * i / bi**2 - grid * beta * ai / ci**2
+                huv = huv + grid * alpha * beta / ci**2
+            return gu, gv, huu, hvv, huv
+
+        u = np.full_like(grid, np.log(a * c))
+        v = np.full_like(grid, np.log(b * c))
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            for _ in range(_MODE_MAX_ITER):
+                gu, gv, huu, hvv, huv = derivatives(u, v)
+                det = huu * hvv - huv**2
+                concave = (huu < 0) & (det > 0)
+                gnorm = np.maximum(1.0, np.maximum(np.abs(gu), np.abs(gv)))
+                du = np.where(concave, (huv * gv - hvv * gu) / det, gu / gnorm)
+                dv = np.where(concave, (huv * gu - huu * gv) / det, gv / gnorm)
+                shrink = _MODE_MAX_STEP / np.maximum(_MODE_MAX_STEP, np.maximum(np.abs(du), np.abs(dv)))
+                du, dv = du * shrink, dv * shrink
+                size = np.maximum(np.abs(du), np.abs(dv))
+                todo = size >= _MODE_TOL
+                if not todo.any():
+                    break
+                base = objective(u, v)
+                step = np.ones_like(grid)
+                while todo.any():
+                    trial = objective(u + step * du, v + step * dv)
+                    todo &= ~(trial >= base) & (step * size >= _MODE_TOL)
+                    step = np.where(todo, step / 2.0, step)
+                u, v = u + step * du, v + step * dv
+            _, _, huu, hvv, huv = derivatives(u, v)
+            det = huu * hvv - huv**2
+            # lower Cholesky factor of (-H)^-1 in closed form
+            l11 = np.sqrt(-hvv / det)
+            l21 = huv / np.sqrt(-hvv * det)
+            l22 = 1.0 / np.sqrt(-hvv)
+        return u, v, l11, l21, l22
+
+    def _log_expectation_hermite(self, grid: np.ndarray, n_nodes: int, centre) -> np.ndarray:
+        g, st = self.gammas, self.stats
+        a, b, c = g.a, g.b, g.c
+        m, k = st.m_k1, st.k
+        x, logw = _hermite_table(n_nodes)
+        root2 = np.sqrt(2.0)
+        u0, v0, l11, l21, l22 = centre
+        out = np.empty_like(grid)
+        for i, n_val in enumerate(grid):
+            # (u, v) = centre + sqrt(2) L (x_r, x_s) with L lower-triangular: u and
+            # the first part of v depend on the row node only
+            u = u0[i] + root2 * l11[i] * x
+            v_row = v0[i] + root2 * l21[i] * x
+            v_col = root2 * l22[i] * x
+            alpha = np.exp(u)[:, None]
+            beta = np.exp(v_row)[:, None] * np.exp(v_col)[None, :]
+            log_zero_cell = 0.0
+            for j in range(k):
+                log_zero_cell = log_zero_cell - np.log1p(alpha / (beta + j))
+            logint = (
+                (logw + a * u + b * v_row - alpha[:, 0] / c)[:, None]
+                + (logw + b * v_col)[None, :]
+                - beta / c
+                + self._log_obs(alpha, beta)
+                + (n_val - m) * log_zero_cell
+            )
+            out[i] = _log_sum_exp(logint) + np.log(2.0 * l11[i] * l22[i])
+        return out - (a + b) * np.log(c) - gammaln(a) - gammaln(b)
 
     def log_kernel(self, n):
         """Log kernel values; raises QuadratureConvergenceError if unsettled."""
         m = self.stats.m_k1
-        log_e = _on_support(n, m, lambda safe: self._log_expectation(safe, self.nodes))
-        log_e_fine = _on_support(n, m, lambda safe: self._log_expectation(safe, self.check_nodes))
+        grid, scalar = _as_grid(n)
+        # N below M clamped to M, as _on_support hands it to its body; the
+        # Hermite centres are found once and shared by both node counts
+        clamped = np.where(grid >= m, grid, m)
+        centre = self._hermite_centre(clamped) if self.rule == "hermite" else None
+        log_e = _on_support(grid, m, lambda safe: self._log_expectation(safe, self.nodes, centre))
+        log_e_fine = _on_support(grid, m, lambda safe: self._log_expectation(safe, self.check_nodes, centre))
         # only the quadrature is compared; both -inf below M is no change; NaN fails
         below_m = (log_e == -np.inf) & (log_e_fine == -np.inf)
         with np.errstate(invalid="ignore"):
             rel = np.where(below_m, 0.0, np.abs(np.expm1(log_e - log_e_fine)))
         worst = float(rel.max()) if rel.size else 0.0
         self.diagnostics["max_rel_change"] = worst
-        comb = _on_support(n, m, lambda safe: log_falling(safe, m) - gammaln(m + 1))
+        comb = _on_support(grid, m, lambda safe: log_falling(safe, m) - gammaln(m + 1))
         if not worst <= self.rtol:
             raise QuadratureConvergenceError(
-                f"quadrature changed by {worst:.3e} (> rtol {self.rtol:.1e}) "
-                f"between {self.nodes}^2 and {self.check_nodes}^2 nodes; the "
-                "integrand sharpens as observed animals accumulate, so raise "
-                "nodes/check_nodes (e.g. 128/192) or relax rtol",
-                log_coarse=comb + log_e,
-                log_fine=comb + log_e_fine,
+                f"{self.rule} quadrature changed by {worst:.3e} (> rtol {self.rtol:.1e}) "
+                f"between {self.nodes}^2 and {self.check_nodes}^2 nodes; "
+                + _CONVERGENCE_ADVICE[self.rule],
+                log_coarse=_maybe_scalar(comb + log_e, scalar),
+                log_fine=_maybe_scalar(comb + log_e_fine, scalar),
                 max_rel_change=worst,
             )
-        return comb + log_e_fine
+        return _maybe_scalar(comb + log_e_fine, scalar)
 
 
 @dataclass

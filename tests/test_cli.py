@@ -97,7 +97,8 @@ class TestAnalyze:
         assert rc == 0
         payload = json.loads((tmp_path / "mh.json").read_text())
         assert payload["quadrature"]["max_rel_change"] is not None
-        assert "quadrature" in capsys.readouterr().out
+        assert payload["quadrature"]["rule"] == "hermite"
+        assert "hermite quadrature max relative change" in capsys.readouterr().out
 
     def test_mh_unconverged_quadrature_is_numeric_failure(self, tmp_path, capsys):
         path = tmp_path / "small.json"

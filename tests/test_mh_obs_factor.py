@@ -106,10 +106,14 @@ def test_kernel_and_verdict_points_match_per_animal_kernel():
         "verdict": np.concatenate([np.geomspace(n_lo, n_hi, 50), [probe, 2.0 * probe]]),
     }
     gammas = GammaPriors(2.0, 2.0)
-    kern = MhMarginalKernel(stats, gammas, nodes=128, check_nodes=192)
-    # a converged 128/192 evaluation returns its 192-node values
-    ref = PerAnimalKernel(stats, gammas)
-    for name, grid in grids.items():
-        got = kern.log_kernel(grid)
-        want = log_falling(grid, m) - gammaln(m + 1) + ref._log_expectation(grid, 192)
-        assert np.abs(np.expm1(got - want)).max() <= 1e-10, name
+    assert MhMarginalKernel(stats, gammas).rule == "hermite"
+    # the data choose the Hermite rule; the Laguerre rule is forced, and needs 128/192 here
+    for rule, (nodes, check_nodes) in (("hermite", (64, 96)), ("laguerre", (128, 192))):
+        kern = type("Kernel", (MhMarginalKernel,), {"rule": rule})(stats, gammas, nodes, check_nodes)
+        ref = type("Reference", (PerAnimalKernel,), {"rule": rule})(stats, gammas)
+        for name, grid in grids.items():
+            # a converged evaluation returns its check-node values
+            got = kern.log_kernel(grid)
+            centre = ref._hermite_centre(grid) if rule == "hermite" else None
+            want = log_falling(grid, m) - gammaln(m + 1) + ref._log_expectation(grid, check_nodes, centre)
+            assert np.abs(np.expm1(got - want)).max() <= 1e-10, (rule, name)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crbayes.data import CaptureHistory, SufficientStats, summarize
+from crbayes.data import CaptureHistory, SufficientStats, simulate_mh, summarize
 from crbayes.likelihoods import BetaParams
 from crbayes.posterior import (
     GammaPriors,
@@ -72,7 +72,7 @@ class TestBetaExpectation:
 
 
 class TestMhMarginal:
-    @pytest.mark.parametrize("shapes", [(1.5, 2.0), (0.5, 1.0), (3.0, 1.0)])
+    @pytest.mark.parametrize("shapes", [(1.5, 2.0), (0.5, 1.0), (3.0, 1.0), (2.5, 3.0)])
     def test_empty_dataset_single_occasion_closed_form(self, shapes):
         # with one occasion the zero-cell factor is beta/(alpha+beta) = 1 - X
         # and X = alpha/(alpha+beta) ~ Beta(a, b) under common-scale Gammas
@@ -133,18 +133,21 @@ class TestMhMarginal:
         assert err.max_rel_change == rel.max()
 
     def test_nan_quadrature_raises_instead_of_returning(self, monkeypatch):
-        kern = MhMarginalKernel(TWO_ANIMALS, GammaPriors(2.0, 2.0, 1.0))
-        real = kern._log_expectation
+        # shapes 2/2 give the Hermite rule on these two animals, 0.5/0.5 the Laguerre rule
+        for shapes, rule in (((2.0, 2.0), "hermite"), ((0.5, 0.5), "laguerre")):
+            kern = MhMarginalKernel(TWO_ANIMALS, GammaPriors(*shapes, 1.0))
+            assert kern.rule == rule
+            real = kern._log_expectation
 
-        def nan_at_ten(grid, n_nodes):
-            out = real(grid, n_nodes)
-            return np.where(grid == 10.0, np.nan, out)
+            def nan_at_ten(grid, *rule_args):
+                out = real(grid, *rule_args)
+                return np.where(grid == 10.0, np.nan, out)
 
-        monkeypatch.setattr(kern, "_log_expectation", nan_at_ten)
-        with pytest.raises(QuadratureConvergenceError) as info:
-            kern.log_kernel(np.array([1.0, 5.0, 10.0, 50.0]))
-        assert np.isnan(info.value.max_rel_change)
-        assert np.isnan(info.value.log_fine[2])
+            monkeypatch.setattr(kern, "_log_expectation", nan_at_ten)
+            with pytest.raises(QuadratureConvergenceError) as info:
+                kern.log_kernel(np.array([1.0, 5.0, 10.0, 50.0]))
+            assert np.isnan(info.value.max_rel_change)
+            assert np.isnan(info.value.log_fine[2])
 
     def test_node_counts_capped_at_363(self):
         # scipy's Gauss-Laguerre rule returns NaN from 364 nodes on
@@ -159,20 +162,92 @@ class TestMhMarginal:
         kern.log_kernel(np.array([5.0, 50.0, 1e4]))
         assert kern.diagnostics["max_rel_change"] < 1e-6
 
-    def test_large_dataset_needs_more_nodes(self):
+    def test_large_dataset_converges_at_default_nodes(self):
         # with many observed animals the integrand concentrates like a
-        # posterior; the default rule detects it and the advised remedy works
-        from crbayes.data import simulate_mh
-
+        # posterior; the mode-centred rule follows it at the default nodes
         stats = summarize(simulate_mh(60, 2.0, 3.0, 4, seed=5))
         assert stats.m_k1 >= 40
         grid = np.arange(stats.m_k1, 201, dtype=float)
-        coarse = MhMarginalKernel(stats, GammaPriors(2.0, 2.0, 1.0))
-        with pytest.raises(QuadratureConvergenceError, match="raise"):
+        gammas = GammaPriors(2.0, 2.0, 1.0)
+        kern = MhMarginalKernel(stats, gammas)
+        got = kern.log_kernel(grid)
+        assert kern.diagnostics["rule"] == "hermite"
+        assert kern.diagnostics["max_rel_change"] < 1e-10
+        want = LaguerreKernel(stats, gammas, nodes=128, check_nodes=192).log_kernel(grid)
+        assert np.abs(np.expm1(got - want)).max() <= 1e-6
+
+    def test_heavy_left_tail_keeps_laguerre_rule_and_needs_more_nodes(self):
+        # every animal caught on both occasions and b = 0.13: b + M - f_K is
+        # below the Hermite threshold, so the prior-matched rule runs, and the
+        # remedy its error advises works
+        stats = summarize(CaptureHistory(k=2, rows=((1, 1),) * 8))
+        gammas = GammaPriors(2.0, 0.13, 1.0)
+        grid = np.arange(stats.m_k1, stats.m_k1 + 201, dtype=float)
+        coarse = MhMarginalKernel(stats, gammas)
+        assert coarse.rule == "laguerre"
+        with pytest.raises(QuadratureConvergenceError, match="raise nodes"):
             coarse.log_kernel(grid)
-        fine = MhMarginalKernel(stats, GammaPriors(2.0, 2.0, 1.0), nodes=128, check_nodes=192)
+        fine = MhMarginalKernel(stats, gammas, nodes=128, check_nodes=192)
         fine.log_kernel(grid)
+        assert fine.diagnostics["rule"] == "laguerre"
         assert fine.diagnostics["max_rel_change"] < 1e-4
+
+    @pytest.mark.parametrize("args", [(300, 2.0, 5.0, 5, 2), (400, 2.0, 4.0, 6, 1)])
+    def test_data_rich_sets_converge_at_default_nodes(self, args):
+        # M = 223 and M = 313: the prior-matched rules need 192/288 nodes or
+        # more here; the mode-centred rule converges at 64/96
+        stats = summarize(simulate_mh(*args))
+        assert stats.m_k1 in (223, 313)
+        gammas = GammaPriors(2.0, 2.0, 1.0)
+        kern = MhMarginalKernel(stats, gammas)
+        table = posterior_table(kern.log_kernel, "uniform", stats=stats, n_max=stats.m_k1 + 400)
+        assert kern.diagnostics["rule"] == "hermite"
+        assert kern.diagnostics["max_rel_change"] < 1e-8
+        assert not table.warnings
+        assert stats.m_k1 < table.ci[0] < table.mean < table.ci[1] < table.n_max
+        report = propriety_report("mh", "uniform", stats=stats, gammas=gammas)
+        assert report.predicted == "proper" and report.agreement
+
+
+class LaguerreKernel(MhMarginalKernel):
+    """The mh kernel held to the prior-matched rules whatever the data."""
+
+    rule = "laguerre"
+
+
+mh_histories = st.integers(min_value=1, max_value=8).flatmap(
+    lambda k: st.lists(st.integers(1, 2**k - 1), max_size=40).map(
+        lambda codes: CaptureHistory(k=k, rows=tuple(tuple((c >> j) & 1 for j in range(k)) for c in codes))
+    )
+)
+gamma_shapes = st.floats(min_value=0.1, max_value=5.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mh_histories, gamma_shapes, gamma_shapes, st.floats(min_value=0.2, max_value=5.0))
+def test_hermite_rule_matches_converged_laguerre_rule(history, a, b, c):
+    stats = summarize(history)
+    m, f_k = stats.m_k1, stats.f_j[-1]
+    gammas = GammaPriors(a, b, c)
+    kern = MhMarginalKernel(stats, gammas)
+    # the rule follows from the left-tail rates alone, never from which rule passes
+    expected = "hermite" if min(a + m, b + m - f_k) >= 2.0 else "laguerre"
+    assert kern.rule == kern.diagnostics["rule"] == expected
+    k = stats.k
+    same_counts = ((1,) * k,) * f_k + ((1,) + (0,) * (k - 1),) * (m - f_k)
+    other = summarize(CaptureHistory(k=k, rows=same_counts))
+    assert MhMarginalKernel(other, GammaPriors(a, b, 2.0 * c)).rule == expected
+    if expected == "laguerre":
+        return
+    grid = m + np.array([0.0, 10.0, 1e3, 1e3 * max(m, 1), 1e6 * max(m, 1)])
+    got = kern.log_kernel(grid)
+    try:
+        want = LaguerreKernel(stats, gammas, nodes=192, check_nodes=288, rtol=1e-7).log_kernel(grid)
+        settled = np.ones(grid.size, dtype=bool)
+    except QuadratureConvergenceError as err:
+        want = err.log_fine
+        settled = np.abs(np.expm1(err.log_coarse - err.log_fine)) <= 1e-7
+    assert (np.abs(np.expm1(got - want))[settled] <= 1e-5).all()
 
 
 def test_prior_spec_rejects_unknown_prior():
