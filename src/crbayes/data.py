@@ -9,6 +9,7 @@ size only as experiment bookkeeping.
 import csv
 import json
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -153,15 +154,101 @@ def _format_from_path(path: Path, fmt: str | None) -> str:
     raise ValueError(f"cannot infer dataset format from {path.name}; pass fmt=")
 
 
+BLOCK = 8192
+"""Values per text block of a FloatColumn, and rows per write of write_csv."""
+
+class FloatColumn:
+    """A float array rendered once into its ``float.__repr__`` literals.
+
+    The literals are kept as one comma-joined string per block of ``BLOCK``
+    values, so that a report can write the same text into its JSON and its CSV
+    without formatting a float twice. :func:`write_json` writes a top-level
+    FloatColumn value as the array ``json.dumps`` would write for its values.
+    Iterating yields the literals one by one, as CSV cells for
+    :func:`write_csv`; that is how ``csv.writer`` writes a float too.
+    """
+
+    __slots__ = ("blocks", "finite")
+
+    def __init__(self, values):
+        values = np.asarray(values, dtype=float).ravel()
+        self.finite = bool(np.isfinite(values).all())
+        self.blocks = tuple(
+            ",".join(map(repr, values[i : i + BLOCK].tolist())) for i in range(0, values.size, BLOCK)
+        )
+
+    def __iter__(self):
+        return chain.from_iterable(block.split(",") for block in self.blocks)
+
+
 def write_json(path: str | Path, payload) -> None:
-    """Write ``payload`` as JSON indented by two spaces, with a final newline."""
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    """Write ``payload`` as ``json.dumps(payload, indent=2)`` with a final newline.
+
+    A top-level value of a dict payload may be a :class:`FloatColumn` of finite
+    values. It is written block by block as the indented array of its values;
+    every other value goes through ``json.dumps``.
+    """
+    columns = [v for v in payload.values() if isinstance(v, FloatColumn)] if isinstance(payload, dict) else []
+    if not columns:
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        return
+    if not all(column.finite for column in columns):
+        raise ValueError("a FloatColumn written to JSON must hold finite values")
+    with Path(path).open("w") as fh:
+        fh.write("{\n")
+        for i, (key, value) in enumerate(payload.items()):
+            if i:
+                fh.write(",\n")
+            if isinstance(value, FloatColumn) and value.blocks:
+                fh.write(json.dumps({key: []}, indent=2)[2:-4] + "[\n    ")
+                for j, block in enumerate(value.blocks):
+                    if j:
+                        fh.write(",\n    ")
+                    fh.write(block.replace(",", ",\n    "))
+                fh.write("\n  ]")
+            else:
+                # '{\n  "key": value\n}' without its braces is the item at indent level 1
+                fh.write(json.dumps({key: [] if isinstance(value, FloatColumn) else value}, indent=2)[2:-2])
+        fh.write("\n}\n")
+
+
+def _plain_csv_block(rows: list) -> str | None:
+    """The CSV text of ``rows`` if every cell is a string that ``csv.writer``
+    would not quote, else None."""
+    try:
+        lines = list(map(",".join, rows))
+    except TypeError:  # a cell that is not a string
+        return None
+    text = "\r\n".join(lines) + "\r\n"
+    n_rows = len(rows)
+    if (
+        '"' in text
+        or text.count(",") != sum(map(len, rows)) - n_rows  # a cell holds a comma
+        or text.count("\r") != n_rows
+        or text.count("\n") != n_rows
+        or "" in lines  # a lone empty cell is written as ""
+    ):
+        return None
+    return text
 
 
 def write_csv(path: str | Path, rows) -> None:
-    """Write an iterable of rows, header first, as CSV; floats are written as their repr."""
+    """Write an iterable of rows, header first, as ``csv.writer`` would.
+
+    The rows are written ``BLOCK`` at a time. A block whose cells are all
+    strings that need no quoting is joined and written in one piece; any
+    other block goes through ``csv.writer``, which writes floats as their repr.
+    """
+    rows = iter(rows)
     with Path(path).open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+        writer = csv.writer(fh)
+        # tuple() keeps a one-shot row iterator for the fallback; a tuple row is not copied
+        while block := list(map(tuple, islice(rows, BLOCK))):
+            text = _plain_csv_block(block)
+            if text is None:
+                writer.writerows(block)
+            else:
+                fh.write(text)
 
 
 def store_history(history: CaptureHistory, path: str | Path, fmt: str | None = None) -> None:

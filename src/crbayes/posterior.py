@@ -12,7 +12,7 @@ that extrapolation diverges.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Callable
@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln, logsumexp, roots_genlaguerre, roots_hermite, roots_jacobi
 
-from .data import SufficientStats, write_csv, write_json
+from .data import FloatColumn, SufficientStats, write_csv, write_json
 from .likelihoods import BetaParams, _as_grid, _maybe_scalar, _on_support, log_falling, mh_log_obs_factor
 
 
@@ -411,10 +411,14 @@ class MhMarginalKernel:
         self.diagnostics["max_rel_change"] = worst
         comb = _on_support(grid, m, lambda safe: log_falling(safe, m) - gammaln(m + 1))
         if not worst <= self.rtol:
+            nodes = f"{self.nodes}^2 and {self.check_nodes}^2 nodes"
+            if np.isnan(worst):
+                first_nan = grid[np.flatnonzero(np.isnan(rel))[0]]
+                what = f"returned NaN at {nodes} (first at N = {first_nan:.15g})"
+            else:
+                what = f"changed by {worst:.3e} (> rtol {self.rtol:.1e}) between {nodes}"
             raise QuadratureConvergenceError(
-                f"{self.rule} quadrature changed by {worst:.3e} (> rtol {self.rtol:.1e}) "
-                f"between {self.nodes}^2 and {self.check_nodes}^2 nodes; "
-                + _CONVERGENCE_ADVICE[self.rule],
+                f"{self.rule} quadrature {what}; " + _CONVERGENCE_ADVICE[self.rule],
                 log_coarse=_maybe_scalar(comb + log_e, scalar),
                 log_fine=_maybe_scalar(comb + log_e_fine, scalar),
                 max_rel_change=worst,
@@ -448,10 +452,15 @@ class PosteriorTable:
     def support(self) -> np.ndarray:
         return np.arange(self.n_min, self.n_max + 1)
 
-    def to_dict(self) -> dict:
-        return {
+    @cached_property
+    def _mass_column(self) -> FloatColumn:
+        """``mass`` formatted once, for both the JSON and the CSV report."""
+        return FloatColumn(self.mass)
+
+    def write_json(self, path: str | Path, extra: dict | None = None) -> None:
+        payload = {
             "support": [self.n_min, self.n_max],
-            "mass": self.mass.tolist(),
+            "mass": self._mass_column,
             "mean": self.mean,
             "sd": self.sd,
             "ci": list(self.ci),
@@ -460,12 +469,11 @@ class PosteriorTable:
             "tail_mass_estimate": self.tail_mass_estimate,
             "warnings": list(self.warnings),
         }
-
-    def write_json(self, path: str | Path, extra: dict | None = None) -> None:
-        write_json(path, {**self.to_dict(), **(extra or {})})
+        write_json(path, {**payload, **(extra or {})})
 
     def write_csv(self, path: str | Path) -> None:
-        rows = zip(self.support.tolist(), self.mass.tolist(), self.log_kernel.tolist())
+        support = map(str, range(self.n_min, self.n_max + 1))
+        rows = zip(support, self._mass_column, FloatColumn(self.log_kernel))
         write_csv(path, chain([("N", "mass", "log_kernel")], rows))
 
 

@@ -1,10 +1,16 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crbayes.data import (
+    BLOCK,
     CaptureHistory,
+    FloatColumn,
     InvalidHistoryError,
     SufficientStats,
     load_history,
@@ -12,6 +18,8 @@ from crbayes.data import (
     simulate_mh,
     store_history,
     summarize,
+    write_csv,
+    write_json,
 )
 
 from oracles import recount_stats
@@ -183,6 +191,84 @@ def test_load_rejects_malformed_json(tmp_path):
         path.write_text(text)
         with pytest.raises(InvalidHistoryError):
             load_history(path)
+
+
+COLUMN_LENGTHS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+EDGE_FLOATS = [0.0, 5e-324, 1e16, 1e-05, -0.0, 1.0 / 3.0]
+
+
+def _floats(n: int, seed: int) -> np.ndarray:
+    values = np.random.default_rng(seed).random(n) ** 40
+    values[: len(EDGE_FLOATS)] = EDGE_FLOATS[:n]
+    return values
+
+
+def _csv_writer_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _first_difference(got: str, expected: str):
+    """None when equal, else the first differing offset with some context;
+    a short message, where pytest would diff two long texts line by line."""
+    if got == expected:
+        return None
+    i = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected)))
+    return i, got[max(i - 20, 0) : i + 20], expected[max(i - 20, 0) : i + 20]
+
+
+@pytest.mark.parametrize("n", COLUMN_LENGTHS)
+def test_write_json_column_matches_json_dumps(tmp_path, n):
+    values = _floats(n, seed=n)
+    payload = {"support": [1, n], "mass": values.tolist(), "mean": 2.5, "warnings": ["a,b"], "inf": np.inf}
+    write_json(tmp_path / "c.json", {**payload, "mass": FloatColumn(values)})
+    assert _first_difference((tmp_path / "c.json").read_text(), json.dumps(payload, indent=2) + "\n") is None
+
+
+def test_write_json_rejects_non_finite_column(tmp_path):
+    for bad in (np.inf, -np.inf, np.nan):
+        values = np.array([1.5, 0.0] * BLOCK + [bad])
+        with pytest.raises(ValueError, match="finite"):
+            write_json(tmp_path / "c.json", {"mass": FloatColumn(values), "n": 1})
+    # a non-finite plain float is still spelled as json spells it
+    write_json(tmp_path / "c.json", {"mass": FloatColumn([1.5]), "tail": np.inf, "sd": np.nan})
+    assert (tmp_path / "c.json").read_text() == json.dumps({"mass": [1.5], "tail": np.inf, "sd": np.nan}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", COLUMN_LENGTHS)
+def test_write_csv_matches_csv_writer(tmp_path, n):
+    mass = _floats(n, seed=n)
+    with np.errstate(divide="ignore"):
+        log_kernel = np.log(mass)  # log(0.0) and log(-0.0) are -inf
+    expected = _csv_writer_text([("N", "mass", "log_kernel"), *zip(range(n), mass.tolist(), log_kernel.tolist())])
+    columns = zip(map(str, range(n)), FloatColumn(mass), FloatColumn(log_kernel))
+    write_csv(tmp_path / "c.csv", [("N", "mass", "log_kernel"), *columns])
+    assert _first_difference((tmp_path / "c.csv").read_bytes().decode(), expected) is None
+    if n >= len(EDGE_FLOATS):
+        assert "\r\n0,0.0,-inf\r\n1,5e-324,-744.4400719213812\r\n" in expected
+        assert "\r\n3,1e-05,-11.512925464970229\r\n" in expected
+    # plain numbers go through csv.writer itself
+    write_csv(tmp_path / "p.csv", [("N", "mass", "log_kernel"), *zip(range(n), mass.tolist(), log_kernel.tolist())])
+    assert _first_difference((tmp_path / "p.csv").read_bytes().decode(), expected) is None
+
+
+@pytest.mark.parametrize(
+    "cell", ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", "", " padded ", "plain"]
+)
+def test_write_csv_quotes_string_cells_as_csv_writer_does(tmp_path, cell):
+    for rows in (
+        [("x", "y"), (cell, "1")],
+        [(cell,)],
+        [("1", "2")] * (BLOCK - 1) + [("3", cell)] + [("4", "5")] * 3,
+        [(cell, cell), (), ("7",), [cell]],
+    ):
+        write_csv(tmp_path / "q.csv", rows)
+        assert _first_difference((tmp_path / "q.csv").read_bytes().decode(), _csv_writer_text(rows)) is None
+    # rows that are one-shot iterators, as csv.writer accepts them
+    rows = [("x", "y"), (cell, "1"), ("2", "3")]
+    write_csv(tmp_path / "i.csv", map(iter, rows))
+    assert (tmp_path / "i.csv").read_bytes().decode() == _csv_writer_text(rows)
 
 
 @st.composite

@@ -148,6 +148,10 @@ class TestMhMarginal:
                 kern.log_kernel(np.array([1.0, 5.0, 10.0, 50.0]))
             assert np.isnan(info.value.max_rel_change)
             assert np.isnan(info.value.log_fine[2])
+            message = str(info.value)
+            assert f"{rule} quadrature returned NaN" in message
+            assert "(first at N = 10)" in message
+            assert "changed by nan" not in message
 
     def test_node_counts_capped_at_363(self):
         # scipy's Gauss-Laguerre rule returns NaN from 364 nodes on
@@ -326,22 +330,24 @@ class TestPosteriorTable:
 
     def test_serialization_round_trip(self, tmp_path):
         kernel = lambda n: m0_marginal_log_kernel(n, TWO_ANIMALS, BetaParams(1.0, 1.0))
-        table = posterior_table(kernel, "uniform", stats=TWO_ANIMALS, n_max=500)
-        table.write_json(tmp_path / "t.json", extra={"model": "m0"})
-        table.write_csv(tmp_path / "t.csv")
-        text = (tmp_path / "t.json").read_text()
-        payload = json.loads(text)
-        assert text == json.dumps(payload, indent=2) + "\n"
-        assert payload["support"] == [2, 500]
-        assert payload["model"] == "m0"
-        assert payload["mean"] == pytest.approx(table.mean)
-        assert payload["mass"] == table.mass.tolist()
-        header, *rows = (tmp_path / "t.csv").read_text().splitlines()
-        assert header == "N,mass,log_kernel"
-        cells = [row.split(",") for row in rows]
-        assert [int(c[0]) for c in cells] == table.support.tolist()
-        assert [float(c[1]) for c in cells] == table.mass.tolist()
-        assert [float(c[2]) for c in cells] == table.log_kernel.tolist()
+        # 20000 spans several write blocks
+        for n_max in (500, 20_000):
+            table = posterior_table(kernel, "uniform", stats=TWO_ANIMALS, n_max=n_max)
+            table.write_json(tmp_path / "t.json", extra={"model": "m0"})
+            table.write_csv(tmp_path / "t.csv")
+            text = (tmp_path / "t.json").read_text()
+            payload = json.loads(text)
+            assert text == json.dumps(payload, indent=2) + "\n"
+            assert payload["support"] == [2, n_max]
+            assert payload["model"] == "m0"
+            assert payload["mean"] == pytest.approx(table.mean)
+            assert payload["mass"] == table.mass.tolist()
+            header, *rows = (tmp_path / "t.csv").read_text().splitlines()
+            assert header == "N,mass,log_kernel"
+            cells = [row.split(",") for row in rows]
+            assert [int(c[0]) for c in cells] == table.support.tolist()
+            assert [float(c[1]) for c in cells] == table.mass.tolist()
+            assert [float(c[2]) for c in cells] == table.log_kernel.tolist()
 
         no_recapture = summarize(CaptureHistory(k=2, rows=((1, 0), (0, 1))))
         kernel = lambda n: m0_marginal_log_kernel(n, no_recapture, BetaParams(1.0, 1.0))
