@@ -69,8 +69,8 @@ def _probability(text: str) -> float:
 
 def _positive(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite positive number")
     return value
 
 

@@ -33,7 +33,7 @@ class BetaParams:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+        if not (self.a > 0 and self.b > 0):
             raise ValueError("Beta shapes must be positive")
 
 
@@ -50,7 +50,7 @@ def _maybe_scalar(values: np.ndarray, scalar: bool):
 def _on_support(n, lo, body):
     """Evaluate ``body`` on N >= lo and return -inf below it.
 
-    N below ``lo`` is clamped to ``lo`` before ``body`` sees it, so the body
+    N below ``lo`` is replaced by ``lo`` before ``body`` sees it, so the body
     never leaves its domain; those entries are then masked. Scalar in, float out.
     """
     grid, scalar = _as_grid(n)
@@ -164,7 +164,7 @@ def m0_profile_mle(stats: SufficientStats) -> tuple[int, float]:
     return best_n, p_hat
 
 
-def mh_log_obs_factor(f_j: Sequence[int], alpha, beta, log_x=None):
+def mh_log_obs_factor(f_j: Sequence[int], alpha, beta):
     """Log product of the observed animals' integrated-likelihood factors.
 
     An animal caught y of K times contributes
@@ -176,15 +176,11 @@ def mh_log_obs_factor(f_j: Sequence[int], alpha, beta, log_x=None):
             - M sum_{j<K} log(alpha+beta+j)
 
     Both prefix sums are accumulated once, in K log calls each, and weighted
-    by f_y. ``alpha`` and ``beta`` broadcast against each other. Given
-    ``log_x`` = log(alpha/(alpha+beta)), the j = 0 terms log alpha and
-    log(alpha+beta) enter only through that ratio, which stays smooth in
-    mixing coordinates.
+    by f_y. ``alpha`` and ``beta`` broadcast against each other.
     """
     freqs = [int(v) for v in f_j]
     k, m = len(freqs), sum(freqs)
-    first = 0 if log_x is None else 1
-    log_a = np.log(alpha) if log_x is None else log_x  # sum_{j<y} log(alpha+j) at y = 1
+    log_a = np.log(alpha)  # sum_{j<y} log(alpha+j) at y = 1
     out = freqs[0] * log_a
     for y in range(2, k + 1):
         log_a = log_a + np.log(alpha + (y - 1))
@@ -194,20 +190,22 @@ def mh_log_obs_factor(f_j: Sequence[int], alpha, beta, log_x=None):
         log_b = log_b + np.log(beta + (z - 1))
         out = out + freqs[k - z - 1] * log_b
     total = alpha + beta
-    for j in range(first, k):
+    for j in range(k):
         out = out - m * np.log(total + j)
     return out
 
 
-def _log_zero_cell(params: BetaParams, k: int) -> float:
-    """log prod_{j<K} (b+j)/(a+b+j), the chance that a Beta-mixed animal is never caught.
+def mh_log_zero_cell(alpha, beta, k: int):
+    """log prod_{j<K} (beta+j)/(alpha+beta+j), the chance that a Beta-mixed animal is never caught.
 
-    Summed term by term, as :func:`mh_log_obs_factor` does: the log-gamma form
-    cancels terms far larger than the result, and the kernels multiply the
-    rounding left over by N - M.
+    Summed term by term as -log1p(alpha/(beta+j)): the log-gamma form cancels
+    terms far larger than the result, and the kernels multiply the rounding
+    left over by N - M. ``alpha`` and ``beta`` broadcast against each other.
     """
-    a, b = params.a, params.b
-    return sum(float(np.log(b + j) - np.log(a + b + j)) for j in range(k))
+    out = 0.0
+    for j in range(k):
+        out = out - np.log1p(alpha / (beta + j))
+    return out
 
 
 def mh_integrated_log_prob(stats: SufficientStats, n, params: BetaParams):
@@ -221,10 +219,10 @@ def mh_integrated_log_prob(stats: SufficientStats, n, params: BetaParams):
         * prod_i [prod_{j<y_i}(alpha+j) prod_{j<K-y_i}(beta+j)] / prod_{j<K}(alpha+beta+j)
 
     with the observed-animal product from :func:`mh_log_obs_factor` and the
-    zero-cell factor from :func:`_log_zero_cell`. N < M gives -inf.
+    zero-cell factor from :func:`mh_log_zero_cell`. N < M gives -inf.
     """
     m = stats.m_k1
-    log_zero_cell = _log_zero_cell(params, stats.k)
+    log_zero_cell = float(mh_log_zero_cell(params.a, params.b, stats.k))
     log_obs = float(mh_log_obs_factor(stats.f_j, params.a, params.b))
     return _on_support(n, m, lambda safe: (
         log_falling(safe, m) - gammaln(m + 1) + (safe - m) * log_zero_cell + log_obs
@@ -251,7 +249,7 @@ def mh_summary_log_prob(
 
     Models the counts (N - M, f_1, ..., f_K) of animals caught 0, 1, ..., K
     times as a multinomial with beta-binomial cell probabilities; the zero
-    cell, raised to the power N - M, comes from :func:`_log_zero_cell`. Up to
+    cell, raised to the power N - M, comes from :func:`mh_log_zero_cell`. Up to
     a factor constant in N this matches :func:`mh_integrated_log_prob`.
     """
     freqs = np.asarray(f_j, dtype=int)
@@ -259,7 +257,7 @@ def mh_summary_log_prob(
         raise ValueError("f_j must have one nonnegative count per occasion")
     if int(freqs.sum()) != m_k1:
         raise ValueError("f_j must sum to the number of observed animals")
-    log_zero_cell = _log_zero_cell(params, k)
+    log_zero_cell = float(mh_log_zero_cell(params.a, params.b, k))
     log_seen = float(freqs @ beta_binomial_log_pmf(np.arange(1, k + 1), k, params))
     return _on_support(n, m_k1, lambda safe: (
         log_falling(safe, m_k1) - gammaln(freqs + 1).sum() + (safe - m_k1) * log_zero_cell + log_seen

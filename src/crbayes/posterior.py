@@ -21,7 +21,9 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, roots_genlaguerre, roots_hermite, roots_jacobi
 
 from .data import FloatColumn, SufficientStats, write_csv, write_json
-from .likelihoods import BetaParams, _as_grid, _maybe_scalar, _on_support, log_falling, mh_log_obs_factor
+from .likelihoods import (
+    BetaParams, _as_grid, _maybe_scalar, _on_support, log_falling, mh_log_obs_factor, mh_log_zero_cell,
+)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -43,7 +45,7 @@ class GammaPriors:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0 or self.c <= 0:
+        if not (self.a > 0 and self.b > 0 and self.c > 0):
             raise ValueError("Gamma shapes and scale must be positive")
 
 
@@ -95,31 +97,12 @@ def _log_sum_exp(values: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=32)
-def _laguerre_table(n_nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and log weights for weight t^alpha e^-t; zero weights are masked out."""
-    t, w = roots_genlaguerre(n_nodes, alpha)
+def _gauss_rule(roots_fn, n_nodes: int, *shape: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and log weights of the scipy rule ``roots_fn(n_nodes, *shape)``;
+    zero weights give -inf. Callers share the cached arrays and must not write to them."""
+    x, w = roots_fn(n_nodes, *shape)
     with np.errstate(divide="ignore"):
-        logw = np.log(w)
-    return t, logw
-
-
-@lru_cache(maxsize=32)
-def _jacobi_table(n_nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes on (0, 1) and log weights of the normalized Beta(a, b) measure."""
-    x, w = roots_jacobi(n_nodes, b - 1.0, a - 1.0)
-    nodes = (1.0 + x) / 2.0
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
-    return nodes, logw - _log_sum_exp(logw)
-
-
-@lru_cache(maxsize=32)
-def _hermite_table(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and log weights for weight e^(-x^2), with e^(x^2) folded into the weights."""
-    x, w = roots_hermite(n_nodes)
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
-    return x, logw + x * x
+        return x, np.log(w)
 
 
 # Below this excess N - M the smooth mixing-fraction rule is more accurate;
@@ -163,9 +146,11 @@ class MhMarginalKernel:
     """Log marginal kernel of N for Beta-heterogeneous detection.
 
     Combines the combinatorial term with the expectation of the integrated
-    likelihood's data factor over the Gamma priors on (alpha, beta). The
-    2-D expectation uses one of two tensor-product Gaussian rules, chosen
-    from the data alone (``rule``):
+    likelihood's data factor over the Gamma priors on (alpha, beta). That
+    factor is the observed-animal product (``_log_obs``) times the zero-cell
+    factor (:func:`mh_log_zero_cell`) to the power N - M, and every rule below
+    evaluates that one implementation. The 2-D expectation uses one of two
+    tensor-product Gaussian rules, chosen from the data alone (``rule``):
 
     * ``"hermite"``: Gauss-Hermite in (u, v) = (log alpha, log beta),
       centred on the integrand's mode at each N and scaled by the Cholesky
@@ -203,6 +188,8 @@ class MhMarginalKernel:
             raise ValueError("need check_nodes > nodes >= 2")
         if check_nodes > _MAX_NODES:
             raise ValueError(f"at most {_MAX_NODES} quadrature nodes per axis, got {check_nodes}")
+        if not 0 < rtol < np.inf:
+            raise ValueError(f"rtol must be finite and positive, got {rtol}")
         self.stats = stats
         self.gammas = gammas
         self.nodes = nodes
@@ -239,34 +226,33 @@ class MhMarginalKernel:
         """Log product of the per-animal rising-factorial factors."""
         return mh_log_obs_factor(self.stats.f_j, alpha, beta)
 
+    def _log_data(self, alpha, beta, excess) -> np.ndarray:
+        """Log data factor at (alpha, beta) with ``excess`` = N - M animals never caught."""
+        return self._log_obs(alpha, beta) + excess * mh_log_zero_cell(alpha, beta, self.stats.k)
+
     def _log_expectation_mixing(self, grid: np.ndarray, n_nodes: int) -> np.ndarray:
         g, st = self.gammas, self.stats
         a, b, c = g.a, g.b, g.c
         m, k = st.m_k1, st.k
-        t, logw = _laguerre_table(n_nodes, a + b - 1.0)
-        xs, logv = _jacobi_table(n_nodes, a, b)
+        t, logw = _gauss_rule(roots_genlaguerre, n_nodes, a + b - 1.0)
+        xs, logv = _gauss_rule(roots_jacobi, n_nodes, b - 1.0, a - 1.0)
         xi = c * t[:, None]
-        x = xs[None, :]
-        beta = xi * (1.0 - x)
-        log_zero_cell = np.log1p(-x) + np.zeros_like(xi)
-        for j in range(1, k):
-            log_zero_cell += np.log(beta + j) - np.log(xi + j)
-        base = logw[:, None] - gammaln(a + b) + logv[None, :] + self._log_obs_mixing(xi, x)
+        x = (1.0 + xs[None, :]) / 2.0  # Jacobi nodes on (-1, 1) moved to (0, 1)
+        logv = logv - _log_sum_exp(logv)  # weights of the normalized Beta(a, b) measure
+        alpha, beta = xi * x, xi * (1.0 - x)
+        log_zero_cell = mh_log_zero_cell(alpha, beta, k)
+        base = logw[:, None] - gammaln(a + b) + logv[None, :] + self._log_obs(alpha, beta)
         out = np.empty_like(grid)
         for i, n_val in enumerate(grid):
             out[i] = _log_sum_exp(base + (n_val - m) * log_zero_cell)
         return out
 
-    def _log_obs_mixing(self, xi, x) -> np.ndarray:
-        """Observed-animal factors written so the alpha/(alpha+beta) parts stay smooth."""
-        return mh_log_obs_factor(self.stats.f_j, xi * x, xi * (1.0 - x), log_x=np.log(x))
-
     def _log_expectation_rescaled(self, grid: np.ndarray, n_nodes: int) -> np.ndarray:
         g, st = self.gammas, self.stats
         a, b, c = g.a, g.b, g.c
         m, k = st.m_k1, st.k
-        t, logw = _laguerre_table(n_nodes, a - 1.0)
-        u, logv = _laguerre_table(n_nodes, a + b - 1.0)
+        t, logw = _gauss_rule(roots_genlaguerre, n_nodes, a - 1.0)
+        u, logv = _gauss_rule(roots_genlaguerre, n_nodes, a + b - 1.0)
         beta = c * u[None, :]
         s_rate = sum(1.0 / (beta + j) for j in range(k))  # d(-log zero cell)/d alpha at 0
         out = np.empty_like(grid)
@@ -313,11 +299,7 @@ class MhMarginalKernel:
 
         def objective(u, v):
             alpha, beta = np.exp(u), np.exp(v)
-            out = a * u + b * v - (alpha + beta) / c
-            for i in range(k):
-                out = out + caught[i] * np.log(alpha + i) + missed[i] * np.log(beta + i)
-                out = out - m * np.log(alpha + beta + i) - excess * np.log1p(alpha / (beta + i))
-            return out
+            return a * u + b * v - (alpha + beta) / c + self._log_data(alpha, beta, excess)
 
         def derivatives(u, v):
             alpha, beta = np.exp(u), np.exp(v)
@@ -367,8 +349,9 @@ class MhMarginalKernel:
     def _log_expectation_hermite(self, grid: np.ndarray, n_nodes: int, centre) -> np.ndarray:
         g, st = self.gammas, self.stats
         a, b, c = g.a, g.b, g.c
-        m, k = st.m_k1, st.k
-        x, logw = _hermite_table(n_nodes)
+        m = st.m_k1
+        x, logw = _gauss_rule(roots_hermite, n_nodes)
+        logw = logw + x * x  # e^(x^2) folded into the weights: the integrand has no e^(-x^2)
         root2 = np.sqrt(2.0)
         u0, v0, l11, l21, l22 = centre
         out = np.empty_like(grid)
@@ -380,15 +363,11 @@ class MhMarginalKernel:
             v_col = root2 * l22[i] * x
             alpha = np.exp(u)[:, None]
             beta = np.exp(v_row)[:, None] * np.exp(v_col)[None, :]
-            log_zero_cell = 0.0
-            for j in range(k):
-                log_zero_cell = log_zero_cell - np.log1p(alpha / (beta + j))
             logint = (
                 (logw + a * u + b * v_row - alpha[:, 0] / c)[:, None]
                 + (logw + b * v_col)[None, :]
                 - beta / c
-                + self._log_obs(alpha, beta)
-                + (n_val - m) * log_zero_cell
+                + self._log_data(alpha, beta, n_val - m)
             )
             out[i] = _log_sum_exp(logint) + np.log(2.0 * l11[i] * l22[i])
         return out - (a + b) * np.log(c) - gammaln(a) - gammaln(b)
@@ -397,19 +376,20 @@ class MhMarginalKernel:
         """Log kernel values; raises QuadratureConvergenceError if unsettled."""
         m = self.stats.m_k1
         grid, scalar = _as_grid(n)
-        # N below M clamped to M, as _on_support hands it to its body; the
-        # Hermite centres are found once and shared by both node counts
-        clamped = np.where(grid >= m, grid, m)
-        centre = self._hermite_centre(clamped) if self.rule == "hermite" else None
-        log_e = _on_support(grid, m, lambda safe: self._log_expectation(safe, self.nodes, centre))
-        log_e_fine = _on_support(grid, m, lambda safe: self._log_expectation(safe, self.check_nodes, centre))
-        # only the quadrature is compared; both -inf below M is no change; NaN fails
-        below_m = (log_e == -np.inf) & (log_e_fine == -np.inf)
+
+        def both_rules(safe):
+            # the Hermite centres are found once and shared by both node counts
+            centre = self._hermite_centre(safe) if self.rule == "hermite" else None
+            log_e = [self._log_expectation(safe, n_nodes, centre) for n_nodes in (self.nodes, self.check_nodes)]
+            return log_falling(safe, m) - gammaln(m + 1) + np.stack(log_e)
+
+        log_coarse, log_fine = _on_support(grid, m, both_rules)
+        # both -inf below M is no change; NaN fails
+        below_m = (log_coarse == -np.inf) & (log_fine == -np.inf)
         with np.errstate(invalid="ignore"):
-            rel = np.where(below_m, 0.0, np.abs(np.expm1(log_e - log_e_fine)))
+            rel = np.where(below_m, 0.0, np.abs(np.expm1(log_coarse - log_fine)))
         worst = float(rel.max()) if rel.size else 0.0
         self.diagnostics["max_rel_change"] = worst
-        comb = _on_support(grid, m, lambda safe: log_falling(safe, m) - gammaln(m + 1))
         if not worst <= self.rtol:
             nodes = f"{self.nodes}^2 and {self.check_nodes}^2 nodes"
             if np.isnan(worst):
@@ -419,11 +399,11 @@ class MhMarginalKernel:
                 what = f"changed by {worst:.3e} (> rtol {self.rtol:.1e}) between {nodes}"
             raise QuadratureConvergenceError(
                 f"{self.rule} quadrature {what}; " + _CONVERGENCE_ADVICE[self.rule],
-                log_coarse=_maybe_scalar(comb + log_e, scalar),
-                log_fine=_maybe_scalar(comb + log_e_fine, scalar),
+                log_coarse=_maybe_scalar(log_coarse, scalar),
+                log_fine=_maybe_scalar(log_fine, scalar),
                 max_rel_change=worst,
             )
-        return _maybe_scalar(comb + log_e_fine, scalar)
+        return _maybe_scalar(log_fine, scalar)
 
 
 @dataclass
@@ -447,10 +427,6 @@ class PosteriorTable:
     tail_exponent: float
     tail_mass_estimate: float
     warnings: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.arange(self.n_min, self.n_max + 1)
 
     @cached_property
     def _mass_column(self) -> FloatColumn:

@@ -201,6 +201,27 @@ def test_missing_model_parameters_is_usage_error(case, m0_dataset, tmp_path, cap
     assert not any(tmp_path.glob("x.json*"))
 
 
+NON_FINITE_FLAGS = {  # argv without the flag and --out
+    "--improper-margin": ["analyze", "--data", "{data}", "--model", "m0"],
+    "--quad-rtol": ["analyze", "--data", "{data}", "--model", "mh"],
+    "--tolerance": ["check-propriety", "--model", "m0", "--data", "{data}"],
+    "--shape-a": ["analyze", "--data", "{data}", "--model", "mh"],
+    "--delta": ["ym", "--n", "4", "--k", "6"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", list(NON_FINITE_FLAGS))
+def test_non_finite_numeric_flag_is_usage_error(flag, value, tmp_path, capsys):
+    # an improper posterior: the default margin exits 3, and a NaN margin used to hide that
+    data = tmp_path / "improper.json"
+    store_history(simulate_m0(400, 0.01, 5, seed=3), data)
+    argv = [a.format(data=data) for a in NON_FINITE_FLAGS[flag]]
+    assert run(argv + [flag, value, "--out", str(tmp_path / "x")]) == 2
+    assert f"{value} is not a finite positive number" in capsys.readouterr().err
+    assert not any(tmp_path.glob("x*"))
+
+
 SHARED_FLAGS = [  # (flag, dest, default, a non-default value)
     ("--n-prior", "n_prior", "uniform", "scale"),
     ("--a", "a", 1.0, 1.5),

@@ -128,8 +128,9 @@ class TestMhIntegrated:
         )
 
     def test_rejects_nonpositive_shapes(self):
-        with pytest.raises(ValueError):
-            BetaParams(0.0, 1.0)
+        for shapes in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                BetaParams(*shapes)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])

@@ -91,9 +91,6 @@ class PerAnimalKernel(MhMarginalKernel):
     def _log_obs(self, alpha, beta):
         return per_animal_log_obs(per_animal_counts(self.stats.f_j), self.stats.k, alpha, beta)
 
-    def _log_obs_mixing(self, xi, x):
-        return self._log_obs(xi * x, xi * (1.0 - x))
-
 
 def test_kernel_and_verdict_points_match_per_animal_kernel():
     stats = summarize(simulate_mh(50, 2.0, 4.0, 8, seed=6))

@@ -153,6 +153,38 @@ class TestMhMarginal:
             assert "(first at N = 10)" in message
             assert "changed by nan" not in message
 
+    @pytest.mark.parametrize("rtol", [math.inf, math.nan, 0.0])
+    def test_rejects_rtol_that_is_not_finite_and_positive(self, rtol):
+        # rtol = inf would let any finite change through: an unchecked quadrature
+        with pytest.raises(ValueError, match="rtol"):
+            MhMarginalKernel(TWO_ANIMALS, GammaPriors(2.0, 2.0, 1.0), rtol=rtol)
+
+    @pytest.mark.parametrize("params", [(math.nan, 1.0), (1.0, math.nan), (1.0, 1.0, math.nan), (0.0, 1.0)])
+    def test_gamma_priors_reject_nan_and_nonpositive(self, params):
+        with pytest.raises(ValueError, match="positive"):
+            GammaPriors(*params)
+
+    def test_log_kernel_pinned_on_each_branch(self):
+        # recorded reference values, one set for each of the Hermite, mixing
+        # and rescaled branches
+        rich = summarize(simulate_mh(50, 2.0, 4.0, 8, seed=6))
+        one = summarize(CaptureHistory(k=4, rows=((0, 1, 0, 0),)))
+        cases = [
+            ("hermite", rich, GammaPriors(2.0, 2.0, 1.0), [0.0, 7.0, 60.0, 1e3, 1e6], [
+                -218.80562725123326, -217.39538148867226, -224.48588770734446,
+                -232.560124949825, -246.58819876120776]),
+            ("mixing", TWO_ANIMALS, GammaPriors(0.5, 0.5, 1.0), [0.0, 1.0, 10.0, 50.0, 128.0], [
+                -3.8979246672790175, -4.175892403386783, -5.164553809846945,
+                -6.0010701568839515, -6.47894140604409]),
+            ("rescaled", one, GammaPriors(1.0, 0.8, 2.0), [129.0, 500.0, 1e4, 1e6], [
+                -7.907427533650598, -9.254423321956637, -12.247566969862621, -16.85260210843039]),
+        ]
+        for branch, stats, gammas, excess, want in cases:
+            kern = MhMarginalKernel(stats, gammas)
+            assert kern.rule == ("hermite" if branch == "hermite" else "laguerre")
+            got = kern.log_kernel(stats.m_k1 + np.array(excess))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=branch)
+
     def test_node_counts_capped_at_363(self):
         # scipy's Gauss-Laguerre rule returns NaN from 364 nodes on
         gammas = GammaPriors(2.0, 2.0, 1.0)
@@ -303,7 +335,7 @@ class TestPosteriorTable:
         kernel = lambda n: math.log(3.0) - 2.0 * np.log(n)
         short = posterior_table(kernel, "uniform", n_min=5, n_max=2_000)
         long = posterior_table(kernel, "uniform", n_min=5, n_max=20_000)
-        beyond = float(long.mass[long.support > 2_000].sum())
+        beyond = float(long.mass[np.arange(long.n_min, long.n_max + 1) > 2_000].sum())
         assert short.tail_mass_estimate == pytest.approx(beyond, rel=0.25)
 
     def test_extension_moves_mean_less_than_tail_bound(self):
@@ -317,7 +349,8 @@ class TestPosteriorTable:
         kernel = lambda n: m0_marginal_log_kernel(n, TWO_ANIMALS, BetaParams(2.0, 1.0))
         table = posterior_table(kernel, "uniform", stats=TWO_ANIMALS, n_max=5_000, level=0.9)
         lo, hi = table.ci
-        inside = table.mass[(table.support >= lo) & (table.support <= hi)].sum()
+        support = np.arange(table.n_min, table.n_max + 1)
+        inside = table.mass[(support >= lo) & (support <= hi)].sum()
         assert inside >= 0.9 - 1e-9
 
     def test_validation(self):
@@ -345,7 +378,7 @@ class TestPosteriorTable:
             header, *rows = (tmp_path / "t.csv").read_text().splitlines()
             assert header == "N,mass,log_kernel"
             cells = [row.split(",") for row in rows]
-            assert [int(c[0]) for c in cells] == table.support.tolist()
+            assert [int(c[0]) for c in cells] == list(range(2, n_max + 1))
             assert [float(c[1]) for c in cells] == table.mass.tolist()
             assert [float(c[2]) for c in cells] == table.log_kernel.tolist()
 
