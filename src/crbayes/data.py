@@ -135,7 +135,7 @@ def simulate_mh(n_true: int, alpha: float, beta: float, k: int, seed: int) -> Ca
     Each animal draws its own detection probability once from Beta(alpha, beta)
     and keeps it across all ``k`` occasions; never-detected animals are dropped.
     """
-    if alpha <= 0 or beta <= 0:
+    if not (alpha > 0 and beta > 0):
         raise ValueError("Beta shapes must be positive")
     if n_true < 1 or k < 1:
         raise ValueError("n_true and k must be positive")

@@ -44,7 +44,7 @@ class DaConfig:
             raise ValueError("need iters > burnin >= 0")
         if self.thin < 1:
             raise ValueError("thin must be at least 1")
-        if self.psi_prior[0] <= 0 or self.psi_prior[1] <= 0:
+        if not (self.psi_prior[0] > 0 and self.psi_prior[1] > 0):
             raise ValueError("psi prior shapes must be positive")
 
 

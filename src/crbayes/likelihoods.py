@@ -273,7 +273,7 @@ def york_madigan_log_kernel(n_grid, n_obs: int, k: int, delta: float):
     """
     if k < 2:
         raise ValueError("need at least two cells")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if n_obs < 0:
         raise ValueError("observed count must be nonnegative")

@@ -11,6 +11,7 @@ power-law extrapolation of the mass beyond its upper endpoint and warns when
 that extrapolation diverges.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -69,7 +70,7 @@ def m0_marginal_log_kernel(n, stats: SufficientStats, beta: BetaParams):
 
 def log_beta_expectation(n, m_k1: int, a: float, b: float):
     """log E[(1-X)^(N-M) X^M] for X ~ Beta(a, b), in closed form."""
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):
         raise ValueError("Beta shapes must be positive")
     grid, scalar = _as_grid(n)
     if (grid < m_k1).any():
@@ -94,6 +95,14 @@ def _log_sum_exp(values: np.ndarray) -> float:
     if not np.isfinite(top):
         return float(top)
     return float(top + np.log(np.exp(values - top).sum()))
+
+
+def _excess_sums(base: np.ndarray, log_zero_cell: np.ndarray, excess: np.ndarray) -> np.ndarray:
+    """``_log_sum_exp(base + e * log_zero_cell)`` over fixed nodes, for each excess e = N - M."""
+    out = np.empty(len(excess))
+    for i, e in enumerate(excess):
+        out[i] = _log_sum_exp(base + e * log_zero_cell)
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -141,6 +150,11 @@ _MODE_MAX_ITER = 100
 _MODE_MAX_STEP = 3.0
 _MODE_TOL = 1e-8
 
+# Consecutive grid points share one set of Hermite nodes while each point's
+# own centre lies within this many standardized units of the block's centre
+# (its first point), measured with that centre's Cholesky factor.
+_BLOCK_RADIUS = 1.0
+
 
 class MhMarginalKernel:
     """Log marginal kernel of N for Beta-heterogeneous detection.
@@ -153,12 +167,17 @@ class MhMarginalKernel:
     tensor-product Gaussian rules, chosen from the data alone (``rule``):
 
     * ``"hermite"``: Gauss-Hermite in (u, v) = (log alpha, log beta),
-      centred on the integrand's mode at each N and scaled by the Cholesky
-      factor of the inverse negative Hessian there (adaptive quadrature,
-      Naylor & Smith 1982; Liu & Pierce 1994). The integrand behaves like a
+      centred on the integrand's mode and scaled by the Cholesky factor of
+      the inverse negative Hessian there (adaptive quadrature, Naylor &
+      Smith 1982; Liu & Pierce 1994). The integrand behaves like a
       posterior over the two shapes and sharpens as animals accumulate, so
-      the nodes follow it. Used when both log-scale left-tail rates a + M
-      and b + (M - f_K) are at least ``_HERMITE_MIN_RATE``.
+      the nodes follow it. The mode moves little from one N to the next,
+      so consecutive N share one centre while each N's own mode lies within
+      ``_BLOCK_RADIUS`` standardized units of it (``_hermite_blocks``); the
+      nodes, prior, observed-animal and zero-cell terms are built once per
+      block, and each N adds one fixed-node sum. Used when both log-scale
+      left-tail rates a + M and b + (M - f_K) are at least
+      ``_HERMITE_MIN_RATE``.
     * ``"laguerre"``: rules whose weights match the joint Gamma prior, for
       sparse data where the integrand is close to the prior. For moderate
       N - M these work in mixing coordinates xi = alpha + beta ~
@@ -171,9 +190,9 @@ class MhMarginalKernel:
     Every evaluation is repeated at ``check_nodes`` per axis with the same
     rule (and the same Hermite centres); if any grid point moves by more
     than ``rtol`` in relative terms the evaluation fails with both value
-    sets attached. ``diagnostics`` records the rule and the worst observed
-    relative change of the most recent call. Neither node count may exceed
-    363.
+    sets attached. ``diagnostics`` records the rule, the worst observed
+    relative change and the number of Hermite centres (0 under Laguerre)
+    of the most recent call. Neither node count may exceed 363.
     """
 
     def __init__(
@@ -200,6 +219,7 @@ class MhMarginalKernel:
             "nodes": nodes,
             "check_nodes": check_nodes,
             "max_rel_change": None,
+            "centres": None,
         }
 
     @property
@@ -209,11 +229,12 @@ class MhMarginalKernel:
         rates = (self.gammas.a + m, self.gammas.b + m - self.stats.f_j[-1])
         return "hermite" if min(rates) >= _HERMITE_MIN_RATE else "laguerre"
 
-    def _log_expectation(self, grid: np.ndarray, n_nodes: int, centre) -> np.ndarray:
+    def _log_expectation(self, grid: np.ndarray, n_nodes: int, blocks) -> np.ndarray:
         """Log prior expectation of the data factor at each N: the Hermite rule
-        about ``centre``, or the prior-matched rules when ``centre`` is None."""
-        if centre is not None:
-            return self._log_expectation_hermite(grid, n_nodes, centre)
+        on ``blocks`` (from ``_hermite_blocks``), or the prior-matched rules
+        when ``blocks`` is None."""
+        if blocks is not None:
+            return self._log_expectation_hermite(grid, n_nodes, blocks)
         out = np.empty_like(grid)
         small = grid - self.stats.m_k1 <= _BRANCH_THRESHOLD
         if small.any():
@@ -242,10 +263,7 @@ class MhMarginalKernel:
         alpha, beta = xi * x, xi * (1.0 - x)
         log_zero_cell = mh_log_zero_cell(alpha, beta, k)
         base = logw[:, None] - gammaln(a + b) + logv[None, :] + self._log_obs(alpha, beta)
-        out = np.empty_like(grid)
-        for i, n_val in enumerate(grid):
-            out[i] = _log_sum_exp(base + (n_val - m) * log_zero_cell)
-        return out
+        return _excess_sums(base, log_zero_cell, grid - m)
 
     def _log_expectation_rescaled(self, grid: np.ndarray, n_nodes: int) -> np.ndarray:
         g, st = self.gammas, self.stats
@@ -288,7 +306,9 @@ class MhMarginalKernel:
         over i < K, where w_i animals were caught and z_i missed more than i
         times. Damped Newton runs on the whole grid at once; where the Hessian
         is not negative definite it takes a gradient step instead, and a
-        halving line search keeps every step uphill.
+        halving line search keeps every step uphill. The quadrature does not
+        centre on each of these: ``_hermite_blocks`` groups nearby N under
+        one of them.
         """
         g, st = self.gammas, self.stats
         a, b, c = g.a, g.b, g.c
@@ -346,30 +366,57 @@ class MhMarginalKernel:
             l22 = 1.0 / np.sqrt(-hvv)
         return u, v, l11, l21, l22
 
-    def _log_expectation_hermite(self, grid: np.ndarray, n_nodes: int, centre) -> np.ndarray:
+    def _hermite_blocks(self, grid: np.ndarray) -> list:
+        """Consecutive runs of grid points that share one Hermite centre.
+
+        Returns ``(block, centre)`` pairs, ``block`` a slice of the grid and
+        ``centre`` the (u, v, l11, l21, l22) of ``_hermite_centre`` at its
+        first point. A point joins the open block when its own mode lies
+        within ``_BLOCK_RADIUS`` of the block's, in the units z = L^-1 (du, dv)
+        of the block's Cholesky factor L. A point whose centre is not finite,
+        or whose factor has a non-positive diagonal, opens a block of its own
+        and lends its nodes to no other point, so its NaN stays its own.
+        """
+        centre = np.stack(self._hermite_centre(grid))
+        usable = (np.isfinite(centre).all(axis=0) & (centre[2] > 0) & (centre[4] > 0)).tolist()
+        u, v, l11, l21, l22 = centre.tolist()
+        starts: list[int] = []
+        for i in range(grid.size):
+            dist = math.nan
+            if starts and usable[i] and usable[starts[-1]]:
+                j = starts[-1]
+                z1 = (u[i] - u[j]) / l11[j]
+                z2 = (v[i] - v[j] - l21[j] * z1) / l22[j]
+                dist = math.hypot(z1, z2)
+            if not dist <= _BLOCK_RADIUS:  # NaN opens a block too
+                starts.append(i)
+        stops = starts[1:] + [grid.size]
+        return [(slice(i, stop), tuple(centre[:, i])) for i, stop in zip(starts, stops)]
+
+    def _log_expectation_hermite(self, grid: np.ndarray, n_nodes: int, blocks) -> np.ndarray:
         g, st = self.gammas, self.stats
         a, b, c = g.a, g.b, g.c
         m = st.m_k1
         x, logw = _gauss_rule(roots_hermite, n_nodes)
         logw = logw + x * x  # e^(x^2) folded into the weights: the integrand has no e^(-x^2)
         root2 = np.sqrt(2.0)
-        u0, v0, l11, l21, l22 = centre
         out = np.empty_like(grid)
-        for i, n_val in enumerate(grid):
+        for block, (u0, v0, l11, l21, l22) in blocks:
             # (u, v) = centre + sqrt(2) L (x_r, x_s) with L lower-triangular: u and
             # the first part of v depend on the row node only
-            u = u0[i] + root2 * l11[i] * x
-            v_row = v0[i] + root2 * l21[i] * x
-            v_col = root2 * l22[i] * x
+            u = u0 + root2 * l11 * x
+            v_row = v0 + root2 * l21 * x
+            v_col = root2 * l22 * x
             alpha = np.exp(u)[:, None]
             beta = np.exp(v_row)[:, None] * np.exp(v_col)[None, :]
-            logint = (
+            base = (
                 (logw + a * u + b * v_row - alpha[:, 0] / c)[:, None]
                 + (logw + b * v_col)[None, :]
                 - beta / c
-                + self._log_data(alpha, beta, n_val - m)
+                + self._log_obs(alpha, beta)
             )
-            out[i] = _log_sum_exp(logint) + np.log(2.0 * l11[i] * l22[i])
+            log_zero_cell = mh_log_zero_cell(alpha, beta, st.k)
+            out[block] = _excess_sums(base, log_zero_cell, grid[block] - m) + np.log(2.0 * l11 * l22)
         return out - (a + b) * np.log(c) - gammaln(a) - gammaln(b)
 
     def log_kernel(self, n):
@@ -378,9 +425,10 @@ class MhMarginalKernel:
         grid, scalar = _as_grid(n)
 
         def both_rules(safe):
-            # the Hermite centres are found once and shared by both node counts
-            centre = self._hermite_centre(safe) if self.rule == "hermite" else None
-            log_e = [self._log_expectation(safe, n_nodes, centre) for n_nodes in (self.nodes, self.check_nodes)]
+            # the Hermite blocks are found once and shared by both node counts
+            blocks = self._hermite_blocks(safe) if self.rule == "hermite" else None
+            self.diagnostics["centres"] = len(blocks) if blocks is not None else 0
+            log_e = [self._log_expectation(safe, n_nodes, blocks) for n_nodes in (self.nodes, self.check_nodes)]
             return log_falling(safe, m) - gammaln(m + 1) + np.stack(log_e)
 
         log_coarse, log_fine = _on_support(grid, m, both_rules)

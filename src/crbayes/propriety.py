@@ -48,7 +48,7 @@ def m0_propriety_condition(
     prior; equality sits on the boundary and the sum still diverges, so it is
     reported improper.
     """
-    if a <= 0:
+    if not a > 0:
         raise ValueError("Beta shape a must be positive")
     _check_n_prior(n_prior)
     d = stats.n_dot - stats.m_k1 + a
@@ -63,7 +63,7 @@ def mh_propriety_condition(a: float, n_prior: str) -> str:
     prior and for any a > 0 under the scale prior. The bound is one-sided,
     so failing it yields "not_guaranteed" rather than "improper".
     """
-    if a <= 0:
+    if not a > 0:
         raise ValueError("Gamma shape a must be positive")
     _check_n_prior(n_prior)
     if n_prior == "scale":
@@ -79,7 +79,7 @@ def ym_propriety_condition(k: int, delta: float, n_prior: str) -> str:
     """
     if k < 2:
         raise ValueError("need at least two cells")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     _check_n_prior(n_prior)
     if n_prior == "scale":
@@ -129,9 +129,9 @@ def gamma_ratio_asymptotic_check(x: float, a: float, b: float) -> float:
     x grows; the returned |ratio - 1| quantifies how far into the asymptotic
     regime x is. For a = 0 the ratio is identically 1.
     """
-    if x <= 0:
+    if not x > 0:
         raise ValueError("x must be positive")
-    if a < 0 or b < 0:
+    if not (a >= 0 and b >= 0):
         raise ValueError("a and b must be nonnegative")
     if a == 0:
         return 0.0
@@ -151,6 +151,10 @@ class FitConfig:
     n_hi: float | None = None
     points: int = 50
     tolerance: float = 0.05
+
+    def __post_init__(self):
+        if not self.tolerance > 0:
+            raise ValueError(f"fit tolerance must be positive, got {self.tolerance}")
 
     def resolve(self, scale: int) -> tuple[float, float]:
         base = max(1, scale)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, xlog1py, xlogy
+from scipy.special import gammaln, logsumexp, roots_hermite, xlog1py, xlogy
 from scipy.stats import beta as beta_dist
 
 
@@ -106,6 +106,42 @@ def quad_mh_integrated_log_prob(stats, n_val: int, alpha: float, beta: float) ->
     for y in per_animal_counts(stats.f_j):
         out += math.log(cell(y))
     return float(out)
+
+
+def per_n_centred_hermite_log_expectation(kern, grid, n_nodes: int):
+    """The mh kernel's Gauss-Hermite rule with fresh nodes at every N.
+
+    Each N gets its own mode-centred node set from ``kern._hermite_centre``
+    and its own data factor ``kern._log_data``; nothing is shared between
+    grid points. Returns the log prior expectation that
+    ``kern._log_expectation`` computes on the same grid. Unlike the rest of
+    this module it reuses the kernel's centres and integrand: it is the
+    reference for sharing node sets across N, not for the integrand.
+    """
+    g, st = kern.gammas, kern.stats
+    a, b, c = g.a, g.b, g.c
+    m = st.m_k1
+    x, w = roots_hermite(n_nodes)
+    logw = np.log(w) + x * x  # e^(x^2) folded into the weights: the integrand has no e^(-x^2)
+    root2 = np.sqrt(2.0)
+    u0, v0, l11, l21, l22 = kern._hermite_centre(grid)
+    out = np.empty_like(grid)
+    for i, n_val in enumerate(grid):
+        # (u, v) = centre + sqrt(2) L (x_r, x_s) with L lower-triangular: u and
+        # the first part of v depend on the row node only
+        u = u0[i] + root2 * l11[i] * x
+        v_row = v0[i] + root2 * l21[i] * x
+        v_col = root2 * l22[i] * x
+        alpha = np.exp(u)[:, None]
+        beta = np.exp(v_row)[:, None] * np.exp(v_col)[None, :]
+        logint = (
+            (logw + a * u + b * v_row - alpha[:, 0] / c)[:, None]
+            + (logw + b * v_col)[None, :]
+            - beta / c
+            + kern._log_data(alpha, beta, n_val - m)
+        )
+        out[i] = logsumexp(logint) + np.log(2.0 * l11[i] * l22[i])
+    return out - (a + b) * np.log(c) - gammaln(a) - gammaln(b)
 
 
 def per_animal_counts(f_j) -> list[int]:

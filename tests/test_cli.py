@@ -98,6 +98,8 @@ class TestAnalyze:
         payload = json.loads((tmp_path / "mh.json").read_text())
         assert payload["quadrature"]["max_rel_change"] is not None
         assert payload["quadrature"]["rule"] == "hermite"
+        assert list(payload["quadrature"]) == ["rule", "nodes", "check_nodes", "max_rel_change", "centres"]
+        assert 1 <= payload["quadrature"]["centres"] <= 118  # the support [3, 120]
         assert "hermite quadrature max relative change" in capsys.readouterr().out
 
     def test_mh_unconverged_quadrature_is_numeric_failure(self, tmp_path, capsys):

@@ -109,6 +109,9 @@ def test_simulate_m0_rejects_bad_p():
 def test_simulate_mh_rejects_bad_shapes():
     with pytest.raises(ValueError):
         simulate_mh(10, 0.0, 1.0, 5, seed=0)
+    for shapes in ((np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="positive"):
+            simulate_mh(10, *shapes, 5, seed=0)
 
 
 def test_simulate_mh_uniform_rate_single_occasion():

@@ -102,6 +102,12 @@ def test_config_validation():
         DaConfig(m=10, psi_prior=(0.0, 1.0))
 
 
+@pytest.mark.parametrize("psi_prior", [(np.nan, 1.0), (1.0, np.nan)])
+def test_config_rejects_nan_psi_prior(psi_prior):
+    with pytest.raises(ValueError, match="psi"):
+        DaConfig(m=10, psi_prior=psi_prior)
+
+
 def test_summary_and_ess():
     history = simulate_m0(50, 0.4, 4, seed=9)
     chains = da_gibbs(history, DaConfig(m=150, iters=6000, burnin=500, seed=14))

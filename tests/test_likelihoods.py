@@ -223,6 +223,10 @@ class TestYorkMadigan:
         with pytest.raises(ValueError):
             york_madigan_log_kernel(5, 1, 3, 0.0)
 
+    def test_rejects_nan_delta(self):
+        with pytest.raises(ValueError, match="delta"):
+            york_madigan_log_kernel([10, 20], 4, 6, math.nan)
+
 
 @pytest.mark.parametrize(
     "kernel",

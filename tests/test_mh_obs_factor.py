@@ -111,6 +111,6 @@ def test_kernel_and_verdict_points_match_per_animal_kernel():
         for name, grid in grids.items():
             # a converged evaluation returns its check-node values
             got = kern.log_kernel(grid)
-            centre = ref._hermite_centre(grid) if rule == "hermite" else None
-            want = log_falling(grid, m) - gammaln(m + 1) + ref._log_expectation(grid, check_nodes, centre)
+            blocks = ref._hermite_blocks(grid) if rule == "hermite" else None
+            want = log_falling(grid, m) - gammaln(m + 1) + ref._log_expectation(grid, check_nodes, blocks)
             assert np.abs(np.expm1(got - want)).max() <= 1e-10, (rule, name)

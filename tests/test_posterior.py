@@ -18,7 +18,12 @@ from crbayes.posterior import (
 )
 from crbayes.propriety import propriety_report
 
-from oracles import mc_beta_expectation, mc_mh_marginal_log_kernel, quad_m0_marginal_log_kernel
+from oracles import (
+    mc_beta_expectation,
+    mc_mh_marginal_log_kernel,
+    per_n_centred_hermite_log_expectation,
+    quad_m0_marginal_log_kernel,
+)
 
 TWO_ANIMALS = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))
 EMPTY_K1 = SufficientStats(0, 1, 0, (0,), (0,))
@@ -69,6 +74,11 @@ class TestBetaExpectation:
             log_beta_expectation(5, 0, -1.0, 1.0)
         with pytest.raises(ValueError):
             log_beta_expectation(2, 3, 1.0, 1.0)
+
+    @pytest.mark.parametrize("shapes", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_nan_shape(self, shapes):
+        with pytest.raises(ValueError, match="positive"):
+            log_beta_expectation(5, 0, *shapes)
 
 
 class TestMhMarginal:
@@ -185,6 +195,49 @@ class TestMhMarginal:
             got = kern.log_kernel(stats.m_k1 + np.array(excess))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=branch)
 
+    @pytest.mark.parametrize("entry", range(5), ids=["u", "v", "l11", "l21", "l22"])
+    @pytest.mark.parametrize("role", ["opens-block", "inside-block"])
+    def test_non_finite_centre_neither_joins_nor_lends_a_block(self, entry, role):
+        # a Newton search stopped on a saddle can leave a non-finite centre;
+        # that N must still read NaN and fail the check, and no other N may
+        # share its nodes or lend it theirs
+        stats = summarize(simulate_mh(50, 2.0, 4.0, 8, seed=6))
+        gammas = GammaPriors(2.0, 2.0, 1.0)
+        grid = np.arange(stats.m_k1, stats.m_k1 + 60, dtype=float)
+        clean = MhMarginalKernel(stats, gammas)
+        block = clean._hermite_blocks(grid)[1][0]
+        assert block.stop - block.start >= 3
+        poisoned = grid[block.start + (role == "inside-block")]
+
+        class Poisoned(MhMarginalKernel):
+            def _hermite_centre(self, grid):
+                centre = super()._hermite_centre(grid)
+                centre[entry][grid == poisoned] = np.nan
+                return centre
+
+        with pytest.raises(QuadratureConvergenceError) as info:
+            Poisoned(stats, gammas).log_kernel(grid)
+        assert f"hermite quadrature returned NaN at 64^2 and 96^2 nodes (first at N = {poisoned:g})" in str(info.value)
+        for values in (info.value.log_coarse, info.value.log_fine):
+            np.testing.assert_array_equal(np.isnan(values), grid == poisoned)
+        np.testing.assert_allclose(
+            info.value.log_fine[grid != poisoned], clean.log_kernel(grid)[grid != poisoned], rtol=1e-10, atol=0
+        )
+
+    def test_diagnostics_count_shared_centres(self):
+        stats = summarize(simulate_mh(50, 2.0, 4.0, 8, seed=6))
+        kern = MhMarginalKernel(stats, GammaPriors(2.0, 2.0, 1.0))
+        assert list(kern.diagnostics) == ["rule", "nodes", "check_nodes", "max_rel_change", "centres"]
+        assert kern.diagnostics["centres"] is None
+        grid = np.arange(stats.m_k1, stats.m_k1 + 141, dtype=float)
+        kern.log_kernel(grid)
+        assert 1 < kern.diagnostics["centres"] < grid.size // 2  # nearby N share centres
+        kern.log_kernel(grid[0])
+        assert kern.diagnostics["centres"] == 1
+        laguerre = MhMarginalKernel(TWO_ANIMALS, GammaPriors(0.5, 0.5, 1.0))
+        laguerre.log_kernel(grid)
+        assert laguerre.diagnostics["centres"] == 0
+
     def test_node_counts_capped_at_363(self):
         # scipy's Gauss-Laguerre rule returns NaN from 364 nodes on
         gammas = GammaPriors(2.0, 2.0, 1.0)
@@ -284,6 +337,61 @@ def test_hermite_rule_matches_converged_laguerre_rule(history, a, b, c):
         want = err.log_fine
         settled = np.abs(np.expm1(err.log_coarse - err.log_fine)) <= 1e-7
     assert (np.abs(np.expm1(got - want))[settled] <= 1e-5).all()
+
+
+def _shared_and_per_n_centres(kern, grid):
+    """Log expectations at 64 and 96 nodes with shared centres and with a centre per N."""
+    blocks = kern._hermite_blocks(grid)
+    shared = [kern._log_expectation(grid, n_nodes, blocks) for n_nodes in (64, 96)]
+    per_n = [per_n_centred_hermite_log_expectation(kern, grid, n_nodes) for n_nodes in (64, 96)]
+    return shared, per_n
+
+
+def _rel(x, y):
+    return np.abs(np.expm1(x - y))
+
+
+@pytest.mark.parametrize("args", [(50, 2.0, 4.0, 8, 6), (300, 2.0, 5.0, 5, 2), (400, 2.0, 4.0, 6, 1)])
+def test_shared_centres_match_a_centre_per_n_on_data_rich_sets(args):
+    # M = 40, 223 and 313; the table grids (the first with the CLI's 141
+    # points, the others with 401) and the default propriety fit grid with
+    # its two-point probe
+    stats = summarize(simulate_mh(*args))
+    m = stats.m_k1
+    kern = MhMarginalKernel(stats, GammaPriors(2.0, 2.0, 1.0))
+    assert kern.rule == "hermite"
+    n_lo, n_hi = 1e3 * m, 1e6 * m
+    probe = np.sqrt(n_lo * n_hi)
+    grids = {
+        "table": np.arange(m, m + (141 if m == 40 else 401), dtype=float),
+        "verdict": np.concatenate([np.geomspace(n_lo, n_hi, 50), [probe, 2.0 * probe]]),
+    }
+    for name, grid in grids.items():
+        shared, per_n = _shared_and_per_n_centres(kern, grid)
+        for n_nodes, got, want in zip((64, 96), shared, per_n):
+            assert _rel(got, want).max() <= 1e-10, (m, name, n_nodes)
+    assert len(kern._hermite_blocks(grids["table"])) < grids["table"].size // 4
+
+
+@settings(max_examples=15, deadline=None)
+@given(mh_histories, gamma_shapes, gamma_shapes, st.floats(min_value=0.2, max_value=5.0))
+def test_shared_centres_stay_within_the_quadrature_check(history, a, b, c):
+    # Sharing moves a node set by up to one standardized unit, so the two
+    # kernels differ by the quadrature error of a rule at that distance. Where
+    # the 64/96 check sees 1e-12, they agree to 1e-10; where the integrand
+    # is rough enough for the check to see more (wide priors on a few
+    # animals), the difference stays within twice what the two checks see.
+    stats = summarize(history)
+    kern = MhMarginalKernel(stats, GammaPriors(a, b, c))
+    if kern.rule != "hermite":
+        return
+    m = stats.m_k1
+    grid = np.concatenate([np.arange(m, m + 60, dtype=float), m + np.geomspace(100, 1e6 * max(m, 1), 8)])
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        shared, per_n = _shared_and_per_n_centres(kern, grid)
+    seen = _rel(*shared).max() + _rel(*per_n).max()
+    for got, want in zip(shared, per_n):
+        assert _rel(got, want).max() <= 1e-10 + 2.0 * seen
 
 
 def test_prior_spec_rejects_unknown_prior():

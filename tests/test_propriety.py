@@ -85,6 +85,18 @@ class TestConditions:
         with pytest.raises(ValueError):
             m0_propriety_condition(synthetic_stats(2, 2, 0), 1.0, "flat")
 
+    @pytest.mark.parametrize("call", [
+        lambda: m0_propriety_condition(synthetic_stats(2, 2, 0), math.nan, "uniform"),
+        lambda: mh_propriety_condition(math.nan, "uniform"),
+        lambda: ym_propriety_condition(6, math.nan, "uniform"),
+        lambda: gamma_ratio_asymptotic_check(math.nan, 1.0, 1.0),
+        lambda: gamma_ratio_asymptotic_check(10.0, math.nan, 1.0),
+        lambda: gamma_ratio_asymptotic_check(10.0, 1.0, math.nan),
+    ], ids=["m0-a", "mh-a", "ym-delta", "gamma-ratio-x", "gamma-ratio-a", "gamma-ratio-b"])
+    def test_rejects_nan(self, call):
+        with pytest.raises(ValueError):
+            call()
+
 
 class TestLocalExponent:
     def test_pure_power_law(self):
@@ -209,6 +221,16 @@ class TestProprietyReport:
             propriety_report("ym", "uniform", ym_n=4)
         with pytest.raises(ValueError):
             propriety_report("bogus", "uniform")
+
+    def test_nan_delta_is_a_usage_error_not_a_failed_fit(self):
+        # NaN used to pass the delta check and surface as TailFitError
+        with pytest.raises(ValueError, match="delta"):
+            propriety_report("ym", "uniform", ym_n=4, ym_k=6, ym_delta=math.nan)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -0.05])
+    def test_fit_config_rejects_tolerance_that_is_not_positive(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            FitConfig(tolerance=tolerance)
 
     def test_json_round_trip(self, tmp_path):
         report = propriety_report("ym", "uniform", ym_n=4, ym_k=6, ym_delta=0.25)
