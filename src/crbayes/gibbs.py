@@ -10,6 +10,7 @@ chain for increasing M: when the underlying posterior is improper the mean
 of N keeps climbing with M, which is the diagnostic this module exists for.
 """
 
+from array import array
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -17,6 +18,9 @@ import numpy as np
 
 from .data import CaptureHistory, summarize, write_csv, write_json
 from .likelihoods import BetaParams
+
+# triples drawn at a state's first visit; each refill of that state doubles it
+_FIRST_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,18 @@ class DaConfig:
             raise ValueError("need iters > burnin >= 0")
         if self.thin < 1:
             raise ValueError("thin must be at least 1")
+        if self.kept < 2:
+            raise ValueError(
+                f"iters {self.iters}, burnin {self.burnin} and thin {self.thin} keep {self.kept} draw(s); "
+                "a chain's sd needs at least 2"
+            )
         if not (self.psi_prior[0] > 0 and self.psi_prior[1] > 0):
             raise ValueError("psi prior shapes must be positive")
+
+    @property
+    def kept(self) -> int:
+        """Number of retained draws: iterations burnin, burnin + thin, ... below iters."""
+        return len(range(self.burnin, self.iters, self.thin))
 
 
 @dataclass
@@ -106,6 +120,21 @@ def da_gibbs(data: CaptureHistory, config: DaConfig) -> DaChains:
     as one binomial); then p ~ Beta(a_p + n., b_p + K sum(z) - n.) and
     psi ~ Beta(a_psi + sum(z), b_psi + M - sum(z)). N = sum(z) is recorded
     after burn-in at the configured thinning.
+
+    The chain runs on the count of augmented members, ``extra`` = N - M_obs.
+    Given that state, one iteration's triple (p, psi, extra') has a fixed
+    joint law: p and psi from their conditionals at N = M_obs + extra, then
+    extra' ~ Binomial(M - M_obs, psi (1-p)^K / (psi (1-p)^K + 1 - psi)). So
+    the triples are drawn ahead, per state, in vectorized blocks: a state
+    whose block is empty gets a fresh one, ``_FIRST_BLOCK`` triples at its
+    first visit and twice the previous block's size at each later refill.
+    Each visit consumes one triple, none is reused, and the entries of a
+    block are i.i.d. and independent of the chain's past, so the chain has
+    exactly the one-draw-at-a-time Gibbs transition kernel and stationary
+    law; only the use of the random stream differs. A state visited v times
+    draws at most 2v + 14 triples, so a run draws at most
+    2 iters + 16 (distinct states) triples, and leaves fewer than
+    iters + 16 (distinct states) of them unused.
     """
     stats = summarize(data)
     m_k1, k, n_dot = stats.m_k1, stats.k, stats.n_dot
@@ -116,32 +145,42 @@ def da_gibbs(data: CaptureHistory, config: DaConfig) -> DaChains:
     a_p, b_p = config.p_prior.a, config.p_prior.b
     a_psi, b_psi = config.psi_prior
 
-    # overdispersed start: fair-coin membership for the augmented rows,
-    # detection and inclusion rates from their priors
-    extra = int(rng.binomial(n_free, 0.5)) if n_free else 0
-    p = float(rng.beta(a_p, b_p))
-    psi = float(rng.beta(a_psi, b_psi))
-
-    kept = (config.iters - config.burnin + config.thin - 1) // config.thin
-    out_n = np.empty(kept, dtype=int)
-    out_psi = np.empty(kept)
-    out_p = np.empty(kept)
-    idx = 0
-    for it in range(config.iters):
+    def draw_block(extra: int, size: int) -> array:
+        """``size`` triples for state ``extra``, laid out so that popping from
+        the end gives p, then psi, then the next state (exact as a float)."""
         members = m_k1 + extra
-        p = float(rng.beta(a_p + n_dot, b_p + k * members - n_dot))
-        psi = float(rng.beta(a_psi + members, b_psi + config.m - members))
-        if n_free:
-            w = psi * (1.0 - p) ** k
-            denom = w + (1.0 - psi)
-            # denom is 0 only when psi = 1 and p = 1; membership is then
-            # forced by the prior
-            prob = min(w / denom, 1.0) if denom > 0.0 else 1.0
-            extra = int(rng.binomial(n_free, prob))
-        if it >= config.burnin and (it - config.burnin) % config.thin == 0:
-            out_n[idx] = m_k1 + extra
-            out_psi[idx] = psi
-            out_p[idx] = p
+        p = rng.beta(a_p + n_dot, b_p + k * members - n_dot, size)
+        psi = rng.beta(a_psi + members, b_psi + config.m - members, size)
+        w = psi * (1.0 - p) ** k
+        denom = w + (1.0 - psi)
+        # w / denom cannot round above 1; denom is 0 only when psi = 1 and
+        # p = 1, and membership is then forced by the prior
+        prob = w / denom if denom.all() else np.divide(w, denom, out=np.ones(size), where=denom > 0.0)
+        nxt = rng.binomial(n_free, prob)
+        return array("d", np.stack((nxt, psi, p), axis=1).tobytes())
+
+    # overdispersed start: fair-coin membership for the augmented rows
+    extra = int(rng.binomial(n_free, 0.5))
+    blocks: dict[int, array] = {}
+    next_size: dict[int, int] = {}
+    out_n, out_psi, out_p = np.empty(config.kept, dtype=np.int64), np.empty(config.kept), np.empty(config.kept)
+    # a memoryview stores a Python scalar about twice as fast as an ndarray does
+    n_view, psi_view, p_view = memoryview(out_n), memoryview(out_psi), memoryview(out_p)
+    idx = 0
+    burnin, thin = config.burnin, config.thin
+    for it in range(config.iters):
+        block = blocks.get(extra)
+        if not block:
+            size = next_size.get(extra, _FIRST_BLOCK)
+            next_size[extra] = 2 * size
+            block = blocks[extra] = draw_block(extra, size)
+        p = block.pop()
+        psi = block.pop()
+        extra = int(block.pop())
+        if it >= burnin and (it - burnin) % thin == 0:
+            n_view[idx] = m_k1 + extra
+            psi_view[idx] = psi
+            p_view[idx] = p
             idx += 1
     return DaChains(n=out_n, psi=out_psi, p=out_p)
 
@@ -219,7 +258,7 @@ def m_sweep(data: CaptureHistory, m_values: list[int], base: DaConfig) -> SweepR
                 mean_n=float(chains.n.mean()),
                 sd_n=sd,
                 ess=ess,
-                se_mean=sd / np.sqrt(max(ess, 1.0)),
+                se_mean=float(sd / np.sqrt(max(ess, 1.0))),
             )
         )
 

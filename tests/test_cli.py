@@ -185,6 +185,15 @@ USAGE_ERRORS = {  # argv without --out, and the one line written to stderr
         ["da-sweep", "--data", "{data}", "--m", "10,x"],
         "bad --m list: invalid literal for int() with base 10: 'x'",
     ),
+    "da-sweep-one-draw": (
+        ["da-sweep", "--data", "{data}", "--m", "200,400", "--iters", "101", "--burnin", "100"],
+        "iters 101, burnin 100 and thin 1 keep 1 draw(s); a chain's sd needs at least 2",
+    ),
+    "da-sweep-thinned-to-one-draw": (
+        ["da-sweep", "--data", "{data}", "--m", "200,400", "--iters", "2000", "--burnin", "200",
+         "--thin", "1800"],
+        "iters 2000, burnin 200 and thin 1800 keep 1 draw(s); a chain's sd needs at least 2",
+    ),
     "analyze-mh-check-nodes-above-cap": (
         ["analyze", "--data", "{data}", "--model", "mh", "--check-nodes", "364"],
         "at most 363 quadrature nodes per axis, got 364",

@@ -10,6 +10,8 @@ from crbayes.gibbs import DaConfig, da_gibbs, effective_sample_size, m_sweep
 from crbayes.likelihoods import BetaParams
 from crbayes.posterior import m0_marginal_log_kernel, posterior_table
 
+from oracles import da_posterior_mass
+
 
 def no_recapture_history(n_animals: int = 6) -> CaptureHistory:
     """Every animal caught exactly once: r = 0, so N is unidentifiable."""
@@ -59,6 +61,46 @@ def test_heavy_tail_marginal_also_matches_exact_grid():
     assert tv < 0.03
 
 
+@pytest.mark.parametrize(
+    "history, m_aug, iters, burnin, seed",
+    [
+        (simulate_m0(100, 0.3, 5, seed=7), 400, 35_000, 5_000, 5),
+        (no_recapture_history(), 200, 400_000, 20_000, 123),
+    ],
+    ids=["informative", "no-recapture"],
+)
+def test_marginal_matches_closed_form_under_links_psi_prior(history, m_aug, iters, burnin, seed):
+    # psi ~ Beta(0.001, 1), Link's near-scale choice: the target is the m0
+    # kernel times the induced BetaBinomial(N; M, 0.001, 1) prior, and a
+    # psi conditional drawn at the wrong state moves the chain off it
+    psi_prior = (0.001, 1.0)
+    stats = summarize(history)
+    mass = da_posterior_mass(stats, m_aug, (1.0, 1.0), psi_prior)
+    chains = da_gibbs(history, DaConfig(m=m_aug, iters=iters, burnin=burnin, seed=seed, psi_prior=psi_prior))
+    empirical = np.bincount(chains.n, minlength=m_aug + 1)[stats.m_k1 :] / chains.n.size
+    tv = 0.5 * np.abs(empirical - mass).sum()
+    assert tv < 0.03
+
+
+def test_closed_form_oracle_matches_grid_posterior_under_flat_psi_prior():
+    # BetaBinomial(M, 1, 1) is uniform on {0..M}, the grid's flat prior
+    history = simulate_m0(100, 0.3, 5, seed=7)
+    stats, table = exact_grid_mass(history, 200)
+    mass = da_posterior_mass(stats, 200, (1.0, 1.0), (1.0, 1.0))
+    np.testing.assert_allclose(mass, table.mass, rtol=1e-9, atol=1e-300)
+
+
+def test_forced_membership_when_psi_and_p_round_to_one():
+    # every animal caught on every occasion, no augmented rows and tiny
+    # second shapes: most draws have psi = p = 1 exactly, where the
+    # membership odds are 0/0 and the prior forces membership
+    history = CaptureHistory(k=3, rows=((1, 1, 1),) * 5)
+    cfg = DaConfig(m=5, iters=2000, burnin=10, seed=3, psi_prior=(1.0, 1e-3), p_prior=BetaParams(1.0, 1e-3))
+    chains = da_gibbs(history, cfg)
+    assert ((chains.psi == 1.0) & (chains.p == 1.0)).any()
+    assert (chains.n == 5).all()
+
+
 def test_independent_seeds_agree_within_monte_carlo_error():
     history = simulate_m0(100, 0.3, 5, seed=2024)
     run = lambda seed: da_gibbs(history, DaConfig(m=300, iters=25_000, burnin=5_000, seed=seed))
@@ -100,6 +142,15 @@ def test_config_validation():
         DaConfig(m=10, thin=0)
     with pytest.raises(ValueError):
         DaConfig(m=10, psi_prior=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("iters, burnin, thin", [(101, 100, 1), (200, 100, 100), (200, 100, 150)])
+def test_config_rejects_settings_that_keep_one_draw(iters, burnin, thin):
+    # one retained draw has no sd: a sweep of such chains read "stable"
+    # with NaN sds and slope
+    with pytest.raises(ValueError, match="keep 1 draw"):
+        DaConfig(m=400, iters=iters, burnin=burnin, thin=thin)
+    assert DaConfig(m=400, iters=iters + thin, burnin=burnin, thin=thin).kept == 2
 
 
 @pytest.mark.parametrize("psi_prior", [(np.nan, 1.0), (1.0, np.nan)])
@@ -190,6 +241,7 @@ class TestMSweep:
             for e in report.entries
         ]
         assert payload["slope"] == report.slope
+        assert all(type(e.se_mean) is float for e in report.entries)
         header, *rows = (tmp_path / "s.csv").read_text().splitlines()
         assert header == "M,mean_N,sd_N,ess"
         assert [[float(v) for v in row.split(",")] for row in rows] == [

@@ -19,6 +19,7 @@ from crbayes.posterior import (
 from crbayes.propriety import propriety_report
 
 from oracles import (
+    box_mh_marginal_log_kernel,
     mc_beta_expectation,
     mc_mh_marginal_log_kernel,
     per_n_centred_hermite_log_expectation,
@@ -314,7 +315,7 @@ gamma_shapes = st.floats(min_value=0.1, max_value=5.0)
 
 @settings(max_examples=20, deadline=None)
 @given(mh_histories, gamma_shapes, gamma_shapes, st.floats(min_value=0.2, max_value=5.0))
-def test_hermite_rule_matches_converged_laguerre_rule(history, a, b, c):
+def test_hermite_rule_matches_box_integral(history, a, b, c):
     stats = summarize(history)
     m, f_k = stats.m_k1, stats.f_j[-1]
     gammas = GammaPriors(a, b, c)
@@ -330,13 +331,9 @@ def test_hermite_rule_matches_converged_laguerre_rule(history, a, b, c):
         return
     grid = m + np.array([0.0, 10.0, 1e3, 1e3 * max(m, 1), 1e6 * max(m, 1)])
     got = kern.log_kernel(grid)
-    try:
-        want = LaguerreKernel(stats, gammas, nodes=192, check_nodes=288, rtol=1e-7).log_kernel(grid)
-        settled = np.ones(grid.size, dtype=bool)
-    except QuadratureConvergenceError as err:
-        want = err.log_fine
-        settled = np.abs(np.expm1(err.log_coarse - err.log_fine)) <= 1e-7
-    assert (np.abs(np.expm1(got - want))[settled] <= 1e-5).all()
+    # brute force, not a second rule: a Laguerre 192/288 pair can agree with itself and be 3e-5 off
+    want = box_mh_marginal_log_kernel(stats, grid, a, b, c)
+    assert (np.abs(np.expm1(got - want)) <= 1e-5).all()
 
 
 def _shared_and_per_n_centres(kern, grid):
