@@ -5,12 +5,16 @@ plotting) plus a run manifest, and reports through exit codes:
 
     0  success
     2  usage or validation error
-    3  analysis completed but posterior propriety is doubtful
+    3  analysis completed, but the posterior is improper (the exact tail
+       exponent of the model's kernel fails the propriety rule; analyze, ym)
+       or its table warned (tail fit too shallow, support too narrow)
     4  analytic propriety verdict and empirical tail fit disagree
+       (check-propriety)
     5  numeric failure (quadrature did not converge, tail fit impossible)
 """
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from datetime import datetime, timezone
@@ -30,9 +34,13 @@ from .posterior import (
     posterior_table,
 )
 from .propriety import (
+    IMPROPER,
     FitConfig,
     TailFitError,
+    _agreement,
     fit_tail_exponent,
+    m0_propriety_condition,
+    mh_propriety_condition,
     propriety_report,
     write_exponent_csv,
 )
@@ -42,6 +50,11 @@ EXIT_USAGE = 2
 EXIT_IMPROPER = 3
 EXIT_DISAGREEMENT = 4
 EXIT_NUMERIC = 5
+
+
+def _exit_code(verdict: str, warnings) -> int:
+    """Exit 3 when the exact verdict is improper or the posterior table warned."""
+    return EXIT_IMPROPER if (verdict == IMPROPER or warnings) else EXIT_OK
 
 
 def _digest(path: Path) -> str:
@@ -191,6 +204,7 @@ def _cmd_analyze(args) -> int:
         beta = BetaParams(args.a, args.b)
         log_kernel = lambda n: m0_marginal_log_kernel(n, stats, beta)
         extra["detection_prior"] = {"a": args.a, "b": args.b}
+        exponent, verdict = m0_propriety_condition(stats, args.a, args.n_prior)
     else:
         kern = MhMarginalKernel(
             stats,
@@ -201,6 +215,7 @@ def _cmd_analyze(args) -> int:
         )
         log_kernel = kern.log_kernel
         extra["detection_prior"] = {"shape_a": args.shape_a, "shape_b": args.shape_b, "scale_c": args.scale_c}
+        exponent, verdict = args.shape_a, mh_propriety_condition(args.shape_a, args.n_prior)
 
     table = posterior_table(
         log_kernel,
@@ -212,6 +227,12 @@ def _cmd_analyze(args) -> int:
     )
     if args.model == "mh":
         extra["quadrature"] = dict(kern.diagnostics)
+    extra["verdict"] = verdict
+    if verdict == IMPROPER:
+        table = dataclasses.replace(table, warnings=table.warnings + (
+            f"posterior improper: the {args.model} kernel decays exactly like N^-{exponent:.15g}, "
+            f"so prior times kernel does not decay faster than 1/N under the {args.n_prior} prior",
+        ))
 
     json_path = Path(str(args.out) + ".json")
     table.write_json(json_path, extra=extra)
@@ -228,7 +249,7 @@ def _cmd_analyze(args) -> int:
               f"({q['nodes']}^2 vs {q['check_nodes']}^2 nodes)")
     for warning in table.warnings:
         print(f"  WARNING: {warning}", file=sys.stderr)
-    return EXIT_IMPROPER if table.warnings else EXIT_OK
+    return _exit_code(verdict, table.warnings)
 
 
 def _cmd_check_propriety(args) -> int:
@@ -247,7 +268,7 @@ def _cmd_check_propriety(args) -> int:
             "requested_exponent": d,
             "fitted_exponent": fitted,
             "fitted_std_err": stderr,
-            "agreement": bool(abs(fitted - d) <= fit.tolerance),
+            "agreement": _agreement(fitted, d, fit.tolerance),
         }
         write_json(json_path, payload)
         write_exponent_csv(log_kernel, lo, hi, fit.points, Path(str(args.out) + ".csv"))
@@ -351,7 +372,7 @@ def _cmd_ym(args) -> int:
     print(f"  truncated posterior mean = {table.mean:.4f}, sd = {table.sd:.4f}")
     for warning in table.warnings:
         print(f"  WARNING: {warning}", file=sys.stderr)
-    return EXIT_IMPROPER if (report.predicted == "improper" or table.warnings) else EXIT_OK
+    return _exit_code(report.predicted, table.warnings)
 
 
 def _params_of(args) -> dict:

@@ -92,7 +92,9 @@ def effective_sample_size(chain: np.ndarray) -> float:
     if n < 4:
         return float(n)
     x = x - x.mean()
-    var = float(x @ x) / n
+    # an elementwise sum, not the BLAS dot x @ x, which starts the BLAS thread
+    # pool and slows every later chain in the process
+    var = float((x * x).sum()) / n
     if var == 0.0:
         return float(n)
     # FFT autocovariance

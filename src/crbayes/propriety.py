@@ -1,14 +1,15 @@
 """Posterior-propriety verdicts and their empirical verification.
 
-The analytic side evaluates the tail-decay conditions of the three models:
-the constant-detection marginal kernel decays like N^-(r + a) (r recaptures,
-a the Beta shape on the detection rate), the heterogeneous kernel is bounded
-by O(N^-a) (a the Gamma shape on the first Beta parameter), and the
-Dirichlet-multinomial kernel decays like N^-((k-1) delta). A posterior is
-proper exactly when prior times kernel decays faster than 1/N, so the flat
-prior needs exponent > 1 and the 1/N scale prior shifts every exponent up by
-one. The empirical side fits the tail exponent of prior * kernel on a
-geometric grid and checks it against the analytic value.
+The analytic side gives the exact tail exponent of each model's kernel: the
+constant-detection marginal kernel decays like N^-(r + a) (r recaptures, a
+the Beta shape on the detection rate), the heterogeneous kernel like N^-a
+(a the Gamma shape on the first Beta parameter), and the
+Dirichlet-multinomial kernel like N^-((k-1) delta). A posterior is proper
+exactly when prior times kernel decays faster than 1/N, so one rule
+(``_verdict``) turns every exponent into a verdict: the flat prior needs
+exponent > 1 and the 1/N scale prior, which shifts every exponent up by one,
+needs exponent > 0. The empirical side fits the tail exponent of prior *
+kernel on a geometric grid and checks it against the analytic value.
 """
 
 from dataclasses import asdict, dataclass
@@ -32,70 +33,80 @@ from .posterior import (
 
 PROPER = "proper"
 IMPROPER = "improper"
-NOT_GUARANTEED = "not_guaranteed"
 
 
 class TailFitError(RuntimeError):
     """Raised when the kernel is not finite on the requested fit grid."""
 
 
+def _verdict(exponent: float, n_prior: str) -> str:
+    """The propriety rule shared by every model.
+
+    ``exponent`` is the bare kernel's tail exponent d. Prior times kernel
+    must decay faster than 1/N: the flat prior needs d > 1 and the 1/N scale
+    prior needs d > 0. Equality sits on the boundary, where the sum still
+    diverges, so it is improper. The bare exponent is compared with the
+    cutoff, never d + 1 with 1, which would round a tiny d to the boundary.
+    """
+    _check_n_prior(n_prior)
+    cutoff = 1.0 if n_prior == "uniform" else 0.0
+    return PROPER if exponent > cutoff else IMPROPER
+
+
 def m0_propriety_condition(
     stats: SufficientStats, a: float, n_prior: str
 ) -> tuple[float, str]:
-    """Exponent d = n. - M + a and the exact verdict for constant detection.
-
-    Proper iff d > 1 under the flat prior on N and iff d > 0 under the scale
-    prior; equality sits on the boundary and the sum still diverges, so it is
-    reported improper.
-    """
+    """Exponent d = n. - M + a and the exact verdict for constant detection."""
     if not a > 0:
         raise ValueError("Beta shape a must be positive")
-    _check_n_prior(n_prior)
     d = stats.n_dot - stats.m_k1 + a
-    cutoff = 1.0 if n_prior == "uniform" else 0.0
-    return d, (PROPER if d > cutoff else IMPROPER)
+    return d, _verdict(d, n_prior)
 
 
 def mh_propriety_condition(a: float, n_prior: str) -> str:
-    """Sufficient-condition verdict for heterogeneous detection.
+    """Exact verdict for heterogeneous detection: the kernel decays like N^-a.
 
-    The kernel bound O(N^-a) guarantees propriety for a > 1 under the flat
-    prior and for any a > 0 under the scale prior. The bound is one-sided,
-    so failing it yields "not_guaranteed" rather than "improper".
+    Near alpha = 0 the observed-animal factor is about alpha^M h(beta), and
+    the zero cell to the power N - M is about exp(-N alpha S(beta)) with
+    S = sum_j 1/(beta + j). Against the Gamma(a) prior's alpha^(a-1) the
+    alpha integral gives Gamma(a + M) (N S)^-(a+M), and C(N, M) ~ N^M / M!
+    leaves N^-a times E_beta[h S^-(a+M)]. That expectation is finite and
+    positive, because S >= 1/beta offsets the pole of h at beta = 0, so the
+    exponent is exactly a.
     """
     if not a > 0:
         raise ValueError("Gamma shape a must be positive")
-    _check_n_prior(n_prior)
-    if n_prior == "scale":
-        return PROPER
-    return PROPER if a > 1.0 else NOT_GUARANTEED
+    return _verdict(a, n_prior)
 
 
 def ym_propriety_condition(k: int, delta: float, n_prior: str) -> str:
-    """Exact verdict for the Dirichlet-multinomial kernel.
-
-    Proper iff delta > 1/(k-1) under the flat prior; proper for any delta > 0
-    under the scale prior. Equality is improper.
-    """
+    """Exact verdict for the Dirichlet-multinomial kernel, which decays like
+    N^-((k-1) delta)."""
     if k < 2:
         raise ValueError("need at least two cells")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    _check_n_prior(n_prior)
-    if n_prior == "scale":
-        return PROPER
-    return PROPER if delta > 1.0 / (k - 1) else IMPROPER
+    return _verdict((k - 1) * delta, n_prior)
 
 
-def local_exponent(log_kernel: Callable[[np.ndarray], np.ndarray], n: float) -> float:
+def _agreement(fitted: float, expected: float, tolerance: float) -> bool:
+    """Whether a fitted tail exponent lies within ``tolerance`` of the expected one."""
+    return bool(abs(fitted - expected) <= tolerance)
+
+
+def local_exponent(log_kernel: Callable[[np.ndarray], np.ndarray], n):
     """Two-point decay probe d(N) = -[log f(2N) - log f(N)] / log 2.
 
-    Exact for pure power laws; used to cross-check the regression fit.
+    Exact for pure power laws; used to cross-check the regression fit. ``n``
+    is one N (a float comes back) or a 1-D array of them (an array comes
+    back); the kernel is evaluated once, on N followed by 2N.
     """
-    vals = np.asarray(log_kernel(np.array([float(n), 2.0 * float(n)])), dtype=float)
+    points = np.atleast_1d(np.asarray(n, dtype=float))
+    vals = np.asarray(log_kernel(np.concatenate((points, 2.0 * points))), dtype=float)
     if not np.isfinite(vals).all():
         raise TailFitError(f"kernel not finite at N = {n} and 2N")
-    return float(-(vals[1] - vals[0]) / np.log(2.0))
+    local = -(vals[points.size :] - vals[: points.size]) / np.log(2.0)
+    return float(local[0]) if np.ndim(n) == 0 else local
 
 
 def fit_tail_exponent(
@@ -169,9 +180,8 @@ class ProprietyReport:
 
     ``analytic_exponent`` describes the bare kernel; ``analytic_total_exponent``
     adds 1 under the scale prior and is what ``fitted_exponent`` (which is fit
-    on prior times kernel) is compared against. For the heterogeneous model the
-    analytic value is only a lower bound on the decay, so agreement there means
-    the fit did not fall below the bound.
+    on prior times kernel) is compared against: ``agreement`` holds when the two
+    differ by at most ``tolerance``, for every model.
     """
 
     model: str
@@ -205,9 +215,7 @@ def write_exponent_csv(
     """Dump (N, log kernel, local exponent) over the fit grid for plotting."""
     grid = np.geomspace(n_lo, n_hi, points)
     vals = np.asarray(log_kernel(grid), dtype=float)
-    vals2 = np.asarray(log_kernel(2.0 * grid), dtype=float)
-    local = -(vals2 - vals) / np.log(2.0)
-    rows = zip(grid.tolist(), vals.tolist(), local.tolist())
+    rows = zip(grid.tolist(), vals.tolist(), local_exponent(log_kernel, grid).tolist())
     write_csv(path, chain([("N", "log_kernel", "local_exponent")], rows))
 
 
@@ -231,8 +239,7 @@ def propriety_report(
     ``stats`` and ``beta``; the heterogeneous model needs ``stats`` and
     ``gammas``; the Dirichlet-multinomial model needs ``ym_n``, ``ym_k`` and
     ``ym_delta``. Agreement compares the fitted exponent of prior * kernel
-    against the prior-adjusted analytic exponent at ``fit.tolerance``
-    (one-sided for the heterogeneous bound).
+    against the prior-adjusted analytic exponent at ``fit.tolerance``.
     """
     _check_n_prior(n_prior)
     fit = fit or FitConfig()
@@ -244,7 +251,6 @@ def propriety_report(
         analytic, predicted = m0_propriety_condition(stats, beta.a, n_prior)
         kernel = lambda n: m0_marginal_log_kernel(n, stats, beta)
         scale = stats.m_k1
-        one_sided = False
     elif model == "mh":
         if stats is None or gammas is None:
             raise ValueError("heterogeneous report needs stats and Gamma priors")
@@ -255,7 +261,6 @@ def propriety_report(
         )
         kernel = kern.log_kernel
         scale = stats.m_k1
-        one_sided = True
     elif model == "ym":
         if ym_n is None or ym_k is None or ym_delta is None:
             raise ValueError("multinomial report needs ym_n, ym_k and ym_delta")
@@ -263,7 +268,6 @@ def propriety_report(
         analytic = (ym_k - 1) * ym_delta
         kernel = lambda n: york_madigan_log_kernel(n, ym_n, ym_k, ym_delta)
         scale = ym_n
-        one_sided = False
     else:
         raise ValueError(f"unknown model {model!r}")
 
@@ -273,10 +277,6 @@ def propriety_report(
     probe = local_exponent(target, float(np.sqrt(n_lo * n_hi)))
 
     analytic_total = analytic + (1.0 if n_prior == "scale" else 0.0)
-    if one_sided:
-        agreement = fitted >= analytic_total - fit.tolerance
-    else:
-        agreement = abs(fitted - analytic_total) <= fit.tolerance
     if abs(probe - fitted) > max(2.0 * stderr, 1e-3):
         warnings.append(
             f"two-point probe ({probe:.4f}) and regression fit ({fitted:.4f}) "
@@ -296,6 +296,6 @@ def propriety_report(
         fit_range=(n_lo, n_hi),
         fit_points=fit.points,
         tolerance=fit.tolerance,
-        agreement=bool(agreement),
+        agreement=_agreement(fitted, analytic_total, fit.tolerance),
         warnings=tuple(warnings),
     )

@@ -102,6 +102,23 @@ class TestAnalyze:
         assert 1 <= payload["quadrature"]["centres"] <= 118  # the support [3, 120]
         assert "hermite quadrature max relative change" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("shape_a, rc_expected, verdict", [("1.0", 3, "improper"), ("2", 0, "proper")])
+    def test_mh_exact_verdict_decides_exit_code(self, tmp_path, capsys, shape_a, rc_expected, verdict):
+        # the mh kernel decays exactly like N^-a: a = 1 is improper under the
+        # flat prior whatever the tail fit on [3, 120] says
+        path = tmp_path / "small.json"
+        store_history(CaptureHistory(k=3, rows=((1, 0, 0), (1, 1, 0), (0, 1, 1))), path)
+        rc = run(["analyze", "--data", str(path), "--model", "mh",
+                  "--shape-a", shape_a, "--n-max", "120", "--out", str(tmp_path / "mh")])
+        assert rc == rc_expected
+        payload = json.loads((tmp_path / "mh.json").read_text())
+        assert list(payload)[-1] == "verdict"
+        assert payload["verdict"] == verdict
+        improper_warning = ("posterior improper: the mh kernel decays exactly like N^-1, so prior "
+                            "times kernel does not decay faster than 1/N under the uniform prior")
+        assert payload["warnings"] == ([improper_warning] if verdict == "improper" else [])
+        assert (f"WARNING: {improper_warning}" in capsys.readouterr().err) == (verdict == "improper")
+
     def test_mh_unconverged_quadrature_is_numeric_failure(self, tmp_path, capsys):
         path = tmp_path / "small.json"
         store_history(CaptureHistory(k=3, rows=((1, 0, 0), (1, 1, 0), (0, 1, 1))), path)
@@ -151,8 +168,8 @@ class TestCheckPropriety:
         rc = run(["check-propriety", "--model", "mh", "--data", str(path),
                   "--shape-a", "0.5", "--shape-b", "1", "--fit-points", "20",
                   "--out", str(tmp_path / "mh")])
-        assert rc == 0
-        assert json.loads((tmp_path / "mh.json").read_text())["predicted"] == "not_guaranteed"
+        assert rc == 0  # the kernel decays exactly like N^-0.5, and the fit agrees
+        assert json.loads((tmp_path / "mh.json").read_text())["predicted"] == "improper"
 
     def test_disagreement_exit_code(self, m0_dataset, tmp_path):
         rc = run(["check-propriety", "--model", "m0", "--data", str(m0_dataset),

@@ -175,6 +175,18 @@ def test_ess_near_n_for_iid_draws():
     assert 0.8 * 20_000 <= ess <= 1.2 * 20_000
 
 
+def test_ess_of_fixed_ar1_chain_is_pinned():
+    # AR(1) with phi = 0.8 has integrated autocorrelation time (1 + phi) / (1 - phi) = 9,
+    # so the ESS of 5000 draws is near 5000 / 9
+    rng = np.random.default_rng(3)
+    noise = rng.normal(size=5000)
+    chain = np.empty(5000)
+    chain[0] = noise[0]
+    for t in range(1, chain.size):
+        chain[t] = 0.8 * chain[t - 1] + noise[t]
+    assert effective_sample_size(chain) == pytest.approx(625.9292413444125, rel=1e-12)
+
+
 class TestMSweep:
     def test_no_recaptures_mean_grows_with_augmentation(self):
         report = m_sweep(

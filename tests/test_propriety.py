@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crbayes.data import CaptureHistory, summarize
 from crbayes.likelihoods import BetaParams, york_madigan_log_kernel
-from crbayes.posterior import GammaPriors, m0_marginal_log_kernel
+from crbayes.posterior import GammaPriors, MhMarginalKernel, QuadratureConvergenceError, m0_marginal_log_kernel
 from crbayes.propriety import (
     FitConfig,
     ProprietyReport,
@@ -58,15 +60,28 @@ class TestConditions:
     def test_mh_sufficient_condition(self):
         assert mh_propriety_condition(1.5, "uniform") == "proper"
         assert mh_propriety_condition(0.5, "scale") == "proper"
-        # the condition is sufficiency-only, so the boundary is not a verdict
-        assert mh_propriety_condition(1.0, "uniform") == "not_guaranteed"
-        assert mh_propriety_condition(0.5, "uniform") == "not_guaranteed"
+        # the kernel decays exactly like N^-a, so a <= 1 is improper under the flat prior
+        assert mh_propriety_condition(1.0, "uniform") == "improper"
+        assert mh_propriety_condition(0.5, "uniform") == "improper"
 
     def test_ym_iff_condition(self):
         assert ym_propriety_condition(2, 1.0, "uniform") == "improper"  # boundary
         assert ym_propriety_condition(6, 0.25, "uniform") == "proper"
         assert ym_propriety_condition(6, 0.2, "uniform") == "improper"  # boundary
         assert ym_propriety_condition(6, 0.05, "scale") == "proper"
+
+    def test_boundary_exponents_are_improper_under_flat_prior_only(self):
+        stats = synthetic_stats(3, 5, 0)  # r = 0, so m0's exponent is a
+        assert m0_propriety_condition(stats, 1.0, "uniform") == (1.0, "improper")
+        assert m0_propriety_condition(stats, 1.0, "scale") == (1.0, "proper")
+        assert mh_propriety_condition(1.0, "uniform") == "improper"
+        assert mh_propriety_condition(1.0, "scale") == "proper"
+        assert ym_propriety_condition(6, 0.2, "uniform") == "improper"
+        assert ym_propriety_condition(6, 0.2, "scale") == "proper"
+        assert ym_propriety_condition(5, 0.25, "uniform") == "improper"
+        # the bare exponent is compared with 0: 1e-17 + 1 would round to the cutoff 1
+        assert m0_propriety_condition(stats, 1e-17, "scale") == (1e-17, "proper")
+        assert mh_propriety_condition(1e-17, "scale") == "proper"
 
     def test_m0_verdict_monotone_in_shape(self):
         stats = synthetic_stats(3, 5, 0)
@@ -109,6 +124,14 @@ class TestLocalExponent:
         stats = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))  # r = 1
         kernel = lambda n: m0_marginal_log_kernel(n, stats, BetaParams(1.0, 1.0))
         assert local_exponent(kernel, 1e6) == pytest.approx(2.0, abs=0.01)
+
+    def test_array_of_n_probes_each_point(self):
+        stats = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))
+        kernel = lambda n: m0_marginal_log_kernel(n, stats, BetaParams(1.0, 1.0))
+        grid = np.array([10.0, 1e3, 1e5, 1e6])
+        local = local_exponent(kernel, grid)
+        assert local.shape == grid.shape
+        np.testing.assert_allclose(local, [local_exponent(kernel, n) for n in grid], rtol=1e-12)
 
     def test_non_finite_kernel_raises(self):
         with pytest.raises(TailFitError):
@@ -193,7 +216,7 @@ class TestProprietyReport:
             "mh", "uniform", stats=stats, gammas=GammaPriors(1.5, 1.0, 1.0)
         )
         assert report.predicted == "proper"
-        assert report.fitted_exponent >= 1.5 - 0.05
+        assert report.fitted_exponent == pytest.approx(1.5, abs=0.05)
         assert report.agreement
 
     def test_ym_report(self):
@@ -241,6 +264,50 @@ class TestProprietyReport:
         assert payload["predicted"] == "proper"
         assert payload["fitted_exponent"] == report.fitted_exponent
         assert payload["fit_range"] == list(report.fit_range)
+
+
+small_histories = st.integers(min_value=2, max_value=6).flatmap(
+    lambda k: st.lists(st.integers(1, 2**k - 1), min_size=1, max_size=4).map(
+        lambda codes: CaptureHistory(k=k, rows=tuple(tuple((c >> j) & 1 for j in range(k)) for c in codes))
+    )
+)
+
+
+def _mh_report(n_prior, stats, gammas):
+    """``propriety_report("mh")`` at the first of 64/96, 128/192 and 192/288
+    nodes that converges, raising nodes as the quadrature error advises."""
+    for nodes, check_nodes in ((64, 96), (128, 192)):
+        try:
+            return propriety_report(
+                "mh", n_prior, stats=stats, gammas=gammas, quad_nodes=nodes, quad_check_nodes=check_nodes
+            )
+        except QuadratureConvergenceError:
+            pass
+    return propriety_report("mh", n_prior, stats=stats, gammas=gammas, quad_nodes=192, quad_check_nodes=288)
+
+
+@pytest.mark.parametrize("rule", ["hermite", "laguerre"])
+@settings(max_examples=10, deadline=None)
+@given(
+    small_histories,
+    st.floats(min_value=0.2, max_value=3.0),
+    st.floats(min_value=0.2, max_value=3.0),
+    st.floats(min_value=0.3, max_value=4.0),
+    st.sampled_from(["uniform", "scale"]),
+)
+def test_mh_report_is_exact_and_two_sided(rule, history, a, b, c, n_prior):
+    # the mh kernel decays exactly like N^-a, so the fit must land within the
+    # tolerance on both sides of the analytic exponent, and the verdict is the rule's
+    stats = summarize(history)
+    gammas = GammaPriors(a, b, c)
+    assume(MhMarginalKernel(stats, gammas).rule == rule)
+    report = _mh_report(n_prior, stats, gammas)
+    total = a + (1.0 if n_prior == "scale" else 0.0)
+    assert report.analytic_total_exponent == total
+    assert report.predicted == mh_propriety_condition(a, n_prior)
+    assert report.predicted == ("proper" if n_prior == "scale" or a > 1.0 else "improper")
+    assert abs(report.fitted_exponent - total) <= report.tolerance
+    assert report.agreement
 
 
 def test_exponent_csv_export(tmp_path):
