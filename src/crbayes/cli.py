@@ -5,9 +5,11 @@ plotting) plus a run manifest, and reports through exit codes:
 
     0  success
     2  usage or validation error
-    3  analysis completed, but the posterior is improper (the exact tail
-       exponent of the model's kernel fails the propriety rule; analyze, ym)
-       or its table warned (tail fit too shallow, support too narrow)
+    3  analysis completed, but the posterior is improper or its table
+       warned (tail fit too shallow, support too narrow). analyze and ym
+       share this path: when the exact tail exponent of the model's kernel
+       fails the propriety rule, both warn "posterior improper: the <model>
+       kernel decays exactly like N^-<d> ..." and exit 3
     4  analytic propriety verdict and empirical tail fit disagree
        (check-propriety)
     5  numeric failure (quadrature did not converge, tail fit impossible)
@@ -25,22 +27,16 @@ import numpy as np
 from . import __version__
 from .data import InvalidHistoryError, load_history, simulate_m0, simulate_mh, store_history, summarize, write_json
 from .gibbs import DaConfig, m_sweep
-from .likelihoods import BetaParams, york_madigan_log_kernel
-from .posterior import (
-    GammaPriors,
-    MhMarginalKernel,
-    QuadratureConvergenceError,
-    m0_marginal_log_kernel,
-    posterior_table,
-)
+from .likelihoods import BetaParams
+from .posterior import GammaPriors, QuadratureConvergenceError, posterior_table
 from .propriety import (
     IMPROPER,
     FitConfig,
     TailFitError,
     _agreement,
+    _verdict,
     fit_tail_exponent,
-    m0_propriety_condition,
-    mh_propriety_condition,
+    model_kernel,
     propriety_report,
     write_exponent_csv,
 )
@@ -50,11 +46,6 @@ EXIT_USAGE = 2
 EXIT_IMPROPER = 3
 EXIT_DISAGREEMENT = 4
 EXIT_NUMERIC = 5
-
-
-def _exit_code(verdict: str, warnings) -> int:
-    """Exit 3 when the exact verdict is improper or the posterior table warned."""
-    return EXIT_IMPROPER if (verdict == IMPROPER or warnings) else EXIT_OK
 
 
 def _digest(path: Path) -> str:
@@ -196,60 +187,71 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
-    history = load_history(args.data)
-    stats = summarize(history)
-    extra: dict = {"model": args.model, "n_prior": args.n_prior}
+def _model_params(args) -> dict:
+    """``model_kernel`` keywords for --model m0 or mh from --data and the shared prior flags."""
+    stats = summarize(load_history(args.data))
     if args.model == "m0":
-        beta = BetaParams(args.a, args.b)
-        log_kernel = lambda n: m0_marginal_log_kernel(n, stats, beta)
-        extra["detection_prior"] = {"a": args.a, "b": args.b}
-        exponent, verdict = m0_propriety_condition(stats, args.a, args.n_prior)
-    else:
-        kern = MhMarginalKernel(
-            stats,
-            GammaPriors(args.shape_a, args.shape_b, args.scale_c),
-            nodes=args.nodes,
-            check_nodes=args.check_nodes,
-            rtol=args.quad_rtol,
-        )
-        log_kernel = kern.log_kernel
-        extra["detection_prior"] = {"shape_a": args.shape_a, "shape_b": args.shape_b, "scale_c": args.scale_c}
-        exponent, verdict = args.shape_a, mh_propriety_condition(args.shape_a, args.n_prior)
+        return {"stats": stats, "beta": BetaParams(args.a, args.b)}
+    return dict(stats=stats, gammas=GammaPriors(args.shape_a, args.shape_b, args.scale_c),
+                quad_nodes=args.nodes, quad_check_nodes=args.check_nodes, quad_rtol=args.quad_rtol)
 
-    table = posterior_table(
-        log_kernel,
-        args.n_prior,
-        stats=stats,
-        n_max=args.n_max,
-        level=args.level,
-        improper_margin=args.improper_margin,
-    )
-    if args.model == "mh":
-        extra["quadrature"] = dict(kern.diagnostics)
-    extra["verdict"] = verdict
+
+def _posterior_command(args, model: str, n_prior: str, kernel, input_path: Path | None, describe) -> int:
+    """The path analyze and ym share, from the posterior table to the exit code.
+
+    The table starts at the kernel's support start. The verdict comes from the
+    kernel's exact exponent, and an improper one adds a warning that names it.
+    ``describe(table, verdict)`` returns the command's JSON keys after
+    "model" and "n_prior", and its stdout lines. Exit 3 whenever the table
+    carries a warning.
+    """
+    table = posterior_table(kernel.log_kernel, n_prior, n_min=kernel.support_start, n_max=args.n_max,
+                            level=args.level, improper_margin=args.improper_margin)
+    verdict = _verdict(kernel.exponent, n_prior)
     if verdict == IMPROPER:
         table = dataclasses.replace(table, warnings=table.warnings + (
-            f"posterior improper: the {args.model} kernel decays exactly like N^-{exponent:.15g}, "
-            f"so prior times kernel does not decay faster than 1/N under the {args.n_prior} prior",
+            f"posterior improper: the {model} kernel decays exactly like N^-{kernel.exponent:.15g}, "
+            f"so prior times kernel does not decay faster than 1/N under the {n_prior} prior",
         ))
+    extra, lines = describe(table, verdict)
 
     json_path = Path(str(args.out) + ".json")
-    table.write_json(json_path, extra=extra)
+    table.write_json(json_path, extra={"model": model, "n_prior": n_prior, **extra})
     table.write_csv(Path(str(args.out) + ".csv"))
-    _write_manifest(args, json_path, args.data)
+    _write_manifest(args, json_path, input_path)
 
-    print(f"posterior of N on [{table.n_min}, {table.n_max}] ({args.model}, {args.n_prior} prior)")
-    print(f"  mean = {table.mean:.4f}   sd = {table.sd:.4f}")
-    print(f"  {int(table.level * 100)}% equal-tail CI = [{table.ci[0]:.0f}, {table.ci[1]:.0f}]")
-    print(f"  tail mass beyond N_max ~ {table.tail_mass_estimate:.3e} (fitted exponent {table.tail_exponent:.3f})")
-    if args.model == "mh":
-        q = kern.diagnostics
-        print(f"  {q['rule']} quadrature max relative change {q['max_rel_change']:.3e} "
-              f"({q['nodes']}^2 vs {q['check_nodes']}^2 nodes)")
+    for line in lines:
+        print(line)
     for warning in table.warnings:
         print(f"  WARNING: {warning}", file=sys.stderr)
-    return _exit_code(verdict, table.warnings)
+    return EXIT_IMPROPER if table.warnings else EXIT_OK
+
+
+def _cmd_analyze(args) -> int:
+    kernel = model_kernel(args.model, **_model_params(args))
+
+    def describe(table, verdict):
+        if args.model == "m0":
+            prior = {"a": args.a, "b": args.b}
+        else:
+            prior = {"shape_a": args.shape_a, "shape_b": args.shape_b, "scale_c": args.scale_c}
+        extra: dict = {"detection_prior": prior}
+        lines = [
+            f"posterior of N on [{table.n_min}, {table.n_max}] ({args.model}, {args.n_prior} prior)",
+            f"  mean = {table.mean:.4f}   sd = {table.sd:.4f}",
+            f"  {int(table.level * 100)}% equal-tail CI = [{table.ci[0]:.0f}, {table.ci[1]:.0f}]",
+            f"  tail mass beyond N_max ~ {table.tail_mass_estimate:.3e} "
+            f"(fitted exponent {table.tail_exponent:.3f})",
+        ]
+        if kernel.mh is not None:
+            q = kernel.mh.diagnostics
+            extra["quadrature"] = dict(q)
+            lines.append(f"  {q['rule']} quadrature max relative change {q['max_rel_change']:.3e} "
+                         f"({q['nodes']}^2 vs {q['check_nodes']}^2 nodes)")
+        extra["verdict"] = verdict
+        return extra, lines
+
+    return _posterior_command(args, args.model, args.n_prior, kernel, args.data, describe)
 
 
 def _cmd_check_propriety(args) -> int:
@@ -278,27 +280,16 @@ def _cmd_check_propriety(args) -> int:
 
     if args.model is None:
         raise ValueError("check-propriety needs --model or --synthetic-exponent")
-    kwargs: dict = {}
-    input_path = None
-    if args.model in ("m0", "mh"):
-        if args.data is None:
-            raise ValueError(f"check-propriety --model {args.model} needs --data")
-        stats = summarize(load_history(args.data))
-        kwargs["stats"] = stats
-        input_path = args.data
-        if args.model == "m0":
-            kwargs["beta"] = BetaParams(args.a, args.b)
-        else:
-            kwargs["gammas"] = GammaPriors(args.shape_a, args.shape_b, args.scale_c)
-            kwargs["quad_nodes"] = args.nodes
-            kwargs["quad_check_nodes"] = args.check_nodes
-            kwargs["quad_rtol"] = args.quad_rtol
-    else:
+    if args.model == "ym":
         if args.n is None or args.k is None or args.delta is None:
             raise ValueError("check-propriety --model ym needs --n, --k and --delta")
-        kwargs.update(ym_n=args.n, ym_k=args.k, ym_delta=args.delta)
+        params, input_path = {"ym_n": args.n, "ym_k": args.k, "ym_delta": args.delta}, None
+    else:
+        if args.data is None:
+            raise ValueError(f"check-propriety --model {args.model} needs --data")
+        params, input_path = _model_params(args), args.data
 
-    report = propriety_report(args.model, args.n_prior, fit=fit, **kwargs)
+    report = propriety_report(args.model, args.n_prior, fit=fit, **params)
     report.write_json(json_path)
     _write_manifest(args, json_path, input_path)
 
@@ -347,32 +338,18 @@ def _cmd_da_sweep(args) -> int:
 
 
 def _cmd_ym(args) -> int:
-    log_kernel = lambda n: york_madigan_log_kernel(n, args.n, args.k, args.delta)
-    table = posterior_table(
-        log_kernel,
-        args.prior,
-        n_min=args.n,
-        n_max=args.n_max,
-        level=args.level,
-        improper_margin=args.improper_margin,
-    )
-    report = propriety_report(
-        "ym", args.prior, ym_n=args.n, ym_k=args.k, ym_delta=args.delta, fit=FitConfig()
-    )
+    kernel = model_kernel("ym", ym_n=args.n, ym_k=args.k, ym_delta=args.delta)
 
-    json_path = Path(str(args.out) + ".json")
-    table.write_json(json_path, extra={"model": "ym", "n_prior": args.prior,
-                                       "verdict": report.predicted, "propriety": report.to_dict()})
-    table.write_csv(Path(str(args.out) + ".csv"))
-    _write_manifest(args, json_path, None)
+    def describe(table, verdict):
+        report = propriety_report("ym", args.prior, ym_n=args.n, ym_k=args.k, ym_delta=args.delta)
+        return {"verdict": verdict, "propriety": report.to_dict()}, [
+            f"Dirichlet-multinomial: k={args.k}, delta={args.delta}, {args.prior} prior -> {verdict}",
+            f"  kernel exponent: analytic {report.analytic_exponent:.4f}, "
+            f"fitted {report.fitted_exponent:.4f} +- {report.fitted_std_err:.2e}",
+            f"  truncated posterior mean = {table.mean:.4f}, sd = {table.sd:.4f}",
+        ]
 
-    print(f"Dirichlet-multinomial: k={args.k}, delta={args.delta}, {args.prior} prior -> {report.predicted}")
-    print(f"  kernel exponent: analytic {report.analytic_exponent:.4f}, "
-          f"fitted {report.fitted_exponent:.4f} +- {report.fitted_std_err:.2e}")
-    print(f"  truncated posterior mean = {table.mean:.4f}, sd = {table.sd:.4f}")
-    for warning in table.warnings:
-        print(f"  WARNING: {warning}", file=sys.stderr)
-    return _exit_code(report.predicted, table.warnings)
+    return _posterior_command(args, "ym", args.prior, kernel, None, describe)
 
 
 def _params_of(args) -> dict:

@@ -4,7 +4,8 @@ The analytic side gives the exact tail exponent of each model's kernel: the
 constant-detection marginal kernel decays like N^-(r + a) (r recaptures, a
 the Beta shape on the detection rate), the heterogeneous kernel like N^-a
 (a the Gamma shape on the first Beta parameter), and the
-Dirichlet-multinomial kernel like N^-((k-1) delta). A posterior is proper
+Dirichlet-multinomial kernel like N^-((k-1) delta). ``model_kernel`` builds
+each kernel with its support start and exponent. A posterior is proper
 exactly when prior times kernel decays faster than 1/N, so one rule
 (``_verdict``) turns every exponent into a verdict: the flat prior needs
 exponent > 1 and the 1/N scale prior, which shifts every exponent up by one,
@@ -53,13 +54,70 @@ def _verdict(exponent: float, n_prior: str) -> str:
     return PROPER if exponent > cutoff else IMPROPER
 
 
+@dataclass(frozen=True)
+class ModelKernel:
+    """A model's bare log kernel of N, the smallest N it allows, its exact tail
+    exponent d (it decays like N^-d) and, for the heterogeneous model, the
+    quadrature kernel whose ``diagnostics`` describe its latest call."""
+
+    log_kernel: Callable[[np.ndarray], np.ndarray]
+    support_start: int
+    exponent: float
+    mh: MhMarginalKernel | None = None
+
+
+def model_kernel(
+    model: str,
+    stats: SufficientStats | None = None,
+    beta: BetaParams | None = None,
+    gammas: GammaPriors | None = None,
+    ym_n: int | None = None,
+    ym_k: int | None = None,
+    ym_delta: float | None = None,
+    quad_nodes: int = 64,
+    quad_check_nodes: int = 96,
+    quad_rtol: float = 1e-4,
+) -> ModelKernel:
+    """Build the kernel of ``model`` ("m0", "mh" or "ym") with its exact exponent.
+
+    Constant detection ("m0") needs ``stats`` and ``beta`` and decays like
+    N^-(n. - M + a). Heterogeneous detection ("mh") needs ``stats`` and
+    ``gammas``, takes its quadrature settings from ``quad_*`` and decays like
+    N^-a (see ``mh_propriety_condition``). The Dirichlet-multinomial model
+    ("ym") needs ``ym_n``, ``ym_k`` and ``ym_delta`` and decays like
+    N^-((k-1) delta).
+    """
+    if model == "m0":
+        if stats is None or beta is None:
+            raise ValueError("constant-detection report needs stats and Beta prior")
+        return ModelKernel(
+            lambda n: m0_marginal_log_kernel(n, stats, beta), stats.m_k1, stats.n_dot - stats.m_k1 + beta.a
+        )
+    if model == "mh":
+        if stats is None or gammas is None:
+            raise ValueError("heterogeneous report needs stats and Gamma priors")
+        kern = MhMarginalKernel(stats, gammas, nodes=quad_nodes, check_nodes=quad_check_nodes, rtol=quad_rtol)
+        return ModelKernel(kern.log_kernel, stats.m_k1, gammas.a, kern)
+    if model == "ym":
+        if ym_n is None or ym_k is None or ym_delta is None:
+            raise ValueError("multinomial report needs ym_n, ym_k and ym_delta")
+        if ym_k < 2:
+            raise ValueError("need at least two cells")
+        if not ym_delta > 0:
+            raise ValueError("delta must be positive")
+        return ModelKernel(
+            lambda n: york_madigan_log_kernel(n, ym_n, ym_k, ym_delta), ym_n, (ym_k - 1) * ym_delta
+        )
+    raise ValueError(f"unknown model {model!r}")
+
+
 def m0_propriety_condition(
     stats: SufficientStats, a: float, n_prior: str
 ) -> tuple[float, str]:
     """Exponent d = n. - M + a and the exact verdict for constant detection."""
     if not a > 0:
         raise ValueError("Beta shape a must be positive")
-    d = stats.n_dot - stats.m_k1 + a
+    d = model_kernel("m0", stats=stats, beta=BetaParams(a, 1.0)).exponent  # b does not enter d
     return d, _verdict(d, n_prior)
 
 
@@ -81,12 +139,8 @@ def mh_propriety_condition(a: float, n_prior: str) -> str:
 
 def ym_propriety_condition(k: int, delta: float, n_prior: str) -> str:
     """Exact verdict for the Dirichlet-multinomial kernel, which decays like
-    N^-((k-1) delta)."""
-    if k < 2:
-        raise ValueError("need at least two cells")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    return _verdict((k - 1) * delta, n_prior)
+    N^-((k-1) delta) whatever the observed count."""
+    return _verdict(model_kernel("ym", ym_n=0, ym_k=k, ym_delta=delta).exponent, n_prior)
 
 
 def _agreement(fitted: float, expected: float, tolerance: float) -> bool:
@@ -219,64 +273,25 @@ def write_exponent_csv(
     write_csv(path, chain([("N", "log_kernel", "local_exponent")], rows))
 
 
-def propriety_report(
-    model: str,
-    n_prior: str,
-    stats: SufficientStats | None = None,
-    beta: BetaParams | None = None,
-    gammas: GammaPriors | None = None,
-    ym_n: int | None = None,
-    ym_k: int | None = None,
-    ym_delta: float | None = None,
-    fit: FitConfig | None = None,
-    quad_nodes: int = 64,
-    quad_check_nodes: int = 96,
-    quad_rtol: float = 1e-4,
-) -> ProprietyReport:
+def propriety_report(model: str, n_prior: str, fit: FitConfig | None = None, **params) -> ProprietyReport:
     """Assemble analytic verdict plus fitted tail exponent for one model.
 
-    ``model`` is "m0", "mh", or "ym". The constant-detection model needs
-    ``stats`` and ``beta``; the heterogeneous model needs ``stats`` and
-    ``gammas``; the Dirichlet-multinomial model needs ``ym_n``, ``ym_k`` and
-    ``ym_delta``. Agreement compares the fitted exponent of prior * kernel
-    against the prior-adjusted analytic exponent at ``fit.tolerance``.
+    ``model`` and the keyword ``params`` go to ``model_kernel``, and the fit
+    grid scales with the kernel's support start. Agreement compares the fitted
+    exponent of prior * kernel against the prior-adjusted analytic exponent at
+    ``fit.tolerance``.
     """
     _check_n_prior(n_prior)
     fit = fit or FitConfig()
 
-    warnings: list[str] = []
-    if model == "m0":
-        if stats is None or beta is None:
-            raise ValueError("constant-detection report needs stats and Beta prior")
-        analytic, predicted = m0_propriety_condition(stats, beta.a, n_prior)
-        kernel = lambda n: m0_marginal_log_kernel(n, stats, beta)
-        scale = stats.m_k1
-    elif model == "mh":
-        if stats is None or gammas is None:
-            raise ValueError("heterogeneous report needs stats and Gamma priors")
-        predicted = mh_propriety_condition(gammas.a, n_prior)
-        analytic = gammas.a
-        kern = MhMarginalKernel(
-            stats, gammas, nodes=quad_nodes, check_nodes=quad_check_nodes, rtol=quad_rtol
-        )
-        kernel = kern.log_kernel
-        scale = stats.m_k1
-    elif model == "ym":
-        if ym_n is None or ym_k is None or ym_delta is None:
-            raise ValueError("multinomial report needs ym_n, ym_k and ym_delta")
-        predicted = ym_propriety_condition(ym_k, ym_delta, n_prior)
-        analytic = (ym_k - 1) * ym_delta
-        kernel = lambda n: york_madigan_log_kernel(n, ym_n, ym_k, ym_delta)
-        scale = ym_n
-    else:
-        raise ValueError(f"unknown model {model!r}")
-
-    n_lo, n_hi = fit.resolve(scale)
-    target = lambda n: kernel(n) + _log_n_prior(n, n_prior)
+    kernel = model_kernel(model, **params)
+    n_lo, n_hi = fit.resolve(kernel.support_start)
+    target = lambda n: kernel.log_kernel(n) + _log_n_prior(n, n_prior)
     fitted, stderr = fit_tail_exponent(target, n_lo, n_hi, fit.points)
     probe = local_exponent(target, float(np.sqrt(n_lo * n_hi)))
 
-    analytic_total = analytic + (1.0 if n_prior == "scale" else 0.0)
+    analytic_total = kernel.exponent + (1.0 if n_prior == "scale" else 0.0)
+    warnings: list[str] = []
     if abs(probe - fitted) > max(2.0 * stderr, 1e-3):
         warnings.append(
             f"two-point probe ({probe:.4f}) and regression fit ({fitted:.4f}) "
@@ -287,9 +302,9 @@ def propriety_report(
     return ProprietyReport(
         model=model,
         n_prior=n_prior,
-        analytic_exponent=float(analytic),
+        analytic_exponent=float(kernel.exponent),
         analytic_total_exponent=float(analytic_total),
-        predicted=predicted,
+        predicted=_verdict(kernel.exponent, n_prior),
         fitted_exponent=float(fitted),
         fitted_std_err=float(stderr),
         local_exponent=float(probe),

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crbayes.cli import build_parser, main
 from crbayes.data import load_history, store_history, simulate_m0
@@ -355,6 +359,19 @@ class TestYm:
         assert rc == 0
         assert json.loads((tmp_path / "ym3.json").read_text())["verdict"] == "proper"
 
+    def test_improper_verdict_warns_with_the_exact_exponent(self, tmp_path, capsys):
+        # (k - 1) delta = 0.8, but the last decade of [300, 3000] is pre-asymptotic
+        # and its fit (about 1.3) raises no warning of its own
+        rc = run(["ym", "--n", "300", "--k", "5", "--delta", "0.2", "--n-max", "3000",
+                  "--out", str(tmp_path / "ymi")])
+        assert rc == 3
+        improper_warning = ("posterior improper: the ym kernel decays exactly like N^-0.8, so prior "
+                            "times kernel does not decay faster than 1/N under the uniform prior")
+        payload = json.loads((tmp_path / "ymi.json").read_text())
+        assert payload["verdict"] == "improper"
+        assert payload["warnings"] == [improper_warning]
+        assert capsys.readouterr().err == f"  WARNING: {improper_warning}\n"
+
 
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
@@ -371,3 +388,49 @@ def test_version_flag_and_manifest_report_the_package_version(tmp_path, capsys):
          "--seed", "1", "--out", str(out)])
     manifest = json.loads((tmp_path / "d.json.manifest.json").read_text())
     assert manifest["version"] == crbayes.__version__
+
+
+def _verdicts(analyze_argv, check_argv):
+    """The "verdict" of an analyze or ym run next to check-propriety's "predicted"."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run(analyze_argv + ["--out", f"{tmp}/a"])
+        run(check_argv + ["--out", f"{tmp}/c"])
+        return (json.loads(Path(f"{tmp}/a.json").read_text())["verdict"],
+                json.loads(Path(f"{tmp}/c.json").read_text())["predicted"])
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5).flatmap(
+        lambda k: st.lists(st.integers(1, 2**k - 1), min_size=1, max_size=6).map(
+            lambda codes: CaptureHistory(k=k, rows=tuple(tuple((c >> j) & 1 for j in range(k)) for c in codes))
+        )
+    ),
+    st.floats(min_value=0.1, max_value=3.0),
+    st.floats(min_value=0.1, max_value=3.0),
+    st.sampled_from(["uniform", "scale"]),
+)
+def test_analyze_verdict_matches_check_propriety_on_m0(history, a, b, n_prior):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "d.json"
+        store_history(history, data)
+        flags = ["--data", str(data), "--model", "m0", "--a", repr(a), "--b", repr(b), "--n-prior", n_prior]
+        verdict, predicted = _verdicts(["analyze", *flags, "--n-max", "200"], ["check-propriety", *flags])
+    assert verdict == predicted
+
+
+@pytest.mark.parametrize("shape_a", ["0.7", "1.5"])
+@pytest.mark.parametrize("n_prior", ["uniform", "scale"])
+def test_analyze_verdict_matches_check_propriety_on_mh(shape_a, n_prior, tmp_path):
+    data = tmp_path / "small.json"
+    store_history(CaptureHistory(k=3, rows=((1, 0, 0), (1, 1, 0), (0, 1, 1))), data)
+    flags = ["--data", str(data), "--model", "mh", "--shape-a", shape_a, "--n-prior", n_prior]
+    verdict, predicted = _verdicts(["analyze", *flags, "--n-max", "60"], ["check-propriety", *flags])
+    assert verdict == predicted
+
+
+@pytest.mark.parametrize("delta, expected", [("0.3", "proper"), ("0.2", "improper")])  # 1/(k - 1) = 0.25
+def test_ym_verdict_matches_check_propriety(delta, expected):
+    cells = ["--n", "20", "--k", "5", "--delta", delta]
+    verdict, predicted = _verdicts(["ym", *cells, "--n-max", "2000"], ["check-propriety", "--model", "ym", *cells])
+    assert verdict == predicted == expected

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from crbayes.propriety import (
     local_exponent,
     m0_propriety_condition,
     mh_propriety_condition,
+    model_kernel,
     propriety_report,
     write_exponent_csv,
     ym_propriety_condition,
@@ -238,12 +240,21 @@ class TestProprietyReport:
         assert not report.agreement
 
     def test_missing_inputs(self):
-        with pytest.raises(ValueError):
-            propriety_report("m0", "uniform", beta=BetaParams(1.0, 1.0))
-        with pytest.raises(ValueError):
-            propriety_report("ym", "uniform", ym_n=4)
-        with pytest.raises(ValueError):
-            propriety_report("bogus", "uniform")
+        # the report takes its model from model_kernel, so both raise the same texts
+        stats = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))
+        cases = [
+            ("m0", {"beta": BetaParams(1.0, 1.0)}, "constant-detection report needs stats and Beta prior"),
+            ("m0", {"stats": stats}, "constant-detection report needs stats and Beta prior"),
+            ("mh", {"stats": stats}, "heterogeneous report needs stats and Gamma priors"),
+            ("ym", {"ym_n": 4}, "multinomial report needs ym_n, ym_k and ym_delta"),
+            ("ym", {"ym_n": 4, "ym_k": 1, "ym_delta": 0.5}, "need at least two cells"),
+            ("bogus", {}, "unknown model 'bogus'"),
+        ]
+        for model, params, text in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                propriety_report(model, "uniform", **params)
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                model_kernel(model, **params)
 
     def test_nan_delta_is_a_usage_error_not_a_failed_fit(self):
         # NaN used to pass the delta check and surface as TailFitError
