@@ -152,8 +152,13 @@ _MODE_TOL = 1e-8
 
 # Consecutive grid points share one set of Hermite nodes while each point's
 # own centre lies within this many standardized units of the block's centre
-# (its first point), measured with that centre's Cholesky factor.
-_BLOCK_RADIUS = 1.0
+# (its first point), measured with that centre's Cholesky factor. Three units
+# is safe: for a Gaussian integrand, a centre off by d units leaves the
+# factor e^(sqrt(2) d x) on the Hermite weight, which 64 or 96 nodes
+# integrate to rounding (2e-15 relative at d = 3), and the nodes/check_nodes
+# comparison guards the non-Gaussian rest. A wider block means fewer node
+# tables and fewer data-factor evaluations per grid.
+_BLOCK_RADIUS = 3.0
 
 
 class MhMarginalKernel:
@@ -173,10 +178,10 @@ class MhMarginalKernel:
       posterior over the two shapes and sharpens as animals accumulate, so
       the nodes follow it. The mode moves little from one N to the next,
       so consecutive N share one centre while each N's own mode lies within
-      ``_BLOCK_RADIUS`` standardized units of it (``_hermite_blocks``); the
-      nodes, prior, observed-animal and zero-cell terms are built once per
-      block, and each N adds one fixed-node sum. Used when both log-scale
-      left-tail rates a + M and b + (M - f_K) are at least
+      ``_BLOCK_RADIUS`` = 3 standardized units of it (``_hermite_blocks``);
+      the nodes, prior, observed-animal and zero-cell terms are built once
+      per block, and each N adds one fixed-node sum. Used when both
+      log-scale left-tail rates a + M and b + (M - f_K) are at least
       ``_HERMITE_MIN_RATE``.
     * ``"laguerre"``: rules whose weights match the joint Gamma prior, for
       sparse data where the integrand is close to the prior. For moderate
@@ -304,17 +309,20 @@ class MhMarginalKernel:
             + sum_i (z_i + e) log(beta + i) - N sum_i log(alpha + beta + i)
 
         over i < K, where w_i animals were caught and z_i missed more than i
-        times. Damped Newton runs on the whole grid at once; where the Hessian
-        is not negative definite it takes a gradient step instead, and a
-        halving line search keeps every step uphill. The quadrature does not
-        centre on each of these: ``_hermite_blocks`` groups nearby N under
-        one of them.
+        times. Damped Newton runs on the whole grid at once: the gradient and
+        Hessian are summed over i from (K, grid) arrays, with no Python loop
+        over the cells. Where the Hessian is not negative definite it takes a
+        gradient step instead, and a halving line search keeps every step
+        uphill. The quadrature does not centre on each of these:
+        ``_hermite_blocks`` groups nearby N under one of them.
         """
         g, st = self.gammas, self.stats
         a, b, c = g.a, g.b, g.c
         f, k, m = st.f_j, st.k, st.m_k1
-        caught = [sum(f[i:]) for i in range(k)]
-        missed = [sum(f[: k - 1 - i]) for i in range(k)]
+        # one row per i < K: every sum over i below is a sum over axis 0
+        i = np.arange(k, dtype=float)[:, None]
+        caught = np.array([sum(f[j:]) for j in range(k)], dtype=float)[:, None]
+        missed = np.array([sum(f[: k - 1 - j]) for j in range(k)], dtype=float)[:, None]
         excess = grid - m
 
         def objective(u, v):
@@ -323,16 +331,15 @@ class MhMarginalKernel:
 
         def derivatives(u, v):
             alpha, beta = np.exp(u), np.exp(v)
-            gu, gv = a - alpha / c, b - beta / c
-            huu, hvv, huv = -alpha / c, -beta / c, np.zeros_like(u)
-            for i in range(k):
-                ai, bi, ci = alpha + i, beta + i, alpha + beta + i
-                gu = gu + caught[i] * alpha / ai - grid * alpha / ci
-                # the excess terms of d/dv cancel to e*alpha*beta/(bi*ci); summed that way
-                gv = gv + missed[i] * beta / bi - m * beta / ci + excess * alpha * beta / (bi * ci)
-                huu = huu + caught[i] * alpha * i / ai**2 - grid * alpha * bi / ci**2
-                hvv = hvv + (missed[i] + excess) * beta * i / bi**2 - grid * beta * ai / ci**2
-                huv = huv + grid * alpha * beta / ci**2
+            ai, bi, ci = alpha + i, beta + i, alpha + beta + i
+            gu = a - alpha / c + (caught * alpha / ai - grid * alpha / ci).sum(axis=0)
+            # the excess terms of d/dv cancel to e*alpha*beta/(bi*ci); summed that way
+            gv = b - beta / c + (
+                missed * beta / bi - m * beta / ci + excess * alpha * beta / (bi * ci)
+            ).sum(axis=0)
+            huu = -alpha / c + (caught * alpha * i / ai**2 - grid * alpha * bi / ci**2).sum(axis=0)
+            hvv = -beta / c + ((missed + excess) * beta * i / bi**2 - grid * beta * ai / ci**2).sum(axis=0)
+            huv = (grid * alpha * beta / ci**2).sum(axis=0)
             return gu, gv, huu, hvv, huv
 
         u = np.full_like(grid, np.log(a * c))
@@ -372,8 +379,9 @@ class MhMarginalKernel:
         Returns ``(block, centre)`` pairs, ``block`` a slice of the grid and
         ``centre`` the (u, v, l11, l21, l22) of ``_hermite_centre`` at its
         first point. A point joins the open block when its own mode lies
-        within ``_BLOCK_RADIUS`` of the block's, in the units z = L^-1 (du, dv)
-        of the block's Cholesky factor L. A point whose centre is not finite,
+        within ``_BLOCK_RADIUS`` = 3 of the block's, in the units
+        z = L^-1 (du, dv) of the block's Cholesky factor L. A point whose
+        centre is not finite,
         or whose factor has a non-positive diagonal, opens a block of its own
         and lends its nodes to no other point, so its NaN stays its own.
         """

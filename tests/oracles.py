@@ -145,6 +145,28 @@ def per_n_centred_hermite_log_expectation(kern, grid, n_nodes: int):
     return out - (a + b) * np.log(c) - gammaln(a) - gammaln(b)
 
 
+def mh_log_integrand(stats, a: float, b: float, c: float, u, v, excess):
+    """Log integrand of the heterogeneous kernel in (u, v) = (log alpha, log beta).
+
+    With alpha ~ Gamma(a, c) and beta ~ Gamma(b, c) moved to log scale, this
+    is a u + b v - (alpha + beta)/c plus the log data factor with ``excess``
+    = N - M animals never caught: the observed animals' log-gamma differences,
+    one term per capture count, and the zero cell as -log1p(alpha/(beta + j))
+    summed over j < K. Constants in (u, v) are left out. ``u``, ``v`` and
+    ``excess`` broadcast against each other.
+    """
+    m, k = stats.m_k1, stats.k
+    alpha, beta = np.exp(u), np.exp(v)
+    out = a * u + b * v - (alpha + beta) / c
+    for y, f in enumerate(stats.f_j, start=1):
+        if f:
+            out = out + f * (gammaln(alpha + y) - gammaln(alpha) + gammaln(beta + (k - y)) - gammaln(beta))
+    out = out - m * (gammaln(alpha + beta + k) - gammaln(alpha + beta))
+    for j in range(k):
+        out = out - excess * np.log1p(alpha / (beta + j))
+    return out
+
+
 def box_mh_marginal_log_kernel(stats, n_vals, a: float, b: float, c: float) -> np.ndarray:
     """Brute-force heterogeneous kernel: an even grid over a box in (log alpha, log beta).
 
@@ -159,30 +181,18 @@ def box_mh_marginal_log_kernel(stats, n_vals, a: float, b: float, c: float) -> n
     on its edges is not negligible. No node rule, no mode
     search and no library code: slow but independent of both mh rules.
     """
-    m, k = stats.m_k1, stats.k
-    counts = [(y, f) for y, f in enumerate(stats.f_j, start=1) if f]
-
-    def log_integrand(u, v, excess):
-        alpha, beta = np.exp(u), np.exp(v)
-        out = a * u + b * v - (alpha + beta) / c
-        for y, f in counts:
-            out = out + f * (gammaln(alpha + y) - gammaln(alpha) + gammaln(beta + (k - y)) - gammaln(beta))
-        out = out - m * (gammaln(alpha + beta + k) - gammaln(alpha + beta))
-        for j in range(k):
-            out = out - excess * np.log1p(alpha / (beta + j))
-        return out
-
+    m = stats.m_k1
     scan = np.linspace(-40.0, 25.0, 261)
     step = scan[1] - scan[0]
     out = []
     for n_val in np.atleast_1d(n_vals):
-        g = log_integrand(scan[:, None], scan[None, :], n_val - m)
+        g = mh_log_integrand(stats, a, b, c, scan[:, None], scan[None, :], n_val - m)
         rows, cols = np.nonzero(g > g.max() - 45.0)
         if min(rows.min(), cols.min()) == 0 or max(rows.max(), cols.max()) == scan.size - 1:
             raise AssertionError(f"integrand at N = {n_val} reaches the edge of the scan")
         u = np.linspace(scan[rows.min()] - step, scan[rows.max()] + step, 201)
         v = np.linspace(scan[cols.min()] - step, scan[cols.max()] + step, 201)
-        g = log_integrand(u[:, None], v[None, :], n_val - m)
+        g = mh_log_integrand(stats, a, b, c, u[:, None], v[None, :], n_val - m)
         edges = np.concatenate([g[0], g[-1], g[:, 0], g[:, -1]])
         if not edges.max() < g.max() - 30.0:
             raise AssertionError(f"integrand at N = {n_val} is not negligible on the box's edges")
