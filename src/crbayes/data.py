@@ -9,7 +9,6 @@ size only as experiment bookkeeping.
 import csv
 import json
 from dataclasses import dataclass
-from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -155,100 +154,329 @@ def _format_from_path(path: Path, fmt: str | None) -> str:
 
 
 BLOCK = 8192
-"""Values per text block of a FloatColumn, and rows per write of write_csv."""
+"""Values per call of the float renderer: report columns are rendered and
+written this many values at a time, so that the renderer's temporaries, one
+8-byte word per value each, stay in cache."""
+
+# The renderers build text in uint64 words: byte i of a value's text is bits
+# 8i..8i+7 of its words, stored little-endian, and NUL bytes are padding that
+# the writers delete.
+_U = np.uint64
+_S1, _S2, _S32, _S52, _S56, _S63 = map(_U, (1, 2, 32, 52, 56, 63))
+_M32, _M63 = _U(2**32 - 1), _U(2**63 - 1)
+_FRAC, _HIDDEN, _FLOOR4 = _U(2**52 - 1), _U(2**52), _U(2**64 - 4)
+_TEN, _E16 = _U(10), _U(10**16)
+
+# A value's layout depends on decpt, the position of its decimal point
+# (value = 0.d1d2... 10^decpt), stored at decpt - _DECPT_MIN; _ZERO_DECPT
+# stands for a zero.
+_DECPT_MIN, _ZERO_DECPT = -330, 400
+
+
+def _exponent_tables():
+    """Schubfach's constants by row e + 2048 irregular, for a biased exponent
+    e and the irregular case of c = 2^52 with e > 1: h, decpt - _DECPT_MIN of
+    a 17-digit result, and g = floor(10^-k 2^-r) + 1 in [2^125, 2^126) as
+    g1 2^63 + g0, given as g1 and the 32-bit halves of g1 and g0.
+
+    Exponents 0 and 2047 (zeros, subnormals, infinities, NaN) get the row of
+    1.0; the renderer overwrites their text, except at row 4095, the row of a
+    zero, whose decpt is _ZERO_DECPT."""
+    powers = []
+    for k in range(-324, 293):
+        r = ((-k * 913124641741) >> 38) - 125  # floor(log2 10^-k) - 125
+        p = 10 ** abs(k)
+        g = (1 << -r) // p if k > 0 else p << -r if r < 0 else p >> r
+        g1, g0 = divmod(g + 1, 2**63)
+        powers.append((g1, g1 >> 32, g0 >> 32, g1 & 0xFFFFFFFF, g0 & 0xFFFFFFFF))
+    powers = np.array(powers, dtype=np.uint64).T
+    e, irregular = np.arange(4096) % 2048, np.arange(4096) >= 2048
+    odd = (e == 0) | (e == 2047)
+    e[odd], irregular[odd] = 1023, True
+    q = e - 1075
+    k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10 2^q), or of 3/4 2^q
+    r = ((-k * 913124641741) >> 38) - 125
+    dp = k + 17 - _DECPT_MIN
+    dp[4095] = _ZERO_DECPT - _DECPT_MIN
+    g = powers[:, k + 324]
+    h = (q + r + 127).astype(np.uint64)
+    return g[0], g[1:3].reshape(2, 1, 4096).copy(), g[3:].reshape(2, 1, 4096).copy(), h, dp
+
+
+_G1, _G_HIGH, _G_LOW, _H, _DP = _exponent_tables()
+
+_QUADS = np.arange(10000)
+# the four ASCII digits of 0..9999, then (at 10000 + x) the same with trailing zeros as NUL
+_DIGITS4 = sum((_QUADS // 10 ** (3 - i) % 10 + 48) << (8 * i) for i in range(4)).astype(np.uint64)
+_TRAILING = (_QUADS % 10 == 0).astype(int) + (_QUADS % 100 == 0) + (_QUADS % 1000 == 0) + (_QUADS == 0)
+_KEEP = np.array([2 ** (32 - 8 * t) - 1 for t in range(5)], dtype=np.uint64)
+_GROUP_TEXT = np.concatenate([_DIGITS4, _DIGITS4 & _KEEP[_TRAILING]])
+
+# the first digit 1..9 at byte 7 of the digit words
+_LEAD = (np.arange(10, dtype=np.uint64) + _U(48)) << _S56
+
+_DECPTS = np.arange(_DECPT_MIN, _ZERO_DECPT + 1)
+_FIXED = (_DECPTS > -4) & (_DECPTS <= 16)
+# layout class: decpt + 3 for the fixed notation, 20 and 21 for d.ddde-XX with
+# two and three exponent digits, 22 for a zero
+_CLASS = np.where(_FIXED, _DECPTS + 3, np.where(np.abs(_DECPTS - 1) < 100, 20, 21))
+_CLASS[-1] = 22
+# by decpt and sign bit: the exponent suffix "e+XX" or "e-XXX", at byte 18
+# (19 after a '-') of the text, in word 2
+_EXP = np.abs(_DECPTS - 1)
+_SUFFIX = ord("e") | np.where(_DECPTS > 0, _U(ord("+") << 8), _U(ord("-") << 8)) | (
+    _DIGITS4[_EXP] >> np.where(_EXP < 100, _U(16), _U(8)) << _U(16)
+)
+_SUFFIX[(_CLASS < 20) | (_CLASS == 22)] = 0
+_SUFFIX = (_SUFFIX[:, None] << np.array([16, 24], dtype=np.uint64)).ravel()
+
+
+def _layouts() -> np.ndarray:
+    """Rows by class, sign bit and whether there is more than one significant
+    digit (column 4 class + 2 sign + more).
+
+    The 17 digits sit at bytes 7..23 of four digit words, trailing zeros as
+    NUL. Rows 0-3: right shifts that move the digits before and after the
+    point into place, and the matching left shifts of the next word (a shift
+    by 64 bits gives 0 in numpy). Rows 4-12, per output word: the masks of the
+    digits before and after the point, and the text around them, with the
+    bits of '0' where a digit must show even when it is a trailing zero."""
+    out = np.zeros((13, 23 * 4), dtype=np.uint64)
+    for col in range(out.shape[1]):
+        cls, neg, more = col // 4, col // 2 % 2, col % 2
+        head = b"-" if neg else b""
+        if cls == 22:
+            head, point, shown = head + b"0.0", None, 0
+        elif cls >= 20:
+            point, shown = (1 if more else None), 1
+        elif cls <= 3:  # decpt <= 0
+            head, point, shown = head + b"0." + b"0" * (3 - cls), None, 1
+        else:
+            point, shown = cls - 3, cls - 2
+        start = len(head)
+        text, before, after = bytearray(head.ljust(24, b"\0")), bytearray(24), bytearray(24)
+        for j in range(17 if cls != 22 else 0):
+            at = start + j + (point is not None and j >= point)
+            (after if at > start + j else before)[at] = 0xFF
+            if j < shown:
+                text[at] = ord("0")
+        if point is not None:
+            text[start + point] = ord(".")
+        out[:4, col] = 8 * (7 - start), 8 * (6 - start), 64 - 8 * (7 - start), 64 - 8 * (6 - start)
+        for w in range(3):
+            for row, bytes_ in ((4, before), (7, after), (10, text)):
+                out[row + w, col] = int.from_bytes(bytes_[8 * w : 8 * w + 8], "little")
+    return out
+
+
+_LAYOUT = _layouts()
+
+
+def _mulhi(a1, a0, b1, b0):
+    """The high 64 bits of a b, from the 32-bit halves of a < 2^63 and b < 2^60."""
+    return a1 * b1 + ((a1 * b0 + a0 * b1 + ((a0 * b0) >> _S32)) >> _S32)
+
+
+def _render_floats(values: np.ndarray) -> np.ndarray:
+    """The ``float.__repr__`` text of each value of a float64 array, at most 24
+    bytes, as a (3, n) array of words.
+
+    A finite nonzero normal value is c 2^q with 2^52 <= c < 2^53. The decimals
+    that read back as it fill the interval from (c - 1/2) 2^q, or (c - 1/4) 2^q
+    at a power of two, to (c + 1/2) 2^q, ends included when c is even. Its
+    shortest decimal comes from Schubfach (Giulietti, "The Schubfach way to
+    render doubles", 2020) as the JDK's DoubleToDecimal computes it: scaled by
+    10^-k the interval holds a 17-digit s; if exactly one of s' = 10 floor(s /
+    10) and s' + 10 is in it, that shorter decimal is taken, otherwise s or
+    s + 1, whichever is in, and if both are, the closer one, the even one on a
+    tie. The products with 10^-k are rounded to odd from 128-bit products
+    built from 32-bit halves. Zeros are laid out here too; subnormal and
+    non-finite values take their text from ``repr``.
+    """
+    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    bits = v.view(np.uint64)
+    e = (bits >> _S52).astype(np.int64) & 0x7FF
+    frac = bits & _FRAC
+    neg = np.signbit(v)
+    odd = (e == 0) | (e == 2047)
+    zero = v == 0
+    e[odd] = 1023
+    e[zero] = 2047
+    irregular = (frac == 0) & (e > 1)
+    row = e + 2048 * irregular
+    c = frac | _HIDDEN
+    # c and the interval's ends, times 4 2^h
+    cp = np.empty((3, v.size), np.uint64)
+    cp[0] = c << _S2
+    cp[1] = cp[0] - _S2 + irregular
+    cp[2] = cp[0] + _S2
+    cp <<= _H[row]
+    cp1, cp0 = cp >> _S32, cp & _M32
+    g1_high, g0_high = _mulhi(_G_HIGH.take(row, axis=2), _G_LOW.take(row, axis=2), cp1, cp0)
+    z = ((_G1[row] * cp) >> _S1) + g0_high
+    vb, vbl, vbr = (g1_high + (z >> _S63)) | (((z & _M63) + _M63) >> _S63)
+    out = c & _S1  # the ends are out of the interval for odd c
+    low, high = vbl + out, vbr - out  # the interval, times 4 10^-k
+    s = vb >> _S2
+    sp10 = s // _TEN * _TEN
+    upin = low <= sp10 << _S2
+    wpin = (sp10 << _S2) + _U(40) <= high
+    uin = low <= (vb & _FLOOR4)  # 4 s
+    win = (vb | _U(3)) < high  # 4 (s + 1) <= high
+    take_t = win & (~uin | ((vb & _U(3)) + (s & _S1) > 2))
+    f = np.where(upin ^ wpin, sp10 + wpin * _TEN, s + take_t)
+    short = f < _E16  # f has 16 or 17 digits: make it 17
+    f[short] *= _TEN
+    dp = _DP[row] - short
+    # the digits, in int64 (f < 10^17) to index the tables
+    lead, rest = np.divmod(f.view(np.int64), 10**16)
+    high8, low8 = np.divmod(rest, 10**8)
+    d1, d2 = np.divmod(high8, 10**4)
+    d3, d4 = np.divmod(low8, 10**4)
+    # a group's trailing zeros are NUL when the groups after it are zero
+    digits = np.empty((4, v.size), np.uint64)
+    digits[0] = _LEAD[lead]
+    tail = 10000 * (low8 == 0)
+    digits[1] = _GROUP_TEXT[d1 + tail * (d2 == 0)] | (_GROUP_TEXT[d2 + tail] << _S32)
+    digits[2] = _GROUP_TEXT[d3 + 10000 * (d4 == 0)] | (_GROUP_TEXT[d4 + 10000] << _S32)
+    digits[3] = 0
+    layout = _LAYOUT.take(_CLASS[dp] * 4 + neg * 2 + (rest != 0), axis=1)
+    before = (digits[:3] >> layout[0]) | (digits[1:] << layout[2])
+    after = (digits[:3] >> layout[1]) | (digits[1:] << layout[3])
+    words = (before & layout[4:7]) | (after & layout[7:10]) | layout[10:13]
+    words[2] |= _SUFFIX[dp * 2 + neg]
+    for i in np.flatnonzero(odd & ~zero):
+        words[:, i] = np.frombuffer(repr(float(v[i])).encode().ljust(24, b"\0"), "<u8")
+    return words
+
+
+_POW10 = 10 ** np.arange(19)
+# [w][i]: the mask of word w's bytes from byte i of the text on
+_FROM = np.array(
+    [[2**64 - (1 << 8 * min(max(i - 8 * w, 0), 8)) for i in range(21)] for w in range(3)], dtype=np.uint64
+)
+
+
+def _render_ints(values: np.ndarray) -> np.ndarray:
+    """The decimal text of each nonnegative int64, as a (3, n) array of words:
+    twenty digits, leading zeros as NUL."""
+    x = np.asarray(values, dtype=np.int64)
+    top, rest = np.divmod(x, 10**16)
+    high8, low8 = np.divmod(rest, 10**8)
+    d1, d2 = np.divmod(high8, 10**4)
+    d3, d4 = np.divmod(low8, 10**4)
+    words = np.empty((3, x.size), np.uint64)
+    words[0] = _DIGITS4[top] | (_DIGITS4[d1] << _S32)
+    words[1] = _DIGITS4[d2] | (_DIGITS4[d3] << _S32)
+    words[2] = _DIGITS4[d4]
+    leading = 20 - np.maximum(np.searchsorted(_POW10, x, side="right"), 1)
+    return words & _FROM.take(leading, axis=1)
+
+
+def _text(records: np.ndarray) -> bytes:
+    """The bytes of a block of records without their NUL padding."""
+    return records.tobytes().translate(None, b"\0")
+
 
 class FloatColumn:
-    """A float array rendered once into its ``float.__repr__`` literals.
+    """Marks a float array that :func:`write_json` writes as a streamed array.
 
-    The literals are kept as one comma-joined string per block of ``BLOCK``
-    values, so that a report can write the same text into its JSON and its CSV
-    without formatting a float twice. :func:`write_json` writes a top-level
-    FloatColumn value as the array ``json.dumps`` would write for its values.
-    Iterating yields the literals one by one, as CSV cells for
-    :func:`write_csv`; that is how ``csv.writer`` writes a float too.
+    The array must hold finite values; it is written ``BLOCK`` values at a
+    time, byte for byte as ``json.dumps`` writes a list of them.
     """
 
-    __slots__ = ("blocks", "finite")
+    __slots__ = ("values",)
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=float).ravel()
-        self.finite = bool(np.isfinite(values).all())
-        self.blocks = tuple(
-            ",".join(map(repr, values[i : i + BLOCK].tolist())) for i in range(0, values.size, BLOCK)
-        )
+        self.values = np.asarray(values, dtype=float).ravel()
 
-    def __iter__(self):
-        return chain.from_iterable(block.split(",") for block in self.blocks)
+
+_JSON_SEPARATOR = b",\n    "
 
 
 def write_json(path: str | Path, payload) -> None:
     """Write ``payload`` as ``json.dumps(payload, indent=2)`` with a final newline.
 
     A top-level value of a dict payload may be a :class:`FloatColumn` of finite
-    values. It is written block by block as the indented array of its values;
-    every other value goes through ``json.dumps``.
+    values. Its values are rendered and written ``BLOCK`` at a time, each
+    followed by the separator of an indented array; every other value goes
+    through ``json.dumps``.
     """
-    columns = [v for v in payload.values() if isinstance(v, FloatColumn)] if isinstance(payload, dict) else []
-    if not columns:
+    if not (isinstance(payload, dict) and any(isinstance(v, FloatColumn) for v in payload.values())):
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
         return
-    if not all(column.finite for column in columns):
-        raise ValueError("a FloatColumn written to JSON must hold finite values")
-    with Path(path).open("w") as fh:
-        fh.write("{\n")
-        for i, (key, value) in enumerate(payload.items()):
+    # the nonempty columns, and between them runs of other items, each run
+    # written by one json.dumps
+    runs = []
+    for key, value in payload.items():
+        if isinstance(value, FloatColumn):
+            if not np.isfinite(value.values).all():
+                raise ValueError("a FloatColumn written to JSON must hold finite values")
+            if value.values.size:
+                runs.append((key, value.values))
+                continue
+            value = []
+        if runs and isinstance(runs[-1], dict):
+            runs[-1][key] = value
+        else:
+            runs.append({key: value})
+    with Path(path).open("wb") as fh:
+        fh.write(b"{\n")
+        for i, run in enumerate(runs):
             if i:
-                fh.write(",\n")
-            if isinstance(value, FloatColumn) and value.blocks:
-                fh.write(json.dumps({key: []}, indent=2)[2:-4] + "[\n    ")
-                for j, block in enumerate(value.blocks):
-                    if j:
-                        fh.write(",\n    ")
-                    fh.write(block.replace(",", ",\n    "))
-                fh.write("\n  ]")
-            else:
-                # '{\n  "key": value\n}' without its braces is the item at indent level 1
-                fh.write(json.dumps({key: [] if isinstance(value, FloatColumn) else value}, indent=2)[2:-2])
-        fh.write("\n}\n")
-
-
-def _plain_csv_block(rows: list) -> str | None:
-    """The CSV text of ``rows`` if every cell is a string that ``csv.writer``
-    would not quote, else None."""
-    try:
-        lines = list(map(",".join, rows))
-    except TypeError:  # a cell that is not a string
-        return None
-    text = "\r\n".join(lines) + "\r\n"
-    n_rows = len(rows)
-    if (
-        '"' in text
-        or text.count(",") != sum(map(len, rows)) - n_rows  # a cell holds a comma
-        or text.count("\r") != n_rows
-        or text.count("\n") != n_rows
-        or "" in lines  # a lone empty cell is written as ""
-    ):
-        return None
-    return text
+                fh.write(b",\n")
+            if isinstance(run, dict):
+                # '{\n  "key": value,\n ...\n}' without its braces: the items at indent level 1
+                fh.write(json.dumps(run, indent=2)[2:-2].encode())
+                continue
+            key, values = run
+            fh.write(json.dumps({key: []}, indent=2)[2:-4].encode() + b"[\n    ")
+            # per value: three words of text, then one of separator
+            records = np.zeros((min(BLOCK, values.size), 4), "<u8")
+            records[:, 3] = int.from_bytes(_JSON_SEPARATOR, "little")
+            for start in range(0, values.size, BLOCK):
+                block = records[: values.size - start]
+                block[:, :3] = _render_floats(values[start : start + BLOCK]).T
+                text = _text(block)
+                fh.write(text if start + BLOCK < values.size else text[: -len(_JSON_SEPARATOR)])
+            fh.write(b"\n  ]")
+        fh.write(b"\n}\n")
 
 
 def write_csv(path: str | Path, rows) -> None:
-    """Write an iterable of rows, header first, as ``csv.writer`` would.
-
-    The rows are written ``BLOCK`` at a time. A block whose cells are all
-    strings that need no quoting is joined and written in one piece; any
-    other block goes through ``csv.writer``, which writes floats as their repr.
-    """
-    rows = iter(rows)
+    """Write an iterable of rows, header first, with ``csv.writer``."""
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        # tuple() keeps a one-shot row iterator for the fallback; a tuple row is not copied
-        while block := list(map(tuple, islice(rows, BLOCK))):
-            text = _plain_csv_block(block)
-            if text is None:
-                writer.writerows(block)
-            else:
-                fh.write(text)
+        csv.writer(fh).writerows(rows)
+
+
+def write_table_csv(path: str | Path, header, start: int, columns) -> None:
+    """Write the rows ``(start + i, columns[0][i], columns[1][i], ...)``, header
+    first, byte for byte as ``csv.writer`` writes them.
+
+    ``start`` is a nonnegative integer and the columns are float arrays of one
+    length; each float is written as its ``repr``, as ``csv.writer`` does. The
+    rows are written ``BLOCK // len(columns)`` at a time: one call renders a
+    block's floats, and its rows are laid out in one record matrix. The
+    header's cells must need no quoting.
+    """
+    columns = [np.asarray(column, dtype=float).ravel() for column in columns]
+    n_rows, n_cols = columns[0].size, len(columns)
+    rows = BLOCK // n_cols
+    # per row: three words of the integer and one of ',', then the same for
+    # each float, with a line end after the last one
+    records = np.zeros((min(rows, n_rows), 4 * n_cols + 4), "<u8")
+    records[:, 3::4] = ord(",")
+    records[:, -1] = int.from_bytes(b"\r\n", "little")
+    with Path(path).open("wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for first in range(0, n_rows, rows):
+            block = records[: n_rows - first]
+            m = len(block)
+            block[:, :3] = _render_ints(np.arange(start + first, start + first + m)).T
+            words = _render_floats(np.concatenate([column[first : first + m] for column in columns]))
+            for col in range(n_cols):
+                block[:, 4 + 4 * col : 7 + 4 * col] = words[:, col * m : (col + 1) * m].T
+            fh.write(_text(block))
 
 
 def store_history(history: CaptureHistory, path: str | Path, fmt: str | None = None) -> None:

@@ -13,15 +13,14 @@ that extrapolation diverges.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import chain
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, roots_genlaguerre, roots_hermite, roots_jacobi
 
-from .data import FloatColumn, SufficientStats, write_csv, write_json
+from .data import FloatColumn, SufficientStats, write_json, write_table_csv
 from .likelihoods import (
     BetaParams, _as_grid, _maybe_scalar, _on_support, log_falling, mh_log_obs_factor, mh_log_zero_cell,
 )
@@ -484,15 +483,10 @@ class PosteriorTable:
     tail_mass_estimate: float
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
-    @cached_property
-    def _mass_column(self) -> FloatColumn:
-        """``mass`` formatted once, for both the JSON and the CSV report."""
-        return FloatColumn(self.mass)
-
     def write_json(self, path: str | Path, extra: dict | None = None) -> None:
         payload = {
             "support": [self.n_min, self.n_max],
-            "mass": self._mass_column,
+            "mass": FloatColumn(self.mass),
             "mean": self.mean,
             "sd": self.sd,
             "ci": list(self.ci),
@@ -504,9 +498,7 @@ class PosteriorTable:
         write_json(path, {**payload, **(extra or {})})
 
     def write_csv(self, path: str | Path) -> None:
-        support = map(str, range(self.n_min, self.n_max + 1))
-        rows = zip(support, self._mass_column, FloatColumn(self.log_kernel))
-        write_csv(path, chain([("N", "mass", "log_kernel")], rows))
+        write_table_csv(path, ("N", "mass", "log_kernel"), self.n_min, (self.mass, self.log_kernel))
 
 
 def fit_log_log_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

@@ -13,6 +13,7 @@ from crbayes.data import (
     FloatColumn,
     InvalidHistoryError,
     SufficientStats,
+    _render_floats,
     load_history,
     simulate_m0,
     simulate_mh,
@@ -20,6 +21,7 @@ from crbayes.data import (
     summarize,
     write_csv,
     write_json,
+    write_table_csv,
 )
 
 from oracles import recount_stats
@@ -197,11 +199,24 @@ def test_load_rejects_malformed_json(tmp_path):
 
 
 COLUMN_LENGTHS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
-EDGE_FLOATS = [0.0, 5e-324, 1e16, 1e-05, -0.0, 1.0 / 3.0]
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,  # zeros, subnormals, the smallest normal
+    1e-05, 9.999999999999999e-05, 0.0001, -0.00012,  # scientific below 1e-4, fixed from 0.0001
+    9999999999999998.0, 1e16, -1.2345678901234567e16, 1234567890123456.8,  # fixed below 1e16
+    1e100, -1.5e-100, 1.7976931348623157e308, 1e-307,  # three-digit exponents
+    1.0 / 3.0, -2.0 / 3.0, 1.0, -123.456, 100.0,
+]
 
 
 def _floats(n: int, seed: int) -> np.ndarray:
-    values = np.random.default_rng(seed).random(n) ** 40
+    """EDGE_FLOATS, then random values of both signs from about 1e-40 to 1;
+    the second half is the tail of a data-rich table's mass, a band of
+    subnormals and then exact zeros."""
+    rng = np.random.default_rng(seed)
+    values = rng.random(n) ** 40 * rng.choice([-1.0, 1.0], n)
+    tail = values[n // 2 :]
+    tail[:120] = rng.random(tail[:120].size) * 1e-310
+    tail[120:] = 0.0
     values[: len(EDGE_FLOATS)] = EDGE_FLOATS[:n]
     return values
 
@@ -243,17 +258,61 @@ def test_write_json_rejects_non_finite_column(tmp_path):
 def test_write_csv_matches_csv_writer(tmp_path, n):
     mass = _floats(n, seed=n)
     with np.errstate(divide="ignore"):
-        log_kernel = np.log(mass)  # log(0.0) and log(-0.0) are -inf
-    expected = _csv_writer_text([("N", "mass", "log_kernel"), *zip(range(n), mass.tolist(), log_kernel.tolist())])
-    columns = zip(map(str, range(n)), FloatColumn(mass), FloatColumn(log_kernel))
-    write_csv(tmp_path / "c.csv", [("N", "mass", "log_kernel"), *columns])
+        log_kernel = np.log(np.abs(mass))  # -inf at the zeros
+    rows = [("N", "mass", "log_kernel"), *zip(range(7, n + 7), mass.tolist(), log_kernel.tolist())]
+    expected = _csv_writer_text(rows)
+    write_table_csv(tmp_path / "c.csv", ("N", "mass", "log_kernel"), 7, (mass, log_kernel))
     assert _first_difference((tmp_path / "c.csv").read_bytes().decode(), expected) is None
     if n >= len(EDGE_FLOATS):
-        assert "\r\n0,0.0,-inf\r\n1,5e-324,-744.4400719213812\r\n" in expected
-        assert "\r\n3,1e-05,-11.512925464970229\r\n" in expected
-    # plain numbers go through csv.writer itself
-    write_csv(tmp_path / "p.csv", [("N", "mass", "log_kernel"), *zip(range(n), mass.tolist(), log_kernel.tolist())])
-    assert _first_difference((tmp_path / "p.csv").read_bytes().decode(), expected) is None
+        assert "\r\n7,0.0,-inf\r\n8,-0.0,-inf\r\n9,5e-324,-744.4400719213812\r\n" in expected
+        assert "\r\n12,1e-05,-11.512925464970229\r\n" in expected
+    # plain rows go through csv.writer itself
+    write_csv(tmp_path / "p.csv", rows)
+    assert (tmp_path / "p.csv").read_bytes().decode() == expected
+
+
+def _rendered(values: np.ndarray) -> list[str]:
+    """The renderer's text of each value, rendered BLOCK values at a time."""
+    texts = []
+    for start in range(0, values.size, BLOCK):
+        words = _render_floats(values[start : start + BLOCK])
+        lines = np.concatenate([words, np.full((1, words.shape[1]), ord("\n"), np.uint64)])
+        texts += lines.T.astype("<u8").tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    return texts
+
+
+def _mismatches(values: np.ndarray) -> list[tuple[str, str]]:
+    """(repr, rendered) for the values whose rendered text is not their repr."""
+    return [(want, got) for want, got in zip(map(repr, values.tolist()), _rendered(values)) if want != got]
+
+
+def test_render_matches_repr_on_random_bit_patterns():
+    bits = np.random.default_rng(20260418).integers(0, 2**64, size=2**20, dtype=np.uint64, endpoint=False)
+    assert _mismatches(bits.view(np.float64))[:5] == []
+
+
+def test_render_matches_repr_on_powers_of_two_and_layout_cuts():
+    # the interval below a power of two is half as wide; the cuts of the layout
+    # are scientific below 1e-4 and from 1e16, with three exponent digits from 1e100
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    cuts = np.array([1e-05, 0.0001, 9999999999999998.0, 1e16, 1e100, 1e-100])
+    values = np.concatenate([powers, cuts])
+    values = np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+    assert _mismatches(np.concatenate([values, -values]))[:5] == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=30),
+    st.integers(min_value=0, max_value=2**62),
+)
+def test_write_table_csv_matches_csv_writer_on_any_floats(tmp_path_factory, pairs, start):
+    # st.floats() draws subnormals, both zeros, both infinities and NaN
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    columns = np.array(pairs).T
+    write_table_csv(path, ("N", "x", "y"), start, columns)
+    rows = [("N", "x", "y"), *((start + i, x, y) for i, (x, y) in enumerate(pairs))]
+    assert path.read_bytes().decode() == _csv_writer_text(rows)
 
 
 @pytest.mark.parametrize(

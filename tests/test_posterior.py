@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crbayes.data import CaptureHistory, SufficientStats, simulate_mh, summarize
+from crbayes.data import CaptureHistory, SufficientStats, simulate_m0, simulate_mh, summarize
 from crbayes.likelihoods import BetaParams
 from crbayes.posterior import (
     GammaPriors,
@@ -554,6 +556,26 @@ class TestPosteriorTable:
         improper = posterior_table(kernel, "uniform", stats=no_recapture, n_max=500)
         improper.write_json(tmp_path / "i.json")
         assert '"tail_mass_estimate": Infinity,' in (tmp_path / "i.json").read_text()
+
+    def test_data_rich_table_files_are_json_dumps_and_csv_writer_bytes(self, tmp_path):
+        # most of a data-rich table's mass underflows: here 8405 of the 9713
+        # values are exact zeros and 120 are subnormal
+        stats = summarize(simulate_m0(300, 0.5, 5, seed=1))
+        kernel = lambda n: m0_marginal_log_kernel(n, stats, BetaParams(1.0, 1.0))
+        table = posterior_table(kernel, "uniform", stats=stats, n_max=10_000)
+        mass = table.mass.tolist()
+        subnormal = sum(0.0 < x < 2.2250738585072014e-308 for x in mass)
+        assert (len(mass), mass.count(0.0), subnormal) == (9713, 8405, 120)
+        table.write_json(tmp_path / "t.json", extra={"model": "m0"})
+        text = (tmp_path / "t.json").read_text()
+        payload = json.loads(text)
+        assert payload["mass"] == mass
+        assert text == json.dumps({**payload, "mass": mass}, indent=2) + "\n"
+        table.write_csv(tmp_path / "t.csv")
+        expected = io.StringIO()
+        rows = zip(range(table.n_min, table.n_max + 1), mass, table.log_kernel.tolist())
+        csv.writer(expected).writerows([("N", "mass", "log_kernel"), *rows])
+        assert (tmp_path / "t.csv").read_bytes().decode() == expected.getvalue()
 
 
 @settings(max_examples=20, deadline=None)

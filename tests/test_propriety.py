@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crbayes.data import CaptureHistory, summarize
@@ -297,21 +297,42 @@ def _mh_report(n_prior, stats, gammas):
     return propriety_report("mh", n_prior, stats=stats, gammas=gammas, quad_nodes=192, quad_check_nodes=288)
 
 
+@st.composite
+def mh_cases(draw, rule):
+    """A history and shapes (a, b) that select ``rule``: both rates a + M and
+    b + (M - f_K) reach 2 for "hermite"; for "laguerre" one of them is drawn
+    below 2. With shapes of at least 0.2 that needs M = 1 or M - f_K <= 1, so
+    a history with neither keeps only its first animal."""
+    history = draw(small_histories)
+    stats = summarize(history)
+    if rule == "laguerre" and stats.m_k1 > 1 and stats.m_k1 - stats.f_j[-1] > 1:
+        history = CaptureHistory(k=history.k, rows=history.rows[:1])
+        stats = summarize(history)
+    m, tail = stats.m_k1, stats.m_k1 - stats.f_j[-1]
+    shape = lambda lo, hi: draw(st.floats(min_value=lo, max_value=hi))
+    if rule == "hermite":
+        return history, shape(max(0.2, 2.0 - m), 3.0), shape(max(0.2, 2.0 - tail), 3.0)
+    low = draw(st.sampled_from([side for side, rate in (("a", m), ("b", tail)) if rate <= 1]))
+    # the margin keeps a + M (b + M - f_K) below 2 after rounding
+    a = shape(0.2, 2.0 - m - 1e-9) if low == "a" else shape(0.2, 3.0)
+    b = shape(0.2, 2.0 - tail - 1e-9) if low == "b" else shape(0.2, 3.0)
+    return history, a, b
+
+
 @pytest.mark.parametrize("rule", ["hermite", "laguerre"])
 @settings(max_examples=10, deadline=None)
 @given(
-    small_histories,
-    st.floats(min_value=0.2, max_value=3.0),
-    st.floats(min_value=0.2, max_value=3.0),
+    st.data(),
     st.floats(min_value=0.3, max_value=4.0),
     st.sampled_from(["uniform", "scale"]),
 )
-def test_mh_report_is_exact_and_two_sided(rule, history, a, b, c, n_prior):
+def test_mh_report_is_exact_and_two_sided(rule, data, c, n_prior):
     # the mh kernel decays exactly like N^-a, so the fit must land within the
     # tolerance on both sides of the analytic exponent, and the verdict is the rule's
+    history, a, b = data.draw(mh_cases(rule))
     stats = summarize(history)
     gammas = GammaPriors(a, b, c)
-    assume(MhMarginalKernel(stats, gammas).rule == rule)
+    assert MhMarginalKernel(stats, gammas).rule == rule
     report = _mh_report(n_prior, stats, gammas)
     total = a + (1.0 if n_prior == "scale" else 0.0)
     assert report.analytic_total_exponent == total
