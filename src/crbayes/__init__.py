@@ -12,23 +12,12 @@ from .data import (
     summarize,
 )
 from .gibbs import DaChains, DaConfig, SweepReport, da_gibbs, effective_sample_size, m_sweep
-from .likelihoods import (
-    BetaParams,
-    NoFiniteMLEError,
-    kahn_log_prob,
-    m0_log_prob,
-    m0_profile_log_lik,
-    m0_profile_mle,
-    mh_integrated_log_prob,
-    mh_summary_log_prob,
-    york_madigan_log_kernel,
-)
+from .likelihoods import BetaParams, kahn_log_prob, york_madigan_log_kernel
 from .posterior import (
     GammaPriors,
     MhMarginalKernel,
     PosteriorTable,
     QuadratureConvergenceError,
-    log_beta_expectation,
     m0_marginal_log_kernel,
     posterior_table,
 )
@@ -37,7 +26,6 @@ from .propriety import (
     ProprietyReport,
     TailFitError,
     fit_tail_exponent,
-    gamma_ratio_asymptotic_check,
     local_exponent,
     m0_propriety_condition,
     mh_propriety_condition,
@@ -56,7 +44,6 @@ __all__ = [
     "GammaPriors",
     "InvalidHistoryError",
     "MhMarginalKernel",
-    "NoFiniteMLEError",
     "PosteriorTable",
     "ProprietyReport",
     "QuadratureConvergenceError",
@@ -66,20 +53,13 @@ __all__ = [
     "da_gibbs",
     "effective_sample_size",
     "fit_tail_exponent",
-    "gamma_ratio_asymptotic_check",
     "kahn_log_prob",
     "load_history",
     "local_exponent",
-    "log_beta_expectation",
-    "m0_log_prob",
     "m0_marginal_log_kernel",
-    "m0_profile_log_lik",
-    "m0_profile_mle",
     "m0_propriety_condition",
     "m_sweep",
-    "mh_integrated_log_prob",
     "mh_propriety_condition",
-    "mh_summary_log_prob",
     "posterior_table",
     "propriety_report",
     "simulate_m0",

@@ -311,7 +311,7 @@ def _cmd_da_sweep(args) -> int:
     except ValueError as exc:
         raise ValueError(f"bad --m list: {exc}")
     base = DaConfig(
-        m=max(m_values),
+        m=max(m_values, default=0),  # m_sweep rejects a list without two distinct sizes
         iters=args.iters,
         burnin=args.burnin,
         thin=args.thin,

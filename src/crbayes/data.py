@@ -480,12 +480,21 @@ def write_table_csv(path: str | Path, header, start: int, columns) -> None:
 
 
 def store_history(history: CaptureHistory, path: str | Path, fmt: str | None = None) -> None:
-    """Write a dataset as JSON ({"K": ..., "histories": [...]}) or header-less CSV."""
+    """Write a dataset as JSON ({"K": ..., "histories": [...]}) or header-less CSV.
+
+    CSV infers K from the row length, so a history with no rows is refused
+    before the file is opened.
+    """
     path = Path(path)
     fmt = _format_from_path(path, fmt)
     if fmt == "json":
         write_json(path, {"K": history.k, "histories": [list(row) for row in history.rows]})
     elif fmt == "csv":
+        if not history.rows:
+            raise ValueError(
+                f"cannot store a history with no rows as CSV: its occasion count K = {history.k} "
+                "would be lost; use JSON, which keeps K"
+            )
         write_csv(path, history.rows)
     else:
         raise ValueError(f"unknown dataset format {fmt!r}")

@@ -64,25 +64,11 @@ class DaConfig:
 
 @dataclass
 class DaChains:
-    """Retained draws plus summaries for one chain."""
+    """Retained draws of one chain."""
 
     n: np.ndarray
     psi: np.ndarray
     p: np.ndarray
-
-    def summary(self) -> dict:
-        out = {}
-        for name, chain in (("N", self.n), ("psi", self.psi), ("p", self.p)):
-            q = np.quantile(chain, [0.025, 0.5, 0.975])
-            out[name] = {
-                "mean": float(chain.mean()),
-                "sd": float(chain.std(ddof=1)) if chain.size > 1 else 0.0,
-                "q2.5": float(q[0]),
-                "median": float(q[1]),
-                "q97.5": float(q[2]),
-                "ess": effective_sample_size(chain),
-            }
-        return out
 
 
 def effective_sample_size(chain: np.ndarray) -> float:

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betaln, gammaln, xlog1py, xlogy
-
-from .data import SufficientStats
-
-
-class NoFiniteMLEError(RuntimeError):
-    """Raised when the profile likelihood has no finite maximizer."""
+from scipy.special import gammaln, xlog1py, xlogy
 
 
 @dataclass(frozen=True)
@@ -95,75 +89,6 @@ def kahn_log_prob(n_j: Sequence[int], n, p: float):
     return _maybe_scalar(out, scalar)
 
 
-def m0_log_prob(stats: SufficientStats, n, p: float):
-    """Log probability of a full capture history under constant detection.
-
-    Equals log[ N! / ((N - M)! M!) * p^n. * (1-p)^(K N - n.) ] where M animals
-    were observed; N < M gives -inf by convention.
-    """
-    _check_p(p)
-    m, k, n_dot = stats.m_k1, stats.k, stats.n_dot
-    return _on_support(n, m, lambda safe: (
-        log_falling(safe, m) - gammaln(m + 1) + xlogy(n_dot, p) + xlog1py(k * safe - n_dot, -p)
-    ))
-
-
-def m0_profile_log_lik(stats: SufficientStats, n):
-    """Profile log likelihood: detection rate replaced by its plug-in n./(K N)."""
-    m, k, n_dot = stats.m_k1, stats.k, stats.n_dot
-
-    def body(safe):
-        p_hat = n_dot / (k * safe)
-        return (
-            log_falling(safe, m) - gammaln(m + 1)
-            + xlogy(n_dot, p_hat) + xlogy(k * safe - n_dot, 1.0 - p_hat)
-        )
-
-    return _on_support(n, max(m, 1), body)
-
-
-_MLE_WINDOW = 20
-
-
-def m0_profile_mle(stats: SufficientStats) -> tuple[int, float]:
-    """Maximize the profile likelihood over integer population sizes.
-
-    Scans upward from the number of observed animals in doubling blocks and
-    stops once the profile has decreased for ``_MLE_WINDOW`` consecutive
-    integers past the best point (the profile is unimodal in practice; the
-    window guards against plateaus). Requires at least one recapture,
-    otherwise the profile increases forever and no finite maximizer exists.
-    """
-    if stats.m_k1 == 0:
-        raise NoFiniteMLEError("empty dataset: nothing to estimate")
-    if stats.recaptures < 1:
-        raise NoFiniteMLEError(
-            "no recaptures (r = 0): the profile likelihood has no finite maximizer"
-        )
-    best_n, best_val = stats.m_k1, -np.inf
-    prev = -np.inf
-    run = 0
-    start, block = stats.m_k1, 256
-    done = False
-    while not done:
-        grid = np.arange(start, start + block)
-        vals = np.atleast_1d(m0_profile_log_lik(stats, grid))
-        for n_val, val in zip(grid, vals):
-            if val > best_val:
-                best_val, best_n = float(val), int(n_val)
-            run = run + 1 if val < prev else 0
-            prev = float(val)
-            if run >= _MLE_WINDOW:
-                done = True
-                break
-        start += block
-        block *= 2
-        if not done and start > 10**9:
-            raise NoFiniteMLEError("profile likelihood still rising at N = 1e9")
-    p_hat = stats.n_dot / (stats.k * best_n)
-    return best_n, p_hat
-
-
 def mh_log_obs_factor(f_j: Sequence[int], alpha, beta):
     """Log product of the observed animals' integrated-likelihood factors.
 
@@ -206,62 +131,6 @@ def mh_log_zero_cell(alpha, beta, k: int):
     for j in range(k):
         out = out - np.log1p(alpha / (beta + j))
     return out
-
-
-def mh_integrated_log_prob(stats: SufficientStats, n, params: BetaParams):
-    """Log likelihood of a full history with Beta-distributed detection rates.
-
-    Each animal's detection probability is integrated out against
-    Beta(alpha, beta), which turns every per-animal factor into a ratio of
-    rising factorials:
-
-        N!/((N-M)! M!) * [prod_{j<K}(beta+j)/(alpha+beta+j)]^(N-M)
-        * prod_i [prod_{j<y_i}(alpha+j) prod_{j<K-y_i}(beta+j)] / prod_{j<K}(alpha+beta+j)
-
-    with the observed-animal product from :func:`mh_log_obs_factor` and the
-    zero-cell factor from :func:`mh_log_zero_cell`. N < M gives -inf.
-    """
-    m = stats.m_k1
-    log_zero_cell = float(mh_log_zero_cell(params.a, params.b, stats.k))
-    log_obs = float(mh_log_obs_factor(stats.f_j, params.a, params.b))
-    return _on_support(n, m, lambda safe: (
-        log_falling(safe, m) - gammaln(m + 1) + (safe - m) * log_zero_cell + log_obs
-    ))
-
-
-def beta_binomial_log_pmf(j, k: int, params: BetaParams):
-    """Log mass at j captures out of k occasions with a Beta-mixed rate."""
-    j = np.asarray(j, dtype=float)
-    a, b = params.a, params.b
-    return (
-        gammaln(k + 1)
-        - gammaln(j + 1)
-        - gammaln(k - j + 1)
-        + betaln(a + j, b + k - j)
-        - betaln(a, b)
-    )
-
-
-def mh_summary_log_prob(
-    f_j: Sequence[int], m_k1: int, n, k: int, params: BetaParams
-):
-    """Log likelihood of the capture-frequency summary under Beta-mixed detection.
-
-    Models the counts (N - M, f_1, ..., f_K) of animals caught 0, 1, ..., K
-    times as a multinomial with beta-binomial cell probabilities; the zero
-    cell, raised to the power N - M, comes from :func:`mh_log_zero_cell`. Up to
-    a factor constant in N this matches :func:`mh_integrated_log_prob`.
-    """
-    freqs = np.asarray(f_j, dtype=int)
-    if freqs.ndim != 1 or freqs.size != k or (freqs < 0).any():
-        raise ValueError("f_j must have one nonnegative count per occasion")
-    if int(freqs.sum()) != m_k1:
-        raise ValueError("f_j must sum to the number of observed animals")
-    log_zero_cell = float(mh_log_zero_cell(params.a, params.b, k))
-    log_seen = float(freqs @ beta_binomial_log_pmf(np.arange(1, k + 1), k, params))
-    return _on_support(n, m_k1, lambda safe: (
-        log_falling(safe, m_k1) - gammaln(freqs + 1).sum() + (safe - m_k1) * log_zero_cell + log_seen
-    ))
 
 
 def york_madigan_log_kernel(n_grid, n_obs: int, k: int, delta: float):

@@ -67,24 +67,6 @@ def m0_marginal_log_kernel(n, stats: SufficientStats, beta: BetaParams):
     ))
 
 
-def log_beta_expectation(n, m_k1: int, a: float, b: float):
-    """log E[(1-X)^(N-M) X^M] for X ~ Beta(a, b), in closed form."""
-    if not (a > 0 and b > 0):
-        raise ValueError("Beta shapes must be positive")
-    grid, scalar = _as_grid(n)
-    if (grid < m_k1).any():
-        raise ValueError("need N >= m_k1")
-    out = (
-        gammaln(a + b)
-        - gammaln(a)
-        - gammaln(b)
-        + gammaln(m_k1 + a)
-        + gammaln(grid - m_k1 + b)
-        - gammaln(grid + a + b)
-    )
-    return _maybe_scalar(out, scalar)
-
-
 def _log_sum_exp(values: np.ndarray) -> float:
     """log(sum(exp(values))) over every entry, shifted by the largest one.
 

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import SufficientStats, write_csv, write_json
 from .likelihoods import BetaParams, york_madigan_log_kernel
@@ -185,23 +184,6 @@ def fit_tail_exponent(
         raise TailFitError("kernel not finite everywhere on the fit grid")
     slope, _, stderr = fit_log_log_slope(grid, vals)
     return -slope, stderr
-
-
-def gamma_ratio_asymptotic_check(x: float, a: float, b: float) -> float:
-    """Deviation of x^a * Gamma(x+b) / Gamma(x+a+b) from 1.
-
-    By the gamma recurrence and Stirling's expansion the ratio tends to 1 as
-    x grows; the returned |ratio - 1| quantifies how far into the asymptotic
-    regime x is. For a = 0 the ratio is identically 1.
-    """
-    if not x > 0:
-        raise ValueError("x must be positive")
-    if not (a >= 0 and b >= 0):
-        raise ValueError("a and b must be nonnegative")
-    if a == 0:
-        return 0.0
-    log_ratio = a * np.log(x) + gammaln(x + b) - gammaln(x + a + b)
-    return float(abs(np.expm1(log_ratio)))
 
 
 @dataclass(frozen=True)

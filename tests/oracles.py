@@ -1,9 +1,20 @@
 """Independent reference implementations used to pin expected test values.
 
-Everything here deliberately avoids the library's own formulas: likelihoods
-are brute-forced by enumerating latent detection matrices, marginal kernels
-are integrated by adaptive quadrature, and expectations are Monte Carlo
+The oracles deliberately avoid the library's own formulas: likelihoods are
+brute-forced by enumerating latent detection matrices, marginal kernels are
+integrated by adaptive quadrature, and expectations are Monte Carlo
 averaged. Slow but trustworthy.
+
+Some entries are closed forms instead, built on the library's
+``log_falling``, support mask and zero-cell factor:
+
+- the m0 full-history and profile likelihoods and the profile MLE, which
+  acceptance criteria 09 and 10 use;
+- the mh capture-frequency (multinomial) likelihood, which criterion 04
+  compares with the complete-data form;
+- ``mh_complete_log_lik``, which is no oracle: it is the complete-data
+  likelihood built from the kernel's own data factor, for the oracles to
+  check.
 """
 
 import itertools
@@ -14,6 +25,9 @@ from scipy.integrate import quad
 from scipy.special import betaln, gammaln, logsumexp, roots_hermite, xlog1py, xlogy
 from scipy.stats import beta as beta_dist
 from scipy.stats import betabinom
+
+from crbayes.likelihoods import _check_p, _on_support, log_falling, mh_log_zero_cell
+from crbayes.posterior import GammaPriors, MhMarginalKernel
 
 
 def enumerate_kahn_log_prob(n_j, n_total: int, p: float) -> float:
@@ -44,6 +58,79 @@ def enumerate_m0_log_prob(rows, n_total: int, p: float) -> float:
             s = sum(bits)
             total += p**s * (1.0 - p) ** (n_total * k - s)
     return math.log(total)
+
+
+class NoFiniteMLEError(RuntimeError):
+    """Raised when the profile likelihood has no finite maximizer."""
+
+
+def m0_log_prob(stats, n, p: float):
+    """Log probability of a full capture history under constant detection.
+
+    Equals log[ N! / ((N - M)! M!) * p^n. * (1-p)^(K N - n.) ] where M animals
+    were observed; N < M gives -inf by convention.
+    """
+    _check_p(p)
+    m, k, n_dot = stats.m_k1, stats.k, stats.n_dot
+    return _on_support(n, m, lambda safe: (
+        log_falling(safe, m) - gammaln(m + 1) + xlogy(n_dot, p) + xlog1py(k * safe - n_dot, -p)
+    ))
+
+
+def m0_profile_log_lik(stats, n):
+    """Profile log likelihood: detection rate replaced by its plug-in n./(K N)."""
+    m, k, n_dot = stats.m_k1, stats.k, stats.n_dot
+
+    def body(safe):
+        p_hat = n_dot / (k * safe)
+        return (
+            log_falling(safe, m) - gammaln(m + 1)
+            + xlogy(n_dot, p_hat) + xlogy(k * safe - n_dot, 1.0 - p_hat)
+        )
+
+    return _on_support(n, max(m, 1), body)
+
+
+_MLE_WINDOW = 20
+
+
+def m0_profile_mle(stats) -> tuple[int, float]:
+    """Maximize the profile likelihood over integer population sizes.
+
+    Scans upward from the number of observed animals in doubling blocks and
+    stops once the profile has decreased for ``_MLE_WINDOW`` consecutive
+    integers past the best point (the profile is unimodal in practice; the
+    window guards against plateaus). Requires at least one recapture,
+    otherwise the profile increases forever and no finite maximizer exists.
+    """
+    if stats.m_k1 == 0:
+        raise NoFiniteMLEError("empty dataset: nothing to estimate")
+    if stats.recaptures < 1:
+        raise NoFiniteMLEError(
+            "no recaptures (r = 0): the profile likelihood has no finite maximizer"
+        )
+    best_n, best_val = stats.m_k1, -np.inf
+    prev = -np.inf
+    run = 0
+    start, block = stats.m_k1, 256
+    done = False
+    while not done:
+        grid = np.arange(start, start + block)
+        vals = np.atleast_1d(m0_profile_log_lik(stats, grid))
+        for n_val, val in zip(grid, vals):
+            if val > best_val:
+                best_val, best_n = float(val), int(n_val)
+            run = run + 1 if val < prev else 0
+            prev = float(val)
+            if run >= _MLE_WINDOW:
+                done = True
+                break
+        start += block
+        block *= 2
+        if not done and start > 10**9:
+            raise NoFiniteMLEError("profile likelihood still rising at N = 1e9")
+    p_hat = stats.n_dot / (stats.k * best_n)
+    return best_n, p_hat
 
 
 def log_quad_power_integral(a_exp: float, b_exp: float) -> float:
@@ -86,7 +173,7 @@ def quad_m0_marginal_log_kernel(stats, n_val: float, a: float, b: float) -> floa
     )
 
 
-def quad_mh_integrated_log_prob(stats, n_val: int, alpha: float, beta: float) -> float:
+def quad_mh_complete_log_lik(stats, n_val: int, alpha: float, beta: float) -> float:
     """Per-animal 1-D quadrature oracle for the Beta-heterogeneous likelihood."""
     m, k = stats.m_k1, stats.k
     pdf = beta_dist(alpha, beta).pdf
@@ -221,7 +308,7 @@ def per_animal_log_obs(y_i, k: int, alpha, beta):
     return log_a + log_b - m * (gammaln(alpha + beta + k) - gammaln(alpha + beta))
 
 
-def per_animal_mh_integrated_log_prob(stats, n_val: int, alpha: float, beta: float) -> float:
+def per_animal_mh_complete_log_lik(stats, n_val: int, alpha: float, beta: float) -> float:
     """Full Beta-heterogeneous likelihood with the per-animal observed factor."""
     m, k = stats.m_k1, stats.k
     log_zero_cell = (
@@ -232,12 +319,51 @@ def per_animal_mh_integrated_log_prob(stats, n_val: int, alpha: float, beta: flo
     return float(log_comb + (n_val - m) * log_zero_cell + log_obs)
 
 
-def mc_beta_expectation(n_val: int, m_k1: int, a: float, b: float, draws: int, seed: int):
-    """Monte Carlo estimate and standard error of E[(1-X)^(N-M) X^M], X ~ Beta(a, b)."""
-    rng = np.random.default_rng(seed)
-    x = rng.beta(a, b, size=draws)
-    vals = (1.0 - x) ** (n_val - m_k1) * x**m_k1
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(draws))
+def mh_complete_log_lik(stats, n, params):
+    """Complete-data log likelihood of the mh model at fixed Beta shapes, as the kernel builds it.
+
+    log N!/(N - M)! - log M! plus ``MhMarginalKernel._log_data`` at
+    (params.a, params.b) with N - M animals never caught; -inf below M. The
+    Gamma priors given to the kernel do not enter its data factor.
+    """
+    m = stats.m_k1
+    log_data = MhMarginalKernel(stats, GammaPriors(1.0, 1.0))._log_data
+    return _on_support(n, m, lambda safe: (
+        log_falling(safe, m) - gammaln(m + 1) + log_data(params.a, params.b, safe - m)
+    ))
+
+
+def beta_binomial_log_pmf(j, k: int, params):
+    """Log mass at j captures out of k occasions with a Beta-mixed rate."""
+    j = np.asarray(j, dtype=float)
+    a, b = params.a, params.b
+    return (
+        gammaln(k + 1)
+        - gammaln(j + 1)
+        - gammaln(k - j + 1)
+        + betaln(a + j, b + k - j)
+        - betaln(a, b)
+    )
+
+
+def mh_summary_log_prob(f_j, m_k1: int, n, k: int, params):
+    """Log likelihood of the capture-frequency summary under Beta-mixed detection.
+
+    Models the counts (N - M, f_1, ..., f_K) of animals caught 0, 1, ..., K
+    times as a multinomial with beta-binomial cell probabilities; the zero
+    cell, raised to the power N - M, comes from ``mh_log_zero_cell``. Up to
+    a factor constant in N this matches :func:`mh_complete_log_lik`.
+    """
+    freqs = np.asarray(f_j, dtype=int)
+    if freqs.ndim != 1 or freqs.size != k or (freqs < 0).any():
+        raise ValueError("f_j must have one nonnegative count per occasion")
+    if int(freqs.sum()) != m_k1:
+        raise ValueError("f_j must sum to the number of observed animals")
+    log_zero_cell = float(mh_log_zero_cell(params.a, params.b, k))
+    log_seen = float(freqs @ beta_binomial_log_pmf(np.arange(1, k + 1), k, params))
+    return _on_support(n, m_k1, lambda safe: (
+        log_falling(safe, m_k1) - gammaln(freqs + 1).sum() + (safe - m_k1) * log_zero_cell + log_seen
+    ))
 
 
 def mc_mh_marginal_log_kernel(stats, n_val: int, a: float, b: float, c: float, draws: int, seed: int):

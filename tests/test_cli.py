@@ -190,6 +190,11 @@ USAGE_ERRORS = {  # argv without --out, and the one line written to stderr
         ["simulate", "--model", "mh", "--n", "10", "--k", "2", "--seed", "1"],
         "simulate --model mh needs --alpha and --beta",
     ),
+    "simulate-empty-csv": (
+        ["simulate", "--model", "m0", "--n", "5", "--p", "0", "--k", "3", "--seed", "1", "--format", "csv"],
+        "cannot store a history with no rows as CSV: its occasion count K = 3 would be lost; "
+        "use JSON, which keeps K",
+    ),
     "check-propriety-without-model": (
         ["check-propriety"],
         "check-propriety needs --model or --synthetic-exponent",
@@ -205,6 +210,10 @@ USAGE_ERRORS = {  # argv without --out, and the one line written to stderr
     "da-sweep-bad-m-list": (
         ["da-sweep", "--data", "{data}", "--m", "10,x"],
         "bad --m list: invalid literal for int() with base 10: 'x'",
+    ),
+    "da-sweep-empty-m-list": (
+        ["da-sweep", "--data", "{data}", "--m", ","],
+        "need at least two distinct augmented sizes to sweep",
     ),
     "da-sweep-one-draw": (
         ["da-sweep", "--data", "{data}", "--m", "200,400", "--iters", "101", "--burnin", "100"],

@@ -158,6 +158,14 @@ def test_round_trip_empty_dataset_json(tmp_path):
     assert load_history(path) == history
 
 
+def test_store_refuses_empty_dataset_as_csv(tmp_path):
+    # a CSV without rows cannot say how many occasions there were
+    path = tmp_path / "empty.csv"
+    with pytest.raises(ValueError, match="no rows as CSV.*K = 3.*JSON"):
+        store_history(CaptureHistory(k=3, rows=()), path)
+    assert not path.exists()
+
+
 def test_cross_format_stats_agree(tmp_path):
     history = simulate_m0(80, 0.4, 4, seed=2)
     store_history(history, tmp_path / "d.json")

@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from crbayes.data import CaptureHistory, SufficientStats, simulate_mh, summarize
-from crbayes.likelihoods import (
-    BetaParams,
+from crbayes.likelihoods import BetaParams, kahn_log_prob, york_madigan_log_kernel
+from crbayes.posterior import GammaPriors, MhMarginalKernel, m0_marginal_log_kernel
+
+from oracles import (
     NoFiniteMLEError,
-    kahn_log_prob,
+    enumerate_kahn_log_prob,
+    enumerate_m0_log_prob,
     m0_log_prob,
     m0_profile_log_lik,
     m0_profile_mle,
-    mh_integrated_log_prob,
+    mh_complete_log_lik,
     mh_summary_log_prob,
-    york_madigan_log_kernel,
+    quad_mh_complete_log_lik,
 )
-from crbayes.posterior import GammaPriors, MhMarginalKernel, m0_marginal_log_kernel
-
-from oracles import enumerate_kahn_log_prob, enumerate_m0_log_prob, quad_mh_integrated_log_prob
 
 TWO_ANIMALS = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))
 THREE_ANIMALS = summarize(CaptureHistory(k=3, rows=((1, 0, 0), (1, 1, 0), (0, 1, 1))))
@@ -116,14 +116,14 @@ class TestProfileMLE:
 class TestMhIntegrated:
     def test_one_seen_one_missed_uniform_mixing(self):
         stats = stats_from(1, 1, 1, [1], [1])
-        value = mh_integrated_log_prob(stats, 2, BetaParams(1.0, 1.0))
+        value = mh_complete_log_lik(stats, 2, BetaParams(1.0, 1.0))
         assert value == pytest.approx(math.log(0.5), rel=1e-12)
 
     def test_nothing_observed_reduces_to_zero_cell_power(self):
         stats = stats_from(0, 2, 0, [0, 0], [0, 0])
         params = BetaParams(2.0, 3.0)
         zero_cell = (3.0 / 5.0) * (4.0 / 6.0)  # prod (beta+j)/(alpha+beta+j), K=2
-        assert mh_integrated_log_prob(stats, 4, params) == pytest.approx(
+        assert mh_complete_log_lik(stats, 4, params) == pytest.approx(
             4 * math.log(zero_cell)
         )
 
@@ -139,8 +139,8 @@ class TestMhIntegrated:
         stats = summarize(history)
         params = BetaParams(alpha, beta)
         for n_val in (3, 5, 12):
-            expected = quad_mh_integrated_log_prob(stats, n_val, alpha, beta)
-            assert mh_integrated_log_prob(stats, n_val, params) == pytest.approx(
+            expected = quad_mh_complete_log_lik(stats, n_val, alpha, beta)
+            assert mh_complete_log_lik(stats, n_val, params) == pytest.approx(
                 expected, rel=1e-10
             )
 
@@ -159,7 +159,7 @@ class TestMhIntegrated:
         den = math.prod(range(a + b, a + b + k))
         want = d * (math.log(num) - math.log(den))
         kernels = {
-            "integrated": lambda n: mh_integrated_log_prob(stats, n, params),
+            "integrated": lambda n: mh_complete_log_lik(stats, n, params),
             "summary": lambda n: mh_summary_log_prob(stats.f_j, m, n, k, params),
         }
         for name, kernel in kernels.items():
@@ -194,7 +194,7 @@ class TestMhSummary:
         params = BetaParams(1.5, 2.5)
         grid = np.arange(stats.m_k1, 200, dtype=float)
         via_summary = mh_summary_log_prob(stats.f_j, stats.m_k1, grid, stats.k, params)
-        via_integrated = mh_integrated_log_prob(stats, grid, params)
+        via_integrated = mh_complete_log_lik(stats, grid, params)
         diff = via_summary - via_integrated
         assert np.ptp(diff) < 1e-9
 
@@ -232,7 +232,7 @@ class TestYorkMadigan:
     "kernel",
     [
         lambda n: m0_log_prob(TWO_ANIMALS, n, 0.4),
-        lambda n: mh_integrated_log_prob(TWO_ANIMALS, n, BetaParams(1.0, 2.0)),
+        lambda n: mh_complete_log_lik(TWO_ANIMALS, n, BetaParams(1.0, 2.0)),
         lambda n: york_madigan_log_kernel(n, 3, 4, 0.5),
     ],
 )
@@ -250,7 +250,7 @@ def test_kernels_finite_then_eventually_decreasing(kernel):
         (lambda n: m0_log_prob(THREE_ANIMALS, n, 0.4), 3),
         (lambda n: m0_profile_log_lik(THREE_ANIMALS, n), 3),
         (lambda n: m0_profile_log_lik(stats_from(0, 2, 0, [0, 0], [0, 0]), n), 1),
-        (lambda n: mh_integrated_log_prob(THREE_ANIMALS, n, BetaParams(1.0, 2.0)), 3),
+        (lambda n: mh_complete_log_lik(THREE_ANIMALS, n, BetaParams(1.0, 2.0)), 3),
         (lambda n: mh_summary_log_prob(THREE_ANIMALS.f_j, 3, n, 3, BetaParams(1.0, 2.0)), 3),
         (lambda n: york_madigan_log_kernel(n, 4, 3, 0.5), 4),
         (lambda n: m0_marginal_log_kernel(n, THREE_ANIMALS, BetaParams(1.0, 1.0)), 3),

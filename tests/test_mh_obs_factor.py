@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from crbayes.data import CaptureHistory, simulate_mh, summarize
-from crbayes.likelihoods import (
-    BetaParams,
-    log_falling,
-    mh_integrated_log_prob,
-    mh_log_obs_factor,
-    mh_summary_log_prob,
-)
+from crbayes.likelihoods import BetaParams, log_falling, mh_log_obs_factor
 from crbayes.posterior import GammaPriors, MhMarginalKernel
 
-from oracles import per_animal_counts, per_animal_log_obs, per_animal_mh_integrated_log_prob
+from oracles import (
+    mh_complete_log_lik,
+    mh_summary_log_prob,
+    per_animal_counts,
+    per_animal_log_obs,
+    per_animal_mh_complete_log_lik,
+)
 
 
 @st.composite
@@ -65,8 +65,8 @@ def test_grouped_factor_matches_per_animal_oracle(history, alpha, beta):
 def test_integrated_likelihood_matches_per_animal_oracle(history, alpha, beta, excess):
     stats = summarize(history)
     n_val = stats.m_k1 + excess
-    want = per_animal_mh_integrated_log_prob(stats, n_val, alpha, beta)
-    got = mh_integrated_log_prob(stats, n_val, BetaParams(alpha, beta))
+    want = per_animal_mh_complete_log_lik(stats, n_val, alpha, beta)
+    got = mh_complete_log_lik(stats, n_val, BetaParams(alpha, beta))
     assert_agrees(got, want, (n_val + 1) * log_gamma_scale(alpha, beta, stats.k))
 
 
@@ -77,7 +77,7 @@ def test_summary_and_integrated_forms_differ_by_a_constant_in_n(history, alpha, 
     m, k = stats.m_k1, stats.k
     params = BetaParams(alpha, beta)
     grid = m + np.array([0.0, 1.0, 7.0, 20.0, 50.0])
-    diff = mh_summary_log_prob(stats.f_j, m, grid, k, params) - mh_integrated_log_prob(
+    diff = mh_summary_log_prob(stats.f_j, m, grid, k, params) - mh_complete_log_lik(
         stats, grid, params
     )
     # the two forms round their zero-cell factors differently, once per unit of N - M

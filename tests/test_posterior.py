@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betaln
 
 from crbayes.data import CaptureHistory, SufficientStats, simulate_m0, simulate_mh, summarize
 from crbayes.likelihoods import BetaParams
@@ -14,7 +15,6 @@ from crbayes.posterior import (
     GammaPriors,
     MhMarginalKernel,
     QuadratureConvergenceError,
-    log_beta_expectation,
     m0_marginal_log_kernel,
     posterior_table,
 )
@@ -22,7 +22,6 @@ from crbayes.propriety import propriety_report
 
 from oracles import (
     box_mh_marginal_log_kernel,
-    mc_beta_expectation,
     mc_mh_marginal_log_kernel,
     mh_log_integrand,
     per_n_centred_hermite_log_expectation,
@@ -63,28 +62,6 @@ def test_m0_marginal_below_support():
     assert m0_marginal_log_kernel(1, TWO_ANIMALS, BetaParams(1.0, 1.0)) == -np.inf
 
 
-class TestBetaExpectation:
-    def test_mean_of_uniform(self):
-        assert math.exp(log_beta_expectation(1, 0, 1.0, 1.0)) == pytest.approx(0.5)
-        assert math.exp(log_beta_expectation(1, 1, 1.0, 1.0)) == pytest.approx(0.5)
-
-    def test_matches_monte_carlo(self):
-        est, se = mc_beta_expectation(100, 5, 2.0, 3.0, draws=10**7, seed=404)
-        exact = math.exp(log_beta_expectation(100, 5, 2.0, 3.0))
-        assert abs(exact - est) <= 3.0 * se
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            log_beta_expectation(5, 0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            log_beta_expectation(2, 3, 1.0, 1.0)
-
-    @pytest.mark.parametrize("shapes", [(math.nan, 1.0), (1.0, math.nan)])
-    def test_rejects_nan_shape(self, shapes):
-        with pytest.raises(ValueError, match="positive"):
-            log_beta_expectation(5, 0, *shapes)
-
-
 class TestMhMarginal:
     @pytest.mark.parametrize("shapes", [(1.5, 2.0), (0.5, 1.0), (3.0, 1.0), (2.5, 3.0)])
     def test_empty_dataset_single_occasion_closed_form(self, shapes):
@@ -94,7 +71,7 @@ class TestMhMarginal:
         kern = MhMarginalKernel(EMPTY_K1, GammaPriors(a, b, 1.0), rtol=1e-5)
         for n_val in (0, 1, 5, 100, 10_000, 10**6):
             got = kern.log_kernel(float(n_val))
-            expected = log_beta_expectation(n_val, 0, a, b)
+            expected = betaln(a, b + n_val) - betaln(a, b)  # log E[(1 - X)^N]
             assert got == pytest.approx(expected, abs=1e-7)
 
     def test_observed_animals_single_occasion_closed_form(self):
@@ -103,7 +80,8 @@ class TestMhMarginal:
         comb = {2: 1.0, 3: 3.0, 12: 66.0}  # C(N, 2)
         for n_val, c in comb.items():
             got = kern.log_kernel(n_val)
-            expected = math.log(c) + log_beta_expectation(n_val, 2, 1.5, 2.0)
+            # log E[X^2 (1 - X)^(N - 2)] for X ~ Beta(1.5, 2)
+            expected = math.log(c) + betaln(1.5 + 2, 2.0 + n_val - 2) - betaln(1.5, 2.0)
             assert got == pytest.approx(expected, abs=1e-8)
 
     def test_all_observed_has_no_zero_cell(self):

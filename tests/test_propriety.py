@@ -16,7 +16,6 @@ from crbayes.propriety import (
     ProprietyReport,
     TailFitError,
     fit_tail_exponent,
-    gamma_ratio_asymptotic_check,
     local_exponent,
     m0_propriety_condition,
     mh_propriety_condition,
@@ -106,10 +105,7 @@ class TestConditions:
         lambda: m0_propriety_condition(synthetic_stats(2, 2, 0), math.nan, "uniform"),
         lambda: mh_propriety_condition(math.nan, "uniform"),
         lambda: ym_propriety_condition(6, math.nan, "uniform"),
-        lambda: gamma_ratio_asymptotic_check(math.nan, 1.0, 1.0),
-        lambda: gamma_ratio_asymptotic_check(10.0, math.nan, 1.0),
-        lambda: gamma_ratio_asymptotic_check(10.0, 1.0, math.nan),
-    ], ids=["m0-a", "mh-a", "ym-delta", "gamma-ratio-x", "gamma-ratio-a", "gamma-ratio-b"])
+    ], ids=["m0-a", "mh-a", "ym-delta"])
     def test_rejects_nan(self, call):
         with pytest.raises(ValueError):
             call()
@@ -165,27 +161,6 @@ class TestFitTailExponent:
             fit_tail_exponent(flat, 10.0, 1000.0, points=5)
         with pytest.raises(TailFitError):
             fit_tail_exponent(lambda n: np.full_like(n, -np.inf), 10.0, 1000.0)
-
-
-class TestGammaRatio:
-    def test_single_recurrence_step_matches_recurrence(self):
-        # x^1 Gamma(x+b)/Gamma(x+1+b) = x/(x+b); double-precision log-gamma
-        # differences limit the agreement to ~1e-6 relative at large x
-        for x in (3.0, 10.0, 1e4):
-            for b in (0.5, 1.3, 4.0):
-                assert gamma_ratio_asymptotic_check(x, 1.0, b) == pytest.approx(
-                    b / (x + b), rel=1e-5
-                )
-
-    def test_deep_asymptotic_regime(self):
-        assert gamma_ratio_asymptotic_check(1e6, 2.5, 1.3) < 1e-3
-
-    def test_zero_exponent_identity(self):
-        assert gamma_ratio_asymptotic_check(10.0, 0.0, 2.0) == 0.0
-
-    def test_deviation_shrinks_with_x(self):
-        devs = [gamma_ratio_asymptotic_check(x, 2.0, 3.0) for x in (1e2, 1e4, 1e6)]
-        assert devs[0] > devs[1] > devs[2]
 
 
 class TestProprietyReport:
