@@ -366,6 +366,14 @@ def mh_summary_log_prob(f_j, m_k1: int, n, k: int, params):
     ))
 
 
+def mc_beta_expectation(n_val: int, m_k1: int, a: float, b: float, draws: int, seed: int):
+    """Monte Carlo estimate and standard error of E[(1-X)^(N-M) X^M], X ~ Beta(a, b)."""
+    rng = np.random.default_rng(seed)
+    x = rng.beta(a, b, size=draws)
+    vals = (1.0 - x) ** (n_val - m_k1) * x**m_k1
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(draws))
+
+
 def mc_mh_marginal_log_kernel(stats, n_val: int, a: float, b: float, c: float, draws: int, seed: int):
     """Monte Carlo estimate of the heterogeneous kernel and its standard error.
 

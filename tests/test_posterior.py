@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betaln
+from scipy.special import betaln, gammaln
 
 from crbayes.data import CaptureHistory, SufficientStats, simulate_m0, simulate_mh, summarize
-from crbayes.likelihoods import BetaParams
+from crbayes.likelihoods import BetaParams, log_falling
 from crbayes.posterior import (
     GammaPriors,
     MhMarginalKernel,
@@ -22,6 +22,7 @@ from crbayes.propriety import propriety_report
 
 from oracles import (
     box_mh_marginal_log_kernel,
+    mc_beta_expectation,
     mc_mh_marginal_log_kernel,
     mh_log_integrand,
     per_n_centred_hermite_log_expectation,
@@ -60,6 +61,44 @@ def test_m0_marginal_tail_ratio_matches_exponent():
 
 def test_m0_marginal_below_support():
     assert m0_marginal_log_kernel(1, TWO_ANIMALS, BetaParams(1.0, 1.0)) == -np.inf
+
+
+def one_occasion_stats(m: int) -> SufficientStats:
+    """M animals, each caught on the single occasion."""
+    return SufficientStats(m, 1, m, (m,), (m,))
+
+
+def one_occasion_beta_moment(n, m: int, a: float, b: float):
+    """log E[(1-X)^(N-M) X^M] for X ~ Beta(a, b), read off the m0 kernel.
+
+    With one occasion the kernel is log N!/(N-M)! + log Gamma(N-M+b)
+    - log Gamma(N+a+b); dropping the falling factorial and adding the N-free
+    log Gamma(M+a) - log B(a, b) leaves the Beta moment.
+    """
+    kernel = m0_marginal_log_kernel(n, one_occasion_stats(m), BetaParams(a, b))
+    return kernel - log_falling(n, m) + gammaln(m + a) - betaln(a, b)
+
+
+class TestBetaExpectation:
+    def test_mean_of_uniform(self):
+        assert math.exp(one_occasion_beta_moment(1, 0, 1.0, 1.0)) == pytest.approx(0.5)
+        assert math.exp(one_occasion_beta_moment(1, 1, 1.0, 1.0)) == pytest.approx(0.5)
+
+    def test_matches_monte_carlo(self):
+        est, se = mc_beta_expectation(100, 5, 2.0, 3.0, draws=10**7, seed=404)
+        exact = math.exp(one_occasion_beta_moment(100, 5, 2.0, 3.0))
+        assert abs(exact - est) <= 3.0 * se
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            one_occasion_beta_moment(5, 0, -1.0, 1.0)
+        # below N = M the kernel carries no mass
+        assert m0_marginal_log_kernel(2, one_occasion_stats(3), BetaParams(1.0, 1.0)) == -np.inf
+
+    @pytest.mark.parametrize("shapes", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_nan_shape(self, shapes):
+        with pytest.raises(ValueError, match="positive"):
+            one_occasion_beta_moment(5, 0, *shapes)
 
 
 class TestMhMarginal:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crbayes.data import CaptureHistory, summarize
+from crbayes.data import CaptureHistory, SufficientStats, summarize
 from crbayes.likelihoods import BetaParams, york_madigan_log_kernel
 from crbayes.posterior import GammaPriors, MhMarginalKernel, QuadratureConvergenceError, m0_marginal_log_kernel
 from crbayes.propriety import (
@@ -161,6 +161,34 @@ class TestFitTailExponent:
             fit_tail_exponent(flat, 10.0, 1000.0, points=5)
         with pytest.raises(TailFitError):
             fit_tail_exponent(lambda n: np.full_like(n, -np.inf), 10.0, 1000.0)
+
+
+def m0_tail_ratio_deviation(x: float, a: float, b: float) -> float:
+    """|x^a Gamma(x+b) / Gamma(x+a+b) - 1|, read off the m0 kernel.
+
+    With no animals and one occasion the kernel is log Gamma(N+b)
+    - log Gamma(N+a+b), and this ratio tending to 1 is why it decays like
+    N^-a, the exponent the m0 propriety condition compares with 1.
+    """
+    empty = SufficientStats(0, 1, 0, (0,), (0,))
+    kernel = m0_marginal_log_kernel(x, empty, BetaParams(a, b))
+    return float(abs(np.expm1(a * np.log(x) + kernel)))
+
+
+class TestGammaRatio:
+    def test_single_recurrence_step_matches_recurrence(self):
+        # x^1 Gamma(x+b)/Gamma(x+1+b) = x/(x+b); double-precision log-gamma
+        # differences limit the agreement to ~1e-6 relative at large x
+        for x in (3.0, 10.0, 1e4):
+            for b in (0.5, 1.3, 4.0):
+                assert m0_tail_ratio_deviation(x, 1.0, b) == pytest.approx(b / (x + b), rel=1e-5)
+
+    def test_deep_asymptotic_regime(self):
+        assert m0_tail_ratio_deviation(1e6, 2.5, 1.3) < 1e-3
+
+    def test_deviation_shrinks_with_x(self):
+        devs = [m0_tail_ratio_deviation(x, 2.0, 3.0) for x in (1e2, 1e4, 1e6)]
+        assert devs[0] > devs[1] > devs[2]
 
 
 class TestProprietyReport:
