@@ -10,7 +10,6 @@ chain for increasing M: when the underlying posterior is improper the mean
 of N keeps climbing with M, which is the diagnostic this module exists for.
 """
 
-from array import array
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -19,8 +18,13 @@ import numpy as np
 from .data import CaptureHistory, summarize, write_csv, write_json
 from .likelihoods import BetaParams
 
-# triples drawn at a state's first visit; each refill of that state doubles it
+# the first visit to a state fills the aligned chunk of this many consecutive
+# states, _FIRST_BLOCK triples each; a later refill doubles the state's last block
+_CHUNK = 64
 _FIRST_BLOCK = 16
+# the walk drops its unconsumed triples after each segment of this many
+# iterations, so that its memory does not grow with the run's length
+_SEGMENT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,8 @@ class DaConfig:
             raise ValueError("need iters > burnin >= 0")
         if self.thin < 1:
             raise ValueError("thin must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.kept < 2:
             raise ValueError(
                 f"iters {self.iters}, burnin {self.burnin} and thin {self.thin} keep {self.kept} draw(s); "
@@ -113,16 +119,28 @@ def da_gibbs(data: CaptureHistory, config: DaConfig) -> DaChains:
     Given that state, one iteration's triple (p, psi, extra') has a fixed
     joint law: p and psi from their conditionals at N = M_obs + extra, then
     extra' ~ Binomial(M - M_obs, psi (1-p)^K / (psi (1-p)^K + 1 - psi)). So
-    the triples are drawn ahead, per state, in vectorized blocks: a state
-    whose block is empty gets a fresh one, ``_FIRST_BLOCK`` triples at its
-    first visit and twice the previous block's size at each later refill.
-    Each visit consumes one triple, none is reused, and the entries of a
-    block are i.i.d. and independent of the chain's past, so the chain has
-    exactly the one-draw-at-a-time Gibbs transition kernel and stationary
-    law; only the use of the random stream differs. A state visited v times
-    draws at most 2v + 14 triples, so a run draws at most
-    2 iters + 16 (distinct states) triples, and leaves fewer than
-    iters + 16 (distinct states) of them unused.
+    the triples are drawn ahead into flat pools of (extra', psi, p), where
+    each state keeps a pointer to and the end of its current block. The walk
+    only records the id of each triple it consumes and moves to that triple's
+    next state; after each segment of ``_SEGMENT`` iterations, one fancy
+    index over the segment's retained ids gathers N, psi and p. The first
+    visit to any state fills the aligned chunk of ``_CHUNK`` consecutive
+    states around it, ``_FIRST_BLOCK`` triples each, in one vectorized draw.
+    A state whose block is used up gets a fresh one, twice the size of its
+    last, drawn for it alone. Each visit consumes one triple, none is reused,
+    and the triples of a state are i.i.d. from its law and independent of the
+    chain's past. So the chain has exactly the one-draw-at-a-time Gibbs
+    transition kernel and stationary law; only the use of the random stream
+    differs. The same holds when a segment ends and the walk drops every
+    unconsumed triple and starts the next segment with empty pools: those
+    triples never moved the chain.
+
+    Within a segment of S iterations, a state visited v > 0 times draws at
+    most 2v + 14 triples, and every other state of a filled chunk draws 16.
+    A segment thus draws at most 2 S + 16 min(M - M_obs + 1, 64 S) triples,
+    the size of the pools, of which only the written pages take memory, and
+    the two pointer lists take 16 bytes per augmented row. Memory does not
+    grow with ``iters`` beyond the retained draws.
     """
     stats = summarize(data)
     m_k1, k, n_dot = stats.m_k1, stats.k, stats.n_dot
@@ -133,43 +151,77 @@ def da_gibbs(data: CaptureHistory, config: DaConfig) -> DaChains:
     a_p, b_p = config.p_prior.a, config.p_prior.b
     a_psi, b_psi = config.psi_prior
 
-    def draw_block(extra: int, size: int) -> array:
-        """``size`` triples for state ``extra``, laid out so that popping from
-        the end gives p, then psi, then the next state (exact as a float)."""
-        members = m_k1 + extra
+    segment = min(config.iters, _SEGMENT)
+    # the bound on triples one segment draws (see above) sizes the pools
+    capacity = 2 * segment + _FIRST_BLOCK * min(n_free + 1, _CHUNK * segment)
+    nxt_pool, psi_pool, p_pool = np.empty(capacity, dtype=np.int64), np.empty(capacity), np.empty(capacity)
+    # memoryviews read and store Python ints, faster than an ndarray handles
+    # its numpy scalars; the walk reads nxt and stores through record
+    nxt = memoryview(nxt_pool)
+    # state s owns the unconsumed triples ptr[s] <= id < end[s]; end[s] = 0 until its chunk is filled
+    ptr, end = [0] * (n_free + 1), [0] * (n_free + 1)
+    block_size: dict[int, int] = {}
+    top = 0
+
+    def draw(members, size=None) -> int:
+        """Fill the next free pool slots with triples drawn at N = ``members``
+        (an array gives one per entry, a scalar ``size`` of them); return the first id."""
+        nonlocal top
         p = rng.beta(a_p + n_dot, b_p + k * members - n_dot, size)
         psi = rng.beta(a_psi + members, b_psi + config.m - members, size)
         w = psi * (1.0 - p) ** k
         denom = w + (1.0 - psi)
         # w / denom cannot round above 1; denom is 0 only when psi = 1 and
         # p = 1, and membership is then forced by the prior
-        prob = w / denom if denom.all() else np.divide(w, denom, out=np.ones(size), where=denom > 0.0)
-        nxt = rng.binomial(n_free, prob)
-        return array("d", np.stack((nxt, psi, p), axis=1).tobytes())
+        prob = w / denom if denom.all() else np.divide(w, denom, out=np.ones(w.shape), where=denom > 0.0)
+        first, top = top, top + p.size
+        nxt_pool[first:top] = rng.binomial(n_free, prob)
+        psi_pool[first:top] = psi
+        p_pool[first:top] = p
+        return first
 
+    def refill(extra: int) -> int:
+        """Give state ``extra`` a fresh block and return its first id."""
+        if end[extra] == 0:
+            lo = extra - extra % _CHUNK
+            hi = min(lo + _CHUNK, n_free + 1)
+            first = draw(m_k1 + np.repeat(np.arange(lo, hi), _FIRST_BLOCK))
+            ptr[lo:hi] = range(first, first + (hi - lo) * _FIRST_BLOCK, _FIRST_BLOCK)
+            end[lo:hi] = range(first + _FIRST_BLOCK, first + (hi - lo + 1) * _FIRST_BLOCK, _FIRST_BLOCK)
+            return ptr[extra]
+        # one state's block, twice its last (a chunk fill's is _FIRST_BLOCK),
+        # at scalar shapes: array-shaped ones cost more for one state than they save
+        size = block_size[extra] = 2 * block_size.get(extra, _FIRST_BLOCK)
+        first = draw(m_k1 + extra, size)
+        end[extra] = first + size
+        return first
+
+    out_n, out_psi, out_p = np.empty(config.kept, dtype=np.int64), np.empty(config.kept), np.empty(config.kept)
+    done = 0
     # overdispersed start: fair-coin membership for the augmented rows
     extra = int(rng.binomial(n_free, 0.5))
-    blocks: dict[int, array] = {}
-    next_size: dict[int, int] = {}
-    out_n, out_psi, out_p = np.empty(config.kept, dtype=np.int64), np.empty(config.kept), np.empty(config.kept)
-    # a memoryview stores a Python scalar about twice as fast as an ndarray does
-    n_view, psi_view, p_view = memoryview(out_n), memoryview(out_psi), memoryview(out_p)
-    idx = 0
-    burnin, thin = config.burnin, config.thin
-    for it in range(config.iters):
-        block = blocks.get(extra)
-        if not block:
-            size = next_size.get(extra, _FIRST_BLOCK)
-            next_size[extra] = 2 * size
-            block = blocks[extra] = draw_block(extra, size)
-        p = block.pop()
-        psi = block.pop()
-        extra = int(block.pop())
-        if it >= burnin and (it - burnin) % thin == 0:
-            n_view[idx] = m_k1 + extra
-            psi_view[idx] = psi
-            p_view[idx] = p
-            idx += 1
+    ids = np.empty(segment, dtype=np.int64)
+    record = memoryview(ids)
+    for base in range(0, config.iters, segment):
+        for it in range(min(segment, config.iters - base)):
+            i = ptr[extra]
+            if i == end[extra]:
+                i = refill(extra)
+            ptr[extra] = i + 1
+            record[it] = i
+            extra = nxt[i]
+        # retained iterations are burnin, burnin + thin, ...; the first of
+        # them at or past base sits this far into the segment
+        skip = config.burnin - base
+        kept = ids[max(skip, skip % config.thin) : it + 1 : config.thin]
+        out_n[done : done + kept.size] = nxt_pool[kept]
+        out_psi[done : done + kept.size] = psi_pool[kept]
+        out_p[done : done + kept.size] = p_pool[kept]
+        done += kept.size
+        top = 0
+        ptr[:] = end[:] = [0] * (n_free + 1)
+        block_size.clear()
+    out_n += m_k1
     return DaChains(n=out_n, psi=out_psi, p=out_p)
 
 

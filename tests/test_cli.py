@@ -219,6 +219,10 @@ USAGE_ERRORS = {  # argv without --out, and the one line written to stderr
         ["da-sweep", "--data", "{data}", "--m", "200,400", "--iters", "101", "--burnin", "100"],
         "iters 101, burnin 100 and thin 1 keep 1 draw(s); a chain's sd needs at least 2",
     ),
+    "da-sweep-negative-seed": (
+        ["da-sweep", "--data", "{data}", "--m", "200,400", "--seed", "-1"],
+        "seed must be a nonnegative integer, got -1",
+    ),
     "da-sweep-thinned-to-one-draw": (
         ["da-sweep", "--data", "{data}", "--m", "200,400", "--iters", "2000", "--burnin", "200",
          "--thin", "1800"],

@@ -6,6 +6,7 @@ from scipy.stats import beta as beta_rv
 from scipy.stats import kstest
 
 from crbayes.data import CaptureHistory, simulate_m0, summarize
+from crbayes import gibbs
 from crbayes.gibbs import DaConfig, da_gibbs, effective_sample_size, m_sweep
 from crbayes.likelihoods import BetaParams
 from crbayes.posterior import m0_marginal_log_kernel, posterior_table
@@ -116,6 +117,106 @@ def test_chains_reproducible_per_seed():
     assert (da_gibbs(history, cfg).n == da_gibbs(history, cfg).n).all()
 
 
+@pytest.mark.parametrize("thin", [1, 3])
+@pytest.mark.parametrize("free_rows", [0, 1, 63, 64, 65, 200, 5000])
+def test_chain_layout_across_chunk_edges(free_rows, thin):
+    # the first visit to a state fills 64 consecutive states at once: sizes at
+    # and around one chunk, several chunks on data that spreads over them, and
+    # a support wider than the run, where most of each chunk goes unused
+    history = no_recapture_history()
+    m_obs = history.n_observed
+    cfg = DaConfig(m=m_obs + free_rows, iters=3000, burnin=100, thin=thin, seed=free_rows + thin)
+    chains = da_gibbs(history, cfg)
+    for name, dtype in (("n", np.int64), ("psi", np.float64), ("p", np.float64)):
+        draws = getattr(chains, name)
+        assert draws.dtype == dtype and draws.shape == (cfg.kept,), name
+    assert m_obs <= chains.n.min() and chains.n.max() <= cfg.m
+    assert ((0.0 <= chains.psi) & (chains.psi <= 1.0) & (0.0 <= chains.p) & (chains.p <= 1.0)).all()
+    again = da_gibbs(history, cfg)
+    for name in ("n", "psi", "p"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(chains, name), err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "history, m_aug, iters, seed",
+    [
+        (simulate_m0(100, 0.3, 5, seed=7), 400, 60_000, 31),
+        (no_recapture_history(), 200, 200_000, 32),
+    ],
+    ids=["informative", "no-recapture"],
+)
+def test_detection_and_inclusion_draws_match_exact_posterior_means(history, m_aug, iters, seed):
+    # given N, E[p] = (a_p + n.) / (a_p + b_p + K N) and E[psi] = (a_psi + N) / (a_psi + b_psi + M);
+    # averaged over the exact N-marginal they are the posterior means, which
+    # swapped pools would miss
+    stats = summarize(history)
+    mass = da_posterior_mass(stats, m_aug, (1.0, 1.0), (1.0, 1.0))
+    n = np.arange(stats.m_k1, m_aug + 1)
+    chains = da_gibbs(history, DaConfig(m=m_aug, iters=iters, burnin=iters // 10, seed=seed))
+    targets = {
+        "p": mass @ ((1.0 + stats.n_dot) / (2.0 + stats.k * n)),
+        "psi": mass @ ((1.0 + n) / (2.0 + m_aug)),
+    }
+    for name, target in targets.items():
+        draws = getattr(chains, name)
+        se = draws.std(ddof=1) / np.sqrt(effective_sample_size(draws))
+        assert abs(draws.mean() - target) <= 4.0 * se, (name, draws.mean(), target, se)
+
+
+@pytest.mark.parametrize(
+    "history, m_aug, iters",
+    [
+        (simulate_m0(100, 0.3, 5, seed=7), 400, 3_000),
+        (simulate_m0(400, 0.01, 5, seed=3), 1600, 20_000),
+        (simulate_m0(400, 0.01, 5, seed=3), 20_000, 10_000),
+    ],
+    ids=["informative", "no-recapture-chunked", "no-recapture-wider-than-run"],
+)
+def test_each_draw_follows_the_conditionals_at_the_state_before_it(history, m_aug, iters):
+    # Short chains over many states take most draws from first fills.
+    chains = da_gibbs(history, DaConfig(m=m_aug, iters=iters, burnin=100, seed=5))
+    assert_draws_follow_conditionals(history, m_aug, chains)
+
+
+@pytest.mark.parametrize("segment", [5, 64, 500])
+def test_chain_crosses_segment_edges(monkeypatch, segment):
+    # each segment ends by dropping every unconsumed triple; short segments
+    # refill chunks and restart pointers often. Burn-in and thinning only
+    # pick which of the walk's draws are kept, so a thinned run keeps exactly
+    # every third draw of the full run from the same seed, and the full run
+    # still follows the conditionals at the state before each draw
+    monkeypatch.setattr(gibbs, "_SEGMENT", segment)
+    history = no_recapture_history()
+    full = da_gibbs(history, DaConfig(m=200, iters=8000, burnin=0, seed=segment))
+    thinned = da_gibbs(history, DaConfig(m=200, iters=8000, burnin=10, thin=3, seed=segment))
+    for name in ("n", "psi", "p"):
+        np.testing.assert_array_equal(getattr(thinned, name), getattr(full, name)[10::3], err_msg=name)
+    assert_draws_follow_conditionals(history, 200, full)
+
+
+def assert_draws_follow_conditionals(history, m_aug, chains):
+    # psi_t and p_t are drawn at N_{t-1}, and N_t - M_obs ~ Binomial(M - M_obs, pi_t)
+    # with pi = psi (1-p)^K / (psi (1-p)^K + 1 - psi) at them. Each residual
+    # below has mean 0 given the chain's past, however slowly the chain mixes,
+    # so plain standard errors hold. A block drawn at the wrong state, or an
+    # N gathered from another triple than its psi and p, moves one of them.
+    stats = summarize(history)
+    prev, n, psi, p = chains.n[:-1], chains.n[1:], chains.psi[1:], chains.p[1:]
+    w = psi * (1.0 - p) ** stats.k
+    pi = w / (w + 1.0 - psi)
+    free = m_aug - stats.m_k1
+    count = n - stats.m_k1 - free * pi
+    residuals = {
+        "p": p - (1.0 + stats.n_dot) / (2.0 + stats.k * prev),
+        "psi": psi - (1.0 + prev) / (2.0 + m_aug),
+        "N mean": count,
+        "N variance": count**2 - free * pi * (1.0 - pi),
+    }
+    for name, r in residuals.items():
+        se = r.std(ddof=1) / np.sqrt(r.size)
+        assert abs(r.mean()) <= 4.0 * se, (name, r.mean(), se)
+
+
 def test_fixed_psi_gives_exact_conjugate_detection_chain():
     # with M equal to the observed count there are no augmented rows, every
     # row is a member, and the p-draws are iid Beta(a_p + n., b_p + K M - n.)
@@ -142,6 +243,8 @@ def test_config_validation():
         DaConfig(m=10, thin=0)
     with pytest.raises(ValueError):
         DaConfig(m=10, psi_prior=(0.0, 1.0))
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+        DaConfig(m=10, seed=-1)
 
 
 @pytest.mark.parametrize("iters, burnin, thin", [(101, 100, 1), (200, 100, 100), (200, 100, 150)])
