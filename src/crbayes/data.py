@@ -379,16 +379,31 @@ def _text(records: np.ndarray) -> bytes:
 
 
 class FloatColumn:
-    """Marks a float array that :func:`write_json` writes as a streamed array.
+    """A float array that :func:`write_json` and :func:`write_table_csv` write
+    as the ``repr`` text of its values.
 
-    The array must hold finite values; it is written ``BLOCK`` values at a
-    time, byte for byte as ``json.dumps`` writes a list of them.
+    The text is rendered once, ``BLOCK`` values at a time, when a writer first
+    needs it, and kept as 24 bytes of words per value, which every later write
+    of the column lays out again. The values must not change after that.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_words")
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float).ravel()
+        self._words = None
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    def words(self) -> np.ndarray:
+        """The (n, 3) words of :func:`_render_floats`, one row per value."""
+        if self._words is None:
+            words = np.empty((self.values.size, 3), np.uint64)
+            for start in range(0, self.values.size, BLOCK):
+                words[start : start + BLOCK] = _render_floats(self.values[start : start + BLOCK]).T
+            self._words = words
+        return self._words
 
 
 _JSON_SEPARATOR = b",\n    "
@@ -398,7 +413,7 @@ def write_json(path: str | Path, payload) -> None:
     """Write ``payload`` as ``json.dumps(payload, indent=2)`` with a final newline.
 
     A top-level value of a dict payload may be a :class:`FloatColumn` of finite
-    values. Its values are rendered and written ``BLOCK`` at a time, each
+    values. Its words are laid out ``BLOCK`` values at a time, each value
     followed by the separator of an indented array; every other value goes
     through ``json.dumps``.
     """
@@ -413,7 +428,7 @@ def write_json(path: str | Path, payload) -> None:
             if not np.isfinite(value.values).all():
                 raise ValueError("a FloatColumn written to JSON must hold finite values")
             if value.values.size:
-                runs.append((key, value.values))
+                runs.append((key, value))
                 continue
             value = []
         if runs and isinstance(runs[-1], dict):
@@ -429,16 +444,17 @@ def write_json(path: str | Path, payload) -> None:
                 # '{\n  "key": value,\n ...\n}' without its braces: the items at indent level 1
                 fh.write(json.dumps(run, indent=2)[2:-2].encode())
                 continue
-            key, values = run
+            key, column = run
+            words = column.words()
             fh.write(json.dumps({key: []}, indent=2)[2:-4].encode() + b"[\n    ")
             # per value: three words of text, then one of separator
-            records = np.zeros((min(BLOCK, values.size), 4), "<u8")
+            records = np.zeros((min(BLOCK, len(words)), 4), "<u8")
             records[:, 3] = int.from_bytes(_JSON_SEPARATOR, "little")
-            for start in range(0, values.size, BLOCK):
-                block = records[: values.size - start]
-                block[:, :3] = _render_floats(values[start : start + BLOCK]).T
+            for start in range(0, len(words), BLOCK):
+                block = records[: len(words) - start]
+                block[:, :3] = words[start : start + BLOCK]
                 text = _text(block)
-                fh.write(text if start + BLOCK < values.size else text[: -len(_JSON_SEPARATOR)])
+                fh.write(text if start + BLOCK < len(words) else text[: -len(_JSON_SEPARATOR)])
             fh.write(b"\n  ]")
         fh.write(b"\n}\n")
 
@@ -453,15 +469,17 @@ def write_table_csv(path: str | Path, header, start: int, columns) -> None:
     """Write the rows ``(start + i, columns[0][i], columns[1][i], ...)``, header
     first, byte for byte as ``csv.writer`` writes them.
 
-    ``start`` is a nonnegative integer and the columns are float arrays of one
-    length; each float is written as its ``repr``, as ``csv.writer`` does. The
-    rows are written ``BLOCK // len(columns)`` at a time: one call renders a
-    block's floats, and its rows are laid out in one record matrix. The
-    header's cells must need no quoting.
+    ``start`` is a nonnegative integer and the columns are float arrays or
+    :class:`FloatColumn` values of one length; each float is written as its
+    ``repr``, as ``csv.writer`` does. A FloatColumn's cells are its shared
+    words. The rows are written ``BLOCK // p`` at a time, p the number of
+    plain arrays: one call renders a block's plain floats, and its rows are
+    laid out in one record matrix. The header's cells must need no quoting.
     """
-    columns = [np.asarray(column, dtype=float).ravel() for column in columns]
-    n_rows, n_cols = columns[0].size, len(columns)
-    rows = BLOCK // n_cols
+    columns = [c if isinstance(c, FloatColumn) else np.asarray(c, dtype=float).ravel() for c in columns]
+    plain = [column for column in columns if not isinstance(column, FloatColumn)]
+    n_rows, n_cols = len(columns[0]), len(columns)
+    rows = BLOCK // max(len(plain), 1)
     # per row: three words of the integer and one of ',', then the same for
     # each float, with a line end after the last one
     records = np.zeros((min(rows, n_rows), 4 * n_cols + 4), "<u8")
@@ -473,9 +491,14 @@ def write_table_csv(path: str | Path, header, start: int, columns) -> None:
             block = records[: n_rows - first]
             m = len(block)
             block[:, :3] = _render_ints(np.arange(start + first, start + first + m)).T
-            words = _render_floats(np.concatenate([column[first : first + m] for column in columns]))
-            for col in range(n_cols):
-                block[:, 4 + 4 * col : 7 + 4 * col] = words[:, col * m : (col + 1) * m].T
+            if plain:
+                words = _render_floats(np.concatenate([column[first : first + m] for column in plain])).T
+            for col, column in enumerate(columns):
+                if isinstance(column, FloatColumn):
+                    cells = column.words()[first : first + m]
+                else:
+                    cells, words = words[:m], words[m:]
+                block[:, 4 + 4 * col : 7 + 4 * col] = cells
             fh.write(_text(block))
 
 

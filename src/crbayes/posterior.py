@@ -443,7 +443,7 @@ class MhMarginalKernel:
         return _maybe_scalar(log_fine, scalar)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PosteriorTable:
     """Normalized posterior of N on the integer support [n_min, n_max].
 
@@ -451,6 +451,9 @@ class PosteriorTable:
     a power law fitted to the last decade of support; it is infinite when the
     fitted decay is too shallow to sum, in which case a warning explains that
     the normalization is unreliable.
+
+    ``log_kernel`` and ``mass`` are read-only views, because the JSON and CSV
+    reports share one rendering of ``mass``, made at the first write.
     """
 
     n_min: int
@@ -465,10 +468,17 @@ class PosteriorTable:
     tail_mass_estimate: float
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
+    def __post_init__(self):
+        for name in ("log_kernel", "mass"):
+            view = np.asarray(getattr(self, name), dtype=float).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "_mass_column", FloatColumn(self.mass))
+
     def write_json(self, path: str | Path, extra: dict | None = None) -> None:
         payload = {
             "support": [self.n_min, self.n_max],
-            "mass": FloatColumn(self.mass),
+            "mass": self._mass_column,
             "mean": self.mean,
             "sd": self.sd,
             "ci": list(self.ci),
@@ -480,7 +490,7 @@ class PosteriorTable:
         write_json(path, {**payload, **(extra or {})})
 
     def write_csv(self, path: str | Path) -> None:
-        write_table_csv(path, ("N", "mass", "log_kernel"), self.n_min, (self.mass, self.log_kernel))
+        write_table_csv(path, ("N", "mass", "log_kernel"), self.n_min, (self._mass_column, self.log_kernel))
 
 
 def fit_log_log_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

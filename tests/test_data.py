@@ -271,6 +271,9 @@ def test_write_csv_matches_csv_writer(tmp_path, n):
     expected = _csv_writer_text(rows)
     write_table_csv(tmp_path / "c.csv", ("N", "mass", "log_kernel"), 7, (mass, log_kernel))
     assert _first_difference((tmp_path / "c.csv").read_bytes().decode(), expected) is None
+    # a FloatColumn lays out its shared words, with BLOCK rows to a block
+    write_table_csv(tmp_path / "f.csv", ("N", "mass", "log_kernel"), 7, (FloatColumn(mass), log_kernel))
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
     if n >= len(EDGE_FLOATS):
         assert "\r\n7,0.0,-inf\r\n8,-0.0,-inf\r\n9,5e-324,-744.4400719213812\r\n" in expected
         assert "\r\n12,1e-05,-11.512925464970229\r\n" in expected

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betaln, gammaln
 
-from crbayes.data import CaptureHistory, SufficientStats, simulate_m0, simulate_mh, summarize
+from crbayes import data
+from crbayes.data import BLOCK, CaptureHistory, SufficientStats, simulate_m0, simulate_mh, summarize
 from crbayes.likelihoods import BetaParams, log_falling
 from crbayes.posterior import (
     GammaPriors,
@@ -594,6 +596,68 @@ class TestPosteriorTable:
         csv.writer(expected).writerows([("N", "mass", "log_kernel"), *rows])
         assert (tmp_path / "t.csv").read_bytes().decode() == expected.getvalue()
 
+    def test_reports_render_mass_once_and_share_it(self, tmp_path, monkeypatch):
+        rendered = []
+        render = data._render_floats
+
+        def counting(values):
+            rendered.append(np.size(values))
+            return render(values)
+
+        monkeypatch.setattr(data, "_render_floats", counting)
+        kernel = lambda n: m0_marginal_log_kernel(n, TWO_ANIMALS, BetaParams(1.0, 1.0))
+        table = posterior_table(kernel, "uniform", stats=TWO_ANIMALS, n_max=3 * BLOCK)
+        n = table.mass.size
+        assert n > BLOCK
+        payload = {
+            "support": [table.n_min, table.n_max], "mass": table.mass.tolist(), "mean": table.mean,
+            "sd": table.sd, "ci": list(table.ci), "level": table.level, "tail_exponent": table.tail_exponent,
+            "tail_mass_estimate": table.tail_mass_estimate, "warnings": list(table.warnings),
+        }
+        rows = zip(range(table.n_min, table.n_max + 1), table.mass.tolist(), table.log_kernel.tolist())
+        expected_csv = io.StringIO()
+        csv.writer(expected_csv).writerows([("N", "mass", "log_kernel"), *rows])
+
+        def check_files():
+            assert (tmp_path / "t.json").read_text() == json.dumps(payload, indent=2) + "\n"
+            assert (tmp_path / "t.csv").read_bytes().decode() == expected_csv.getvalue()
+
+        # JSON first: n mass values, then the CSV adds only the n of log_kernel
+        table.write_json(tmp_path / "t.json")
+        assert sum(rendered) == n
+        table.write_csv(tmp_path / "t.csv")
+        assert sum(rendered) == 2 * n
+        check_files()
+        # written again, mass is not rendered again
+        table.write_json(tmp_path / "t.json")
+        assert sum(rendered) == 2 * n
+        table.write_csv(tmp_path / "t.csv")
+        assert sum(rendered) == 3 * n
+        check_files()
+
+        # a fresh table, CSV first: its JSON renders nothing
+        rendered.clear()
+        table = posterior_table(kernel, "uniform", stats=TWO_ANIMALS, n_max=3 * BLOCK)
+        table.write_csv(tmp_path / "t.csv")
+        assert sum(rendered) == 2 * n
+        table.write_json(tmp_path / "t.json")
+        assert sum(rendered) == 2 * n
+        check_files()
+
+    def test_table_and_its_arrays_are_read_only(self):
+        kernel = lambda n: m0_marginal_log_kernel(n, TWO_ANIMALS, BetaParams(1.0, 1.0))
+        table = posterior_table(kernel, "uniform", stats=TWO_ANIMALS, n_max=100)
+        for name in ("mass", "log_kernel"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[:] *= 2.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(table, name, np.zeros(3))
+        # a changed copy is a new table, whose reports render its own mass
+        doubled = dataclasses.replace(table, mass=table.mass * 2.0, warnings=("w",))
+        assert doubled.mass.tolist() == (table.mass * 2.0).tolist()
+        assert not doubled.mass.flags.writeable and doubled.warnings == ("w",)
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=-20.0, max_value=20.0))
