@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, roots_genlaguerre, roots_hermite, roots_jacobi
+from scipy.special import gammaln, roots_genlaguerre, roots_hermite, roots_jacobi
 
 from .data import FloatColumn, SufficientStats, write_json, write_table_csv
 from .likelihoods import (
@@ -146,32 +146,30 @@ class MhMarginalKernel:
     """Log marginal kernel of N for Beta-heterogeneous detection.
 
     Combines the combinatorial term with the expectation of the integrated
-    likelihood's data factor over the Gamma priors on (alpha, beta). That
-    factor is the observed-animal product (``_log_obs``) times the zero-cell
-    factor (:func:`mh_log_zero_cell`) to the power N - M, and every rule below
-    evaluates that one implementation. The 2-D expectation uses one of two
-    tensor-product Gaussian rules, chosen from the data alone (``rule``):
+    likelihood's data factor over the Gamma priors on (alpha, beta): the
+    observed-animal product (``_log_obs``) times the zero-cell factor
+    (:func:`mh_log_zero_cell`) to the power N - M. Rules only build node
+    sets, runs of grid points that share nodes and log weights with the
+    prior folded in; one sum (``_log_expectation``) evaluates the data
+    factor on every set. The rule is chosen from the data alone
+    (``rule``):
 
     * ``"hermite"``: Gauss-Hermite in (u, v) = (log alpha, log beta),
       centred on the integrand's mode and scaled by the Cholesky factor of
       the inverse negative Hessian there (adaptive quadrature, Naylor &
-      Smith 1982; Liu & Pierce 1994). The integrand behaves like a
-      posterior over the two shapes and sharpens as animals accumulate, so
-      the nodes follow it. The mode moves little from one N to the next,
-      so consecutive N share one centre while each N's own mode lies within
-      ``_BLOCK_RADIUS`` = 3 standardized units of it (``_hermite_blocks``);
-      the nodes, prior, observed-animal and zero-cell terms are built once
-      per block, and each N adds one fixed-node sum. Used when both
+      Smith 1982; Liu & Pierce 1994), so the nodes follow an integrand that
+      sharpens as animals accumulate. Consecutive N whose modes lie within
+      ``_BLOCK_RADIUS`` = 3 standardized units of the first one's form a
+      block (``_hermite_blocks``) with one node set. Used when both
       log-scale left-tail rates a + M and b + (M - f_K) are at least
       ``_HERMITE_MIN_RATE``.
-    * ``"laguerre"``: rules whose weights match the joint Gamma prior, for
-      sparse data where the integrand is close to the prior. For moderate
-      N - M these work in mixing coordinates xi = alpha + beta ~
-      Gamma(a+b, c) and X = alpha/xi ~ Beta(a, b), where every likelihood
-      factor is smooth (generalized Gauss-Laguerre times Gauss-Jacobi); for
-      large N - M the zero-cell factor's exponential decay in alpha is
-      absorbed into the Laguerre node scale, so the nodes track the
-      O(1/N)-wide region that still contributes.
+    * ``"laguerre"``: weights matched to the Gamma prior, for sparse data
+      where the integrand is close to it. One set for every N - M up to
+      ``_BRANCH_THRESHOLD`` lies in the mixing coordinates xi = alpha + beta
+      ~ Gamma(a+b, c) and X = alpha/xi ~ Beta(a, b), where every factor is
+      smooth (generalized Gauss-Laguerre times Gauss-Jacobi). Each larger
+      N gets its own set, whose alpha nodes are scaled to the zero cell's
+      decay and track the O(1/N)-wide region that still contributes.
 
     Every evaluation is repeated at ``check_nodes`` per axis with the same
     rule (and the same Hermite centres); if any grid point moves by more
@@ -216,17 +214,23 @@ class MhMarginalKernel:
         return "hermite" if min(rates) >= _HERMITE_MIN_RATE else "laguerre"
 
     def _log_expectation(self, grid: np.ndarray, n_nodes: int, blocks) -> np.ndarray:
-        """Log prior expectation of the data factor at each N: the Hermite rule
-        on ``blocks`` (from ``_hermite_blocks``), or the prior-matched rules
-        when ``blocks`` is None."""
-        if blocks is not None:
-            return self._log_expectation_hermite(grid, n_nodes, blocks)
+        """Log prior expectation of the data factor at each N, summed over the
+        node sets of ``_hermite_node_sets`` on ``blocks`` (from ``_hermite_blocks``)
+        or, when ``blocks`` is None, of ``_laguerre_node_sets``. A node set is
+        ``(rows, alpha, beta, log_weight, log_scale)``: the grid points it
+        serves, its nodes and weights, and a constant added to each sum."""
+        m, k = self.stats.m_k1, self.stats.k
+        if blocks is None:
+            node_sets = self._laguerre_node_sets(grid, n_nodes)
+        else:
+            node_sets = self._hermite_node_sets(n_nodes, blocks)
         out = np.empty_like(grid)
-        small = grid - self.stats.m_k1 <= _BRANCH_THRESHOLD
-        if small.any():
-            out[small] = self._log_expectation_mixing(grid[small], n_nodes)
-        if (~small).any():
-            out[~small] = self._log_expectation_rescaled(grid[~small], n_nodes)
+        for rows, alpha, beta, log_weight, log_scale in node_sets:
+            base = log_weight + self._log_obs(alpha, beta)
+            out[rows] = _excess_sums(base, mh_log_zero_cell(alpha, beta, k), grid[rows] - m) + log_scale
+        if blocks is not None:  # the Hermite weights leave out the Gamma priors' normalizer
+            g = self.gammas
+            out = out - (g.a + g.b) * np.log(g.c) - gammaln(g.a) - gammaln(g.b)
         return out
 
     def _log_obs(self, alpha, beta) -> np.ndarray:
@@ -237,47 +241,33 @@ class MhMarginalKernel:
         """Log data factor at (alpha, beta) with ``excess`` = N - M animals never caught."""
         return self._log_obs(alpha, beta) + excess * mh_log_zero_cell(alpha, beta, self.stats.k)
 
-    def _log_expectation_mixing(self, grid: np.ndarray, n_nodes: int) -> np.ndarray:
+    def _laguerre_node_sets(self, grid: np.ndarray, n_nodes: int):
+        """Prior-matched node sets: one in mixing coordinates for every N with
+        N - M up to ``_BRANCH_THRESHOLD``, then one per larger N."""
         g, st = self.gammas, self.stats
         a, b, c = g.a, g.b, g.c
         m, k = st.m_k1, st.k
-        t, logw = _gauss_rule(roots_genlaguerre, n_nodes, a + b - 1.0)
-        xs, logv = _gauss_rule(roots_jacobi, n_nodes, b - 1.0, a - 1.0)
-        xi = c * t[:, None]
-        x = (1.0 + xs[None, :]) / 2.0  # Jacobi nodes on (-1, 1) moved to (0, 1)
-        logv = logv - _log_sum_exp(logv)  # weights of the normalized Beta(a, b) measure
-        alpha, beta = xi * x, xi * (1.0 - x)
-        log_zero_cell = mh_log_zero_cell(alpha, beta, k)
-        base = logw[:, None] - gammaln(a + b) + logv[None, :] + self._log_obs(alpha, beta)
-        return _excess_sums(base, log_zero_cell, grid - m)
-
-    def _log_expectation_rescaled(self, grid: np.ndarray, n_nodes: int) -> np.ndarray:
-        g, st = self.gammas, self.stats
-        a, b, c = g.a, g.b, g.c
-        m, k = st.m_k1, st.k
+        small = grid - m <= _BRANCH_THRESHOLD
+        if small.any():
+            # xi = alpha + beta ~ Gamma(a+b, c) and X = alpha/xi ~ Beta(a, b)
+            t, logw = _gauss_rule(roots_genlaguerre, n_nodes, a + b - 1.0)
+            xs, logv = _gauss_rule(roots_jacobi, n_nodes, b - 1.0, a - 1.0)
+            xi = c * t[:, None]
+            x = (1.0 + xs[None, :]) / 2.0  # Jacobi nodes on (-1, 1) moved to (0, 1)
+            logv = logv - _log_sum_exp(logv)  # weights of the normalized Beta(a, b) measure
+            yield small, xi * x, xi * (1.0 - x), logw[:, None] - gammaln(a + b) + logv[None, :], 0.0
         t, logw = _gauss_rule(roots_genlaguerre, n_nodes, a - 1.0)
         u, logv = _gauss_rule(roots_genlaguerre, n_nodes, a + b - 1.0)
         beta = c * u[None, :]
         s_rate = sum(1.0 / (beta + j) for j in range(k))  # d(-log zero cell)/d alpha at 0
-        out = np.empty_like(grid)
-        for i, n_val in enumerate(grid):
-            excess = n_val - m
-            lam = 1.0 / c + excess * s_rate
+        for i in np.flatnonzero(~small):
+            # alpha = t / lam with lam = 1/c + e S: the weight e^-t holds the
+            # prior's e^(-alpha/c) and the zero cell's e^(-e S alpha), and
+            # t - alpha/c = e S alpha gives the second back to the zero cell
+            lam = 1.0 / c + (grid[i] - m) * s_rate
             alpha = t[:, None] / lam
-            # curvature left over after absorbing e^(-excess * S * alpha) into the weight
-            rho = np.zeros_like(alpha)
-            for j in range(k):
-                z = alpha / (beta + j)
-                rho += z - np.log1p(z)
-            logint = (
-                logw[:, None]
-                + logv[None, :]
-                - a * np.log(beta * lam)
-                + excess * rho
-                + self._log_obs(alpha, beta)
-            )
-            out[i] = _log_sum_exp(logint) - gammaln(a) - gammaln(b)
-        return out
+            log_weight = logw[:, None] + logv[None, :] - a * np.log(beta * lam) + (t[:, None] - alpha / c)
+            yield slice(i, i + 1), alpha, beta, log_weight, -gammaln(a) - gammaln(b)
 
     def _hermite_centre(self, grid: np.ndarray):
         """Mode (u, v) of the log integrand at each N and the Cholesky factor
@@ -382,31 +372,24 @@ class MhMarginalKernel:
         stops = starts[1:] + [grid.size]
         return [(slice(i, stop), tuple(centre[:, i])) for i, stop in zip(starts, stops)]
 
-    def _log_expectation_hermite(self, grid: np.ndarray, n_nodes: int, blocks) -> np.ndarray:
-        g, st = self.gammas, self.stats
+    def _hermite_node_sets(self, n_nodes: int, blocks):
+        """One Gauss-Hermite node set per block, at centre + sqrt(2) L (x_r, x_s)."""
+        g = self.gammas
         a, b, c = g.a, g.b, g.c
-        m = st.m_k1
         x, logw = _gauss_rule(roots_hermite, n_nodes)
         logw = logw + x * x  # e^(x^2) folded into the weights: the integrand has no e^(-x^2)
         root2 = np.sqrt(2.0)
-        out = np.empty_like(grid)
         for block, (u0, v0, l11, l21, l22) in blocks:
-            # (u, v) = centre + sqrt(2) L (x_r, x_s) with L lower-triangular: u and
-            # the first part of v depend on the row node only
+            # L is lower-triangular: u and the first part of v depend on the row node only
             u = u0 + root2 * l11 * x
             v_row = v0 + root2 * l21 * x
             v_col = root2 * l22 * x
             alpha = np.exp(u)[:, None]
             beta = np.exp(v_row)[:, None] * np.exp(v_col)[None, :]
-            base = (
-                (logw + a * u + b * v_row - alpha[:, 0] / c)[:, None]
-                + (logw + b * v_col)[None, :]
-                - beta / c
-                + self._log_obs(alpha, beta)
+            log_weight = (
+                (logw + a * u + b * v_row - alpha[:, 0] / c)[:, None] + (logw + b * v_col)[None, :] - beta / c
             )
-            log_zero_cell = mh_log_zero_cell(alpha, beta, st.k)
-            out[block] = _excess_sums(base, log_zero_cell, grid[block] - m) + np.log(2.0 * l11 * l22)
-        return out - (a + b) * np.log(c) - gammaln(a) - gammaln(b)
+            yield block, alpha, beta, log_weight, np.log(2.0 * l11 * l22)
 
     def log_kernel(self, n):
         """Log kernel values; raises QuadratureConvergenceError if unsettled."""
@@ -555,7 +538,7 @@ def posterior_table(
     if not np.isfinite(log_total).any():
         raise ValueError("kernel is zero everywhere on the support")
 
-    log_z = float(logsumexp(log_total))
+    log_z = _log_sum_exp(log_total)
     mass = np.exp(log_total - log_z)
 
     mean = float(mass @ support)

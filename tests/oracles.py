@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betaln, gammaln, logsumexp, roots_hermite, xlog1py, xlogy
+from scipy.special import betaln, gammaln, logsumexp, roots_genlaguerre, roots_hermite, xlog1py, xlogy
 from scipy.stats import beta as beta_dist
 from scipy.stats import betabinom
 
@@ -230,6 +230,43 @@ def per_n_centred_hermite_log_expectation(kern, grid, n_nodes: int):
         )
         out[i] = logsumexp(logint) + np.log(2.0 * l11[i] * l22[i])
     return out - (a + b) * np.log(c) - gammaln(a) - gammaln(b)
+
+
+def split_rescaled_log_expectation(kern, grid, n_nodes: int):
+    """The rescaled Laguerre rule with the zero cell split in two parts.
+
+    With e = N - M and S = sum_{j<K} 1/(beta + j), the zero cell's slope at
+    alpha = 0, the rule puts alpha = t / lam with lam = 1/c + e S, so that the
+    generalized Laguerre weight e^-t holds both the prior's e^(-alpha/c) and
+    e^(-e S alpha). What the zero cell leaves is e times the residual
+    rho = sum_j z_j - log1p(z_j), z_j = alpha / (beta + j), summed here on
+    its own. ``kern._log_expectation`` instead sums the whole zero cell,
+    once for every rule, and adds t - alpha/c back to the weights. Like
+    ``per_n_centred_hermite_log_expectation`` it reuses the kernel's
+    observed-animal factor ``kern._log_obs``: it is the reference for the
+    zero-cell split, not for the integrand.
+    """
+    g, st = kern.gammas, kern.stats
+    a, b, c = g.a, g.b, g.c
+    m, k = st.m_k1, st.k
+    t, w = roots_genlaguerre(n_nodes, a - 1.0)
+    u, v = roots_genlaguerre(n_nodes, a + b - 1.0)
+    with np.errstate(divide="ignore"):  # weights that underflow to 0 carry no mass
+        logw, logv = np.log(w), np.log(v)
+    beta = c * u[None, :]
+    s_rate = sum(1.0 / (beta + j) for j in range(k))
+    out = np.empty_like(grid)
+    for i, n_val in enumerate(grid):
+        excess = n_val - m
+        lam = 1.0 / c + excess * s_rate
+        alpha = t[:, None] / lam
+        rho = np.zeros_like(alpha)
+        for j in range(k):
+            z = alpha / (beta + j)
+            rho += z - np.log1p(z)
+        logint = logw[:, None] + logv[None, :] - a * np.log(beta * lam) + excess * rho + kern._log_obs(alpha, beta)
+        out[i] = logsumexp(logint) - gammaln(a) - gammaln(b)
+    return out
 
 
 def mh_log_integrand(stats, a: float, b: float, c: float, u, v, excess):

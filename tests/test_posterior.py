@@ -14,6 +14,7 @@ from crbayes import data
 from crbayes.data import BLOCK, CaptureHistory, SufficientStats, simulate_m0, simulate_mh, summarize
 from crbayes.likelihoods import BetaParams, log_falling
 from crbayes.posterior import (
+    _BRANCH_THRESHOLD,
     GammaPriors,
     MhMarginalKernel,
     QuadratureConvergenceError,
@@ -29,6 +30,7 @@ from oracles import (
     mh_log_integrand,
     per_n_centred_hermite_log_expectation,
     quad_m0_marginal_log_kernel,
+    split_rescaled_log_expectation,
 )
 
 TWO_ANIMALS = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))
@@ -356,6 +358,31 @@ def test_hermite_rule_matches_box_integral(history, a, b, c):
     # brute force, not a second rule: a Laguerre 192/288 pair can agree with itself and be 3e-5 off
     want = box_mh_marginal_log_kernel(stats, grid, a, b, c)
     assert (np.abs(np.expm1(got - want)) <= 1e-5).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    mh_histories,
+    gamma_shapes,
+    gamma_shapes,
+    st.floats(min_value=0.2, max_value=5.0),
+    st.lists(st.integers(min_value=_BRANCH_THRESHOLD + 1, max_value=10**9), min_size=1, max_size=6),
+)
+def test_rescaled_rule_matches_split_zero_cell(history, a, b, c, excess):
+    # The rescaled rule sums the whole zero cell and adds t - alpha/c back
+    # to its weights; the oracle absorbs e^(-e S alpha) and sums the residual
+    # on its own. The two orders round apart by a few units in the last place
+    # of the log, and one unit of a log near 800 is already 1.1e-13 of the
+    # kernel, so the bound is relative to the log value. Over 600 random sets
+    # the worst seen was 6.7e-16 of it.
+    stats = summarize(history)
+    kern = LaguerreKernel(stats, GammaPriors(a, b, c))
+    grid = stats.m_k1 + np.array(excess, dtype=float)
+    for n_nodes in (64, 96):
+        got = kern._log_expectation(grid, n_nodes, None)
+        want = split_rescaled_log_expectation(kern, grid, n_nodes)
+        assert np.isfinite(want).all()
+        assert (np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))).all(), (got, want)
 
 
 def _standardized_derivatives(phi, step):

@@ -345,6 +345,20 @@ def test_mh_report_is_exact_and_two_sided(rule, data, c, n_prior):
     assert report.agreement
 
 
+@pytest.mark.xfail(raises=QuadratureConvergenceError, strict=True, reason="known failing Laguerre-rule set")
+@pytest.mark.parametrize("n_prior", ["uniform", "scale"])
+def test_mh_report_on_sparse_six_occasion_set(n_prior):
+    # A Laguerre-rule example of test_mh_report_is_exact_and_two_sided. On
+    # its fit grid the rescaled rule changes by 6.9e-3 at 64/96 nodes, 9.7e-4
+    # at 128/192 and 1.2e-4 at 192/288, so every node count the test tries
+    # fails the check. It passes at 242/363, still about 1e-6 off the box
+    # oracle; forced to the Hermite rule it converges at 64/96.
+    stats = summarize(CaptureHistory(k=6, rows=((1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1))))
+    gammas = GammaPriors(2.0, 0.25, 4.0)
+    assert MhMarginalKernel(stats, gammas).rule == "laguerre"
+    assert _mh_report(n_prior, stats, gammas).agreement
+
+
 def test_exponent_csv_export(tmp_path):
     log_kernel = lambda n: -2.0 * np.log(n)
     write_exponent_csv(log_kernel, 1e3, 1e6, 12, tmp_path / "k.csv")
