@@ -95,9 +95,9 @@ def _gauss_rule(roots_fn, n_nodes: int, *shape: float) -> tuple[np.ndarray, np.n
         return x, np.log(w)
 
 
-# Below this excess N - M the smooth mixing-fraction rule is more accurate;
-# above it the integrand concentrates near alpha = 0 and the decay-matched
-# rule takes over (both are ~1e-7 accurate at the handoff with 64 nodes).
+# Up to this excess N - M one mixing-coordinate node set serves every N; above
+# it the decay-matched rule takes over. That rule is the more accurate at the
+# handoff (3e-12 against up to 6e-4 at 64 nodes), but not at N = M.
 _BRANCH_THRESHOLD = 128
 
 # scipy's generalized Gauss-Laguerre rule returns NaN from 364 nodes on
@@ -167,9 +167,9 @@ class MhMarginalKernel:
       where the integrand is close to it. One set for every N - M up to
       ``_BRANCH_THRESHOLD`` lies in the mixing coordinates xi = alpha + beta
       ~ Gamma(a+b, c) and X = alpha/xi ~ Beta(a, b), where every factor is
-      smooth (generalized Gauss-Laguerre times Gauss-Jacobi). Each larger
-      N gets its own set, whose alpha nodes are scaled to the zero cell's
-      decay and track the O(1/N)-wide region that still contributes.
+      smooth (generalized Gauss-Laguerre times Gauss-Jacobi). Each larger N
+      gets its own set: alpha nodes scaled to the zero cell's decay, and beta
+      nodes that resolve the poles near 0 of the cells' 1/(beta + j).
 
     Every evaluation is repeated at ``check_nodes`` per axis with the same
     rule (and the same Hermite centres); if any grid point moves by more
@@ -257,8 +257,10 @@ class MhMarginalKernel:
             logv = logv - _log_sum_exp(logv)  # weights of the normalized Beta(a, b) measure
             yield small, xi * x, xi * (1.0 - x), logw[:, None] - gammaln(a + b) + logv[None, :], 0.0
         t, logw = _gauss_rule(roots_genlaguerre, n_nodes, a - 1.0)
-        u, logv = _gauss_rule(roots_genlaguerre, n_nodes, a + b - 1.0)
-        beta = c * u[None, :]
+        # Jacobi nodes mapped to beta = c (1+y)/(1-y); the weights hold beta^(a+b-1) e^(-beta/c) dbeta / c^(a+b)
+        y, logv = _gauss_rule(roots_jacobi, n_nodes, 0.0, a + b - 1.0)
+        beta = (c * (1.0 + y) / (1.0 - y))[None, :]
+        logv = (logv + np.log(2.0) - (a + b + 1.0) * np.log1p(-y))[None, :] - beta / c
         s_rate = sum(1.0 / (beta + j) for j in range(k))  # d(-log zero cell)/d alpha at 0
         for i in np.flatnonzero(~small):
             # alpha = t / lam with lam = 1/c + e S: the weight e^-t holds the
@@ -266,7 +268,7 @@ class MhMarginalKernel:
             # t - alpha/c = e S alpha gives the second back to the zero cell
             lam = 1.0 / c + (grid[i] - m) * s_rate
             alpha = t[:, None] / lam
-            log_weight = logw[:, None] + logv[None, :] - a * np.log(beta * lam) + (t[:, None] - alpha / c)
+            log_weight = logw[:, None] + logv - a * np.log(beta * lam) + (t[:, None] - alpha / c)
             yield slice(i, i + 1), alpha, beta, log_weight, -gammaln(a) - gammaln(b)
 
     def _hermite_centre(self, grid: np.ndarray):

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betaln, gammaln, logsumexp, roots_genlaguerre, roots_hermite, xlog1py, xlogy
+from scipy.special import betaln, gammaln, logsumexp, roots_genlaguerre, roots_hermite, roots_jacobi, xlog1py, xlogy
 from scipy.stats import beta as beta_dist
 from scipy.stats import betabinom
 
@@ -240,8 +240,10 @@ def split_rescaled_log_expectation(kern, grid, n_nodes: int):
     generalized Laguerre weight e^-t holds both the prior's e^(-alpha/c) and
     e^(-e S alpha). What the zero cell leaves is e times the residual
     rho = sum_j z_j - log1p(z_j), z_j = alpha / (beta + j), summed here on
-    its own. ``kern._log_expectation`` instead sums the whole zero cell,
-    once for every rule, and adds t - alpha/c back to the weights. Like
+    its own. The beta nodes are the kernel's: Gauss-Jacobi nodes for
+    x^(a+b-1) on (0, 1), moved to beta = c x/(1 - x), built here from scipy.
+    ``kern._log_expectation`` instead sums the whole zero cell, once for
+    every rule, and adds t - alpha/c back to the weights. Like
     ``per_n_centred_hermite_log_expectation`` it reuses the kernel's
     observed-animal factor ``kern._log_obs``: it is the reference for the
     zero-cell split, not for the integrand.
@@ -250,10 +252,14 @@ def split_rescaled_log_expectation(kern, grid, n_nodes: int):
     a, b, c = g.a, g.b, g.c
     m, k = st.m_k1, st.k
     t, w = roots_genlaguerre(n_nodes, a - 1.0)
-    u, v = roots_genlaguerre(n_nodes, a + b - 1.0)
+    y, v = roots_jacobi(n_nodes, 0.0, a + b - 1.0)
     with np.errstate(divide="ignore"):  # weights that underflow to 0 carry no mass
         logw, logv = np.log(w), np.log(v)
-    beta = c * u[None, :]
+    x = (1.0 + y) / 2.0
+    beta = c * x[None, :] / (1.0 - x[None, :])
+    # the Jacobi weight (1 + y)^(a+b-1) dy is 2^(a+b) x^(a+b-1) dx, and
+    # beta^(a+b-1) e^(-beta/c) dbeta is c^(a+b) x^(a+b-1) (1 - x)^-(a+b+1) e^(-beta/c) dx
+    logv = logv[None, :] - (a + b) * np.log(2.0) - (a + b + 1.0) * np.log1p(-x[None, :]) - beta / c
     s_rate = sum(1.0 / (beta + j) for j in range(k))
     out = np.empty_like(grid)
     for i, n_val in enumerate(grid):
@@ -264,7 +270,7 @@ def split_rescaled_log_expectation(kern, grid, n_nodes: int):
         for j in range(k):
             z = alpha / (beta + j)
             rho += z - np.log1p(z)
-        logint = logw[:, None] + logv[None, :] - a * np.log(beta * lam) + excess * rho + kern._log_obs(alpha, beta)
+        logint = logw[:, None] + logv - a * np.log(beta * lam) + excess * rho + kern._log_obs(alpha, beta)
         out[i] = logsumexp(logint) - gammaln(a) - gammaln(b)
     return out
 

@@ -25,6 +25,8 @@ from crbayes.propriety import (
     ym_propriety_condition,
 )
 
+from oracles import box_mh_marginal_log_kernel
+
 
 def synthetic_stats(m_k1: int, k: int, recaptures: int):
     """Build a dataset with the requested number of observed animals and recaptures."""
@@ -345,18 +347,24 @@ def test_mh_report_is_exact_and_two_sided(rule, data, c, n_prior):
     assert report.agreement
 
 
-@pytest.mark.xfail(raises=QuadratureConvergenceError, strict=True, reason="known failing Laguerre-rule set")
 @pytest.mark.parametrize("n_prior", ["uniform", "scale"])
 def test_mh_report_on_sparse_six_occasion_set(n_prior):
-    # A Laguerre-rule example of test_mh_report_is_exact_and_two_sided. On
-    # its fit grid the rescaled rule changes by 6.9e-3 at 64/96 nodes, 9.7e-4
-    # at 128/192 and 1.2e-4 at 192/288, so every node count the test tries
-    # fails the check. It passes at 242/363, still about 1e-6 off the box
-    # oracle; forced to the Hermite rule it converges at 64/96.
+    # A Laguerre-rule example of test_mh_report_is_exact_and_two_sided. While
+    # the rescaled branch took its beta nodes from a prior-scaled Laguerre
+    # rule, its fit grid changed by 6.9e-3 at 64/96 nodes, 9.7e-4 at 128/192
+    # and 1.2e-4 at 192/288, so every node count the test tries failed. The
+    # mapped Gauss-Jacobi beta nodes settle at the default 64/96 and match
+    # the box oracle.
     stats = summarize(CaptureHistory(k=6, rows=((1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1))))
     gammas = GammaPriors(2.0, 0.25, 4.0)
-    assert MhMarginalKernel(stats, gammas).rule == "laguerre"
-    assert _mh_report(n_prior, stats, gammas).agreement
+    kern = MhMarginalKernel(stats, gammas)
+    assert kern.rule == "laguerre"
+    assert propriety_report("mh", n_prior, stats=stats, gammas=gammas).agreement
+    grid = np.geomspace(2e3, 2e6, 4)
+    got = kern.log_kernel(grid)
+    assert kern.diagnostics["max_rel_change"] <= 1e-10
+    want = box_mh_marginal_log_kernel(stats, grid, 2.0, 0.25, 4.0)
+    assert np.abs(np.expm1(got - want)).max() <= 1e-7
 
 
 def test_exponent_csv_export(tmp_path):
