@@ -3,22 +3,19 @@
 For the constant-detection model the detection probability is integrated out
 in closed form; for the heterogeneous model the two Beta-population shapes
 get independent Gamma(shape, common scale) priors and are integrated out by
-tensor-product Gaussian quadrature: Gauss-Hermite centred on the integrand's
-mode in (log alpha, log beta) when the data make both log-scale left tails
-steep, and generalized Gauss-Laguerre rules matched to the priors otherwise
-(see MhMarginalKernel). Truncation is never hidden: every table carries a
-power-law extrapolation of the mass beyond its upper endpoint and warns when
-that extrapolation diverges.
+one rule, a trapezoid rule on a sinh map about the integrand's mode in
+(log(alpha + beta), log(alpha/beta)) (see MhMarginalKernel). Truncation is
+never hidden: every table carries a power-law extrapolation of the mass
+beyond its upper endpoint and warns when that extrapolation diverges.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, roots_genlaguerre, roots_hermite, roots_jacobi
+from scipy.special import gammaln
 
 from .data import FloatColumn, SufficientStats, write_json, write_table_csv
 from .likelihoods import (
@@ -70,59 +67,66 @@ def m0_marginal_log_kernel(n, stats: SufficientStats, beta: BetaParams):
 def _log_sum_exp(values: np.ndarray) -> float:
     """log(sum(exp(values))) over every entry, shifted by the largest one.
 
-    Every entry -inf gives -inf; a NaN anywhere gives NaN.
+    Every entry -inf gives -inf; a NaN anywhere gives NaN. Works in place:
+    ``values`` is overwritten.
     """
     top = values.max()
     if not np.isfinite(top):
         return float(top)
-    return float(top + np.log(np.exp(values - top).sum()))
+    values -= top
+    # numpy's exp is 5-15x slower on arguments that underflow, and most mh
+    # nodes lie far below the largest term; a term floored at e^-700 adds at
+    # most 1e-304 to a sum of at least 1, which rounds it away
+    np.maximum(values, -700.0, out=values)
+    return float(top + np.log(np.exp(values, out=values).sum()))
 
 
 def _excess_sums(base: np.ndarray, log_zero_cell: np.ndarray, excess: np.ndarray) -> np.ndarray:
-    """``_log_sum_exp(base + e * log_zero_cell)`` over fixed nodes, for each excess e = N - M."""
+    """``_log_sum_exp(base + e * log_zero_cell)`` over fixed nodes, for each
+    excess e = N - M, all in one work array."""
     out = np.empty(len(excess))
+    work = np.empty(np.broadcast_shapes(base.shape, log_zero_cell.shape))
     for i, e in enumerate(excess):
-        out[i] = _log_sum_exp(base + e * log_zero_cell)
+        np.multiply(log_zero_cell, e, out=work)
+        work += base
+        out[i] = _log_sum_exp(work)
     return out
 
 
-@lru_cache(maxsize=32)
-def _gauss_rule(roots_fn, n_nodes: int, *shape: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and log weights of the scipy rule ``roots_fn(n_nodes, *shape)``;
-    zero weights give -inf. Callers share the cached arrays and must not write to them."""
-    x, w = roots_fn(n_nodes, *shape)
-    with np.errstate(divide="ignore"):
-        return x, np.log(w)
-
-
-# Up to this excess N - M one mixing-coordinate node set serves every N; above
-# it the decay-matched rule takes over. That rule is the more accurate at the
-# handoff (3e-12 against up to 6e-4 at 64 nodes), but not at N = M.
-_BRANCH_THRESHOLD = 128
-
-# scipy's generalized Gauss-Laguerre rule returns NaN from 364 nodes on
+# Each node array holds n^2 entries per node set, so the node counts are capped
 _MAX_NODES = 363
 
-# The log integrand rises like (a + M) log alpha and (b + M - f_K) log beta
-# as either shape goes to 0. The mode-centred Gauss-Hermite rule runs when
-# both rates reach this value; below it the left tail is too heavy for a
-# Gaussian fit and the prior-matched rules run.
-_HERMITE_MIN_RATE = 2.0
+# Consecutive grid points share one node set while each point and the
+# block's centre (its first point) lie within this many standardized units
+# of each other, measured both ways: the point in the units of the centre's
+# Cholesky factor, and the centre in the units of the point's own factor.
+# The second catches a point whose integrand is narrower than the centre's,
+# so that a shift small in the centre's units is large in its own. The
+# nodes/check_nodes comparison guards what sharing still costs. A wider
+# block means fewer node sets and fewer data-factor evaluations per grid.
+_BLOCK_RADIUS = 3.0
 
-# What a failed check says, after the rule and the change it saw
-_CONVERGENCE_ADVICE = {
-    "hermite": (
-        "the mode-centred Gauss-Hermite rule has too few nodes for an integrand "
-        "this far from Gaussian in (log alpha, log beta); raise nodes/check_nodes "
-        "(e.g. 128/192) or relax rtol"
-    ),
-    "laguerre": (
-        "the prior-matched Gauss-Laguerre rule ran because a + M or b + M - f_K "
-        f"is below {_HERMITE_MIN_RATE:g}, and its nodes miss the integrand's peak "
-        "as observed animals accumulate; raise nodes/check_nodes (e.g. 128/192) "
-        "or relax rtol"
-    ),
-}
+# Reach of a node set, in standardized units on either side of its centre:
+# _BODY_REACH covers a Gaussian body to e^-40 (9 units) about a point's own
+# mode, which lies up to _BLOCK_RADIUS units from the block's centre; beyond
+# it the slowest exponential tail of the integrand must fall by
+# e^_TAIL_DROP. The reach never exceeds sinh(_MAX_SPAN) = 202 units.
+_BODY_REACH = 9.0 + _BLOCK_RADIUS
+_TAIL_DROP = 40.0
+_MAX_SPAN = 6.0
+
+# Node coordinates log(alpha + beta) are capped at this value, where the
+# prior's e^(-(alpha + beta)/c) has long reached 0. The data factor is
+# evaluated with log alpha and log beta floored at minus this value, so
+# alpha, beta and alpha/beta stay finite and positive and no node turns
+# into a NaN; the prior weight uses the node's own log alpha and log beta.
+_MAX_LOG_SHAPE = 350.0
+
+# What a failed check says, after the change it saw
+_CONVERGENCE_ADVICE = (
+    "the mode-centred sinh rule has too few nodes for this integrand; raise "
+    "nodes/check_nodes (e.g. 128/192) or relax rtol"
+)
 
 # Newton search for the mode in (log alpha, log beta): at most this many
 # steps, each at most this long per coordinate, stopping once every step is
@@ -131,16 +135,6 @@ _MODE_MAX_ITER = 100
 _MODE_MAX_STEP = 3.0
 _MODE_TOL = 1e-8
 
-# Consecutive grid points share one set of Hermite nodes while each point's
-# own centre lies within this many standardized units of the block's centre
-# (its first point), measured with that centre's Cholesky factor. Three units
-# is safe: for a Gaussian integrand, a centre off by d units leaves the
-# factor e^(sqrt(2) d x) on the Hermite weight, which 64 or 96 nodes
-# integrate to rounding (2e-15 relative at d = 3), and the nodes/check_nodes
-# comparison guards the non-Gaussian rest. A wider block means fewer node
-# tables and fewer data-factor evaluations per grid.
-_BLOCK_RADIUS = 3.0
-
 
 class MhMarginalKernel:
     """Log marginal kernel of N for Beta-heterogeneous detection.
@@ -148,35 +142,33 @@ class MhMarginalKernel:
     Combines the combinatorial term with the expectation of the integrated
     likelihood's data factor over the Gamma priors on (alpha, beta): the
     observed-animal product (``_log_obs``) times the zero-cell factor
-    (:func:`mh_log_zero_cell`) to the power N - M. Rules only build node
-    sets, runs of grid points that share nodes and log weights with the
-    prior folded in; one sum (``_log_expectation``) evaluates the data
-    factor on every set. The rule is chosen from the data alone
-    (``rule``):
+    (:func:`mh_log_zero_cell`) to the power N - M.
 
-    * ``"hermite"``: Gauss-Hermite in (u, v) = (log alpha, log beta),
-      centred on the integrand's mode and scaled by the Cholesky factor of
-      the inverse negative Hessian there (adaptive quadrature, Naylor &
-      Smith 1982; Liu & Pierce 1994), so the nodes follow an integrand that
-      sharpens as animals accumulate. Consecutive N whose modes lie within
-      ``_BLOCK_RADIUS`` = 3 standardized units of the first one's form a
-      block (``_hermite_blocks``) with one node set. Used when both
-      log-scale left-tail rates a + M and b + (M - f_K) are at least
-      ``_HERMITE_MIN_RATE``.
-    * ``"laguerre"``: weights matched to the Gamma prior, for sparse data
-      where the integrand is close to it. One set for every N - M up to
-      ``_BRANCH_THRESHOLD`` lies in the mixing coordinates xi = alpha + beta
-      ~ Gamma(a+b, c) and X = alpha/xi ~ Beta(a, b), where every factor is
-      smooth (generalized Gauss-Laguerre times Gauss-Jacobi). Each larger N
-      gets its own set: alpha nodes scaled to the zero cell's decay, and beta
-      nodes that resolve the poles near 0 of the cells' 1/(beta + j).
+    One rule integrates it, a trapezoid rule on a double-exponential (sinh)
+    map about the integrand's mode (Takahasi & Mori 1974). It works in
+    (s, r) = (log(alpha + beta), log(alpha/beta)), where the integrand's
+    exponential tails run along the axes: alpha -> 0 and beta -> 0 are the
+    two ends of r, alpha + beta -> 0 the left end of s (a map of unit
+    Jacobian from (log alpha, log beta)). The mode and the Cholesky factor L
+    of the inverse negative Hessian there come from ``_mode_centre``; each
+    axis takes an even grid of t on [-T, T], and the nodes sit at centre +
+    L (sinh t_j, sinh t_k) with weights h cosh t. Near the mode the nodes
+    follow an integrand that sharpens like a posterior as animals
+    accumulate; far from it the map turns the exponential tails, heavy on
+    sparse data, into double-exponential ones. The reach sinh T of a node
+    set is set by its slowest tail (``_node_sets``), so data-rich sets get
+    a fine grid over a short reach and sparse ones a long reach.
+    ``_blocks`` groups consecutive N into blocks that share one centre, so
+    each block gets one node set (runs of grid points that share nodes and
+    log weights with the prior folded in), and one sum
+    (``_log_expectation``) evaluates the data factor on every set.
 
-    Every evaluation is repeated at ``check_nodes`` per axis with the same
-    rule (and the same Hermite centres); if any grid point moves by more
-    than ``rtol`` in relative terms the evaluation fails with both value
-    sets attached. ``diagnostics`` records the rule, the worst observed
-    relative change and the number of Hermite centres (0 under Laguerre)
-    of the most recent call. Neither node count may exceed 363.
+    Every evaluation is repeated at ``check_nodes`` per axis on the same
+    blocks; if any grid point moves by more than ``rtol`` in relative terms
+    the evaluation fails with both value sets attached. ``diagnostics``
+    records the rule ("sinh"), the worst observed relative change and the
+    number of shared centres of the most recent call. Neither node count may
+    exceed 363.
     """
 
     def __init__(
@@ -199,39 +191,25 @@ class MhMarginalKernel:
         self.check_nodes = check_nodes
         self.rtol = rtol
         self.diagnostics: dict = {
-            "rule": self.rule,
+            "rule": "sinh",
             "nodes": nodes,
             "check_nodes": check_nodes,
             "max_rel_change": None,
             "centres": None,
         }
 
-    @property
-    def rule(self) -> str:
-        """"hermite" when a + M and b + (M - f_K) both reach ``_HERMITE_MIN_RATE``, else "laguerre"."""
-        m = self.stats.m_k1
-        rates = (self.gammas.a + m, self.gammas.b + m - self.stats.f_j[-1])
-        return "hermite" if min(rates) >= _HERMITE_MIN_RATE else "laguerre"
-
     def _log_expectation(self, grid: np.ndarray, n_nodes: int, blocks) -> np.ndarray:
         """Log prior expectation of the data factor at each N, summed over the
-        node sets of ``_hermite_node_sets`` on ``blocks`` (from ``_hermite_blocks``)
-        or, when ``blocks`` is None, of ``_laguerre_node_sets``. A node set is
-        ``(rows, alpha, beta, log_weight, log_scale)``: the grid points it
-        serves, its nodes and weights, and a constant added to each sum."""
+        node sets of ``_node_sets`` on ``blocks`` (from ``_blocks``). A node
+        set is ``(rows, alpha, beta, log_weight, log_scale)``: the grid points
+        it serves, its nodes and weights, and a constant added to each sum."""
         m, k = self.stats.m_k1, self.stats.k
-        if blocks is None:
-            node_sets = self._laguerre_node_sets(grid, n_nodes)
-        else:
-            node_sets = self._hermite_node_sets(n_nodes, blocks)
         out = np.empty_like(grid)
-        for rows, alpha, beta, log_weight, log_scale in node_sets:
+        for rows, alpha, beta, log_weight, log_scale in self._node_sets(n_nodes, grid, blocks):
             base = log_weight + self._log_obs(alpha, beta)
             out[rows] = _excess_sums(base, mh_log_zero_cell(alpha, beta, k), grid[rows] - m) + log_scale
-        if blocks is not None:  # the Hermite weights leave out the Gamma priors' normalizer
-            g = self.gammas
-            out = out - (g.a + g.b) * np.log(g.c) - gammaln(g.a) - gammaln(g.b)
-        return out
+        g = self.gammas  # the weights leave out the Gamma priors' normalizer
+        return out - (g.a + g.b) * np.log(g.c) - gammaln(g.a) - gammaln(g.b)
 
     def _log_obs(self, alpha, beta) -> np.ndarray:
         """Log product of the per-animal rising-factorial factors."""
@@ -241,39 +219,10 @@ class MhMarginalKernel:
         """Log data factor at (alpha, beta) with ``excess`` = N - M animals never caught."""
         return self._log_obs(alpha, beta) + excess * mh_log_zero_cell(alpha, beta, self.stats.k)
 
-    def _laguerre_node_sets(self, grid: np.ndarray, n_nodes: int):
-        """Prior-matched node sets: one in mixing coordinates for every N with
-        N - M up to ``_BRANCH_THRESHOLD``, then one per larger N."""
-        g, st = self.gammas, self.stats
-        a, b, c = g.a, g.b, g.c
-        m, k = st.m_k1, st.k
-        small = grid - m <= _BRANCH_THRESHOLD
-        if small.any():
-            # xi = alpha + beta ~ Gamma(a+b, c) and X = alpha/xi ~ Beta(a, b)
-            t, logw = _gauss_rule(roots_genlaguerre, n_nodes, a + b - 1.0)
-            xs, logv = _gauss_rule(roots_jacobi, n_nodes, b - 1.0, a - 1.0)
-            xi = c * t[:, None]
-            x = (1.0 + xs[None, :]) / 2.0  # Jacobi nodes on (-1, 1) moved to (0, 1)
-            logv = logv - _log_sum_exp(logv)  # weights of the normalized Beta(a, b) measure
-            yield small, xi * x, xi * (1.0 - x), logw[:, None] - gammaln(a + b) + logv[None, :], 0.0
-        t, logw = _gauss_rule(roots_genlaguerre, n_nodes, a - 1.0)
-        # Jacobi nodes mapped to beta = c (1+y)/(1-y); the weights hold beta^(a+b-1) e^(-beta/c) dbeta / c^(a+b)
-        y, logv = _gauss_rule(roots_jacobi, n_nodes, 0.0, a + b - 1.0)
-        beta = (c * (1.0 + y) / (1.0 - y))[None, :]
-        logv = (logv + np.log(2.0) - (a + b + 1.0) * np.log1p(-y))[None, :] - beta / c
-        s_rate = sum(1.0 / (beta + j) for j in range(k))  # d(-log zero cell)/d alpha at 0
-        for i in np.flatnonzero(~small):
-            # alpha = t / lam with lam = 1/c + e S: the weight e^-t holds the
-            # prior's e^(-alpha/c) and the zero cell's e^(-e S alpha), and
-            # t - alpha/c = e S alpha gives the second back to the zero cell
-            lam = 1.0 / c + (grid[i] - m) * s_rate
-            alpha = t[:, None] / lam
-            log_weight = logw[:, None] + logv - a * np.log(beta * lam) + (t[:, None] - alpha / c)
-            yield slice(i, i + 1), alpha, beta, log_weight, -gammaln(a) - gammaln(b)
-
-    def _hermite_centre(self, grid: np.ndarray):
-        """Mode (u, v) of the log integrand at each N and the Cholesky factor
-        (l11, l21, l22) of the inverse negative Hessian there.
+    def _mode_centre(self, grid: np.ndarray):
+        """Mode (s, r) of the log integrand at each N and the Cholesky factor
+        (l11, l21, l22) of the inverse negative Hessian there, in (s, r) =
+        (log(alpha + beta), log(alpha/beta)).
 
         In (u, v) = (log alpha, log beta), with e = N - M, the log integrand is,
         up to constants,
@@ -286,8 +235,11 @@ class MhMarginalKernel:
         Hessian are summed over i from (K, grid) arrays, with no Python loop
         over the cells. Where the Hessian is not negative definite it takes a
         gradient step instead, and a halving line search keeps every step
-        uphill. The quadrature does not centre on each of these:
-        ``_hermite_blocks`` groups nearby N under one of them.
+        uphill. The map u = s - log(1 + e^-r), v = s - log(1 + e^r) has unit
+        Jacobian, so the mode in (u, v) is the mode in (s, r), and there the
+        Hessian becomes J^T H J with J = d(u, v)/d(s, r). The quadrature does
+        not centre on each of these: ``_blocks`` groups nearby N under one of
+        them.
         """
         g, st = self.gammas, self.stats
         a, b, c = g.a, g.b, g.c
@@ -318,6 +270,7 @@ class MhMarginalKernel:
         u = np.full_like(grid, np.log(a * c))
         v = np.full_like(grid, np.log(b * c))
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            base = objective(u, v)
             for _ in range(_MODE_MAX_ITER):
                 gu, gv, huu, hvv, huv = derivatives(u, v)
                 det = huu * hvv - huv**2
@@ -331,81 +284,111 @@ class MhMarginalKernel:
                 todo = size >= _MODE_TOL
                 if not todo.any():
                     break
-                base = objective(u, v)
                 step = np.ones_like(grid)
                 while todo.any():
                     trial = objective(u + step * du, v + step * dv)
                     todo &= ~(trial >= base) & (step * size >= _MODE_TOL)
                     step = np.where(todo, step / 2.0, step)
-                u, v = u + step * du, v + step * dv
+                # the last trial was taken at every point's final step
+                u, v, base = u + step * du, v + step * dv, trial
             _, _, huu, hvv, huv = derivatives(u, v)
-            det = huu * hvv - huv**2
+            # J has columns (1, 1) for s and (1 - p, -p) for r, p = alpha/(alpha + beta)
+            p = 1.0 / (1.0 + np.exp(v - u))
+            hss = huu + 2.0 * huv + hvv
+            hsr = (1.0 - p) * huu + (1.0 - 2.0 * p) * huv - p * hvv
+            hrr = (1.0 - p) ** 2 * huu - 2.0 * p * (1.0 - p) * huv + p**2 * hvv
+            det = hss * hrr - hsr**2
             # lower Cholesky factor of (-H)^-1 in closed form
-            l11 = np.sqrt(-hvv / det)
-            l21 = huv / np.sqrt(-hvv * det)
-            l22 = 1.0 / np.sqrt(-hvv)
-        return u, v, l11, l21, l22
+            l11 = np.sqrt(-hrr / det)
+            l21 = hsr / np.sqrt(-hrr * det)
+            l22 = 1.0 / np.sqrt(-hrr)
+        return np.logaddexp(u, v), u - v, l11, l21, l22
 
-    def _hermite_blocks(self, grid: np.ndarray) -> list:
-        """Consecutive runs of grid points that share one Hermite centre.
+    def _blocks(self, grid: np.ndarray) -> list:
+        """Consecutive runs of grid points that share one centre.
 
         Returns ``(block, centre)`` pairs, ``block`` a slice of the grid and
-        ``centre`` the (u, v, l11, l21, l22) of ``_hermite_centre`` at its
-        first point. A point joins the open block when its own mode lies
-        within ``_BLOCK_RADIUS`` = 3 of the block's, in the units
-        z = L^-1 (du, dv) of the block's Cholesky factor L. A point whose
-        centre is not finite,
-        or whose factor has a non-positive diagonal, opens a block of its own
-        and lends its nodes to no other point, so its NaN stays its own.
+        ``centre`` the (s, r, l11, l21, l22) of ``_mode_centre`` at its first
+        point. A point joins the open block when its own mode and the
+        block's lie within ``_BLOCK_RADIUS`` = 3 of each other, both in the
+        units z = L^-1 (ds, dr) of the block's Cholesky factor L and in those
+        of the point's own factor. A point whose centre is not finite, or
+        whose factor has a non-positive diagonal, opens a block of its own
+        and lends its nodes to no other point, so its NaN stays its own. So
+        does N = M, the only N without the zero-cell factor.
         """
-        centre = np.stack(self._hermite_centre(grid))
-        usable = (np.isfinite(centre).all(axis=0) & (centre[2] > 0) & (centre[4] > 0)).tolist()
-        u, v, l11, l21, l22 = centre.tolist()
+        centre = np.stack(self._mode_centre(grid))
+        finite = np.isfinite(centre).all(axis=0) & (centre[2] > 0) & (centre[4] > 0)
+        usable = (finite & (grid > self.stats.m_k1)).tolist()
+        s, r, l11, l21, l22 = centre.tolist()
+
+        def offset(i, j):  # |L_j^-1 (centre_i - centre_j)|
+            z1 = (s[i] - s[j]) / l11[j]
+            return math.hypot(z1, (r[i] - r[j] - l21[j] * z1) / l22[j])
+
         starts: list[int] = []
         for i in range(grid.size):
             dist = math.nan
             if starts and usable[i] and usable[starts[-1]]:
-                j = starts[-1]
-                z1 = (u[i] - u[j]) / l11[j]
-                z2 = (v[i] - v[j] - l21[j] * z1) / l22[j]
-                dist = math.hypot(z1, z2)
+                dist = max(offset(i, starts[-1]), offset(starts[-1], i))
             if not dist <= _BLOCK_RADIUS:  # NaN opens a block too
                 starts.append(i)
         stops = starts[1:] + [grid.size]
         return [(slice(i, stop), tuple(centre[:, i])) for i, stop in zip(starts, stops)]
 
-    def _hermite_node_sets(self, n_nodes: int, blocks):
-        """One Gauss-Hermite node set per block, at centre + sqrt(2) L (x_r, x_s)."""
-        g = self.gammas
+    def _node_sets(self, n_nodes: int, grid: np.ndarray, blocks):
+        """One sinh node set per block, at (s, r) = centre + L (sinh t_j,
+        sinh t_k) with t on an even grid of step h over [-T, T] and weights
+        h cosh t.
+
+        In (s, r) the log integrand falls at rate a + M as alpha -> 0 (r to
+        -inf), b + (M - f_K) + (N - M) as beta -> 0 (r to +inf) and a + b +
+        (M - f_K) as alpha + beta -> 0 (s to -inf); the prior cuts s off
+        double-exponentially on the right. One standardized unit moves r by
+        l22 at fixed s, and s by l11 l22 / |(l21, l22)| at fixed r, so the
+        slowest tail, at the block's smallest N, falls by e^_TAIL_DROP within
+        _TAIL_DROP / fall units, fall being its rate times that length. The
+        reach sinh T adds that to _BODY_REACH, up to sinh(_MAX_SPAN); a
+        shorter reach leaves a finer grid about the mode for the same node
+        count.
+        """
+        g, st = self.gammas, self.stats
         a, b, c = g.a, g.b, g.c
-        x, logw = _gauss_rule(roots_hermite, n_nodes)
-        logw = logw + x * x  # e^(x^2) folded into the weights: the integrand has no e^(-x^2)
-        root2 = np.sqrt(2.0)
-        for block, (u0, v0, l11, l21, l22) in blocks:
-            # L is lower-triangular: u and the first part of v depend on the row node only
-            u = u0 + root2 * l11 * x
-            v_row = v0 + root2 * l21 * x
-            v_col = root2 * l22 * x
-            alpha = np.exp(u)[:, None]
-            beta = np.exp(v_row)[:, None] * np.exp(v_col)[None, :]
-            log_weight = (
-                (logw + a * u + b * v_row - alpha[:, 0] / c)[:, None] + (logw + b * v_col)[None, :] - beta / c
-            )
-            yield block, alpha, beta, log_weight, np.log(2.0 * l11 * l22)
+        m, tail = st.m_k1, st.m_k1 - st.f_j[-1]
+        for block, (s0, r0, l11, l21, l22) in blocks:
+            excess = float(grid[block].min()) - m
+            # fall per standardized unit along r (s fixed) and along s (r fixed)
+            fall = min(min(a + m, b + tail + excess) * l22, (a + b + tail) * l11 * l22 / math.hypot(l21, l22))
+            reach = min(math.sinh(_MAX_SPAN), _BODY_REACH + _TAIL_DROP / fall)
+            t, h = np.linspace(-math.asinh(reach), math.asinh(reach), n_nodes, retstep=True)
+            z, logw = np.sinh(t), np.log(h * np.cosh(t))
+            # L is lower-triangular: s, and so alpha + beta = e^s, depend on
+            # the row node only; u = log alpha and v = log beta never exceed s
+            s = np.minimum(s0 + l11 * z, _MAX_LOG_SHAPE)
+            r = r0 + l21 * z[:, None] + l22 * z[None, :]
+            # log(alpha/(alpha + beta)) = -log(1 + e^-r), finite for any r
+            log_share = np.minimum(r, 0.0) - np.log1p(np.exp(-np.abs(r)))
+            u = s[:, None] + log_share
+            alpha = np.exp(np.maximum(u, -_MAX_LOG_SHAPE))
+            beta = np.exp(np.maximum(u - r, -_MAX_LOG_SHAPE))
+            # a u + b v with v = u - r, and the prior's -(alpha + beta)/c
+            row = logw + (a + b) * s - np.exp(s) / c
+            log_weight = (a + b) * log_share - b * r + row[:, None] + logw[None, :]
+            yield block, alpha, beta, log_weight, np.log(l11 * l22)
 
     def log_kernel(self, n):
         """Log kernel values; raises QuadratureConvergenceError if unsettled."""
         m = self.stats.m_k1
         grid, scalar = _as_grid(n)
 
-        def both_rules(safe):
-            # the Hermite blocks are found once and shared by both node counts
-            blocks = self._hermite_blocks(safe) if self.rule == "hermite" else None
-            self.diagnostics["centres"] = len(blocks) if blocks is not None else 0
+        def both_counts(safe):
+            # the blocks are found once and shared by both node counts
+            blocks = self._blocks(safe)
+            self.diagnostics["centres"] = len(blocks)
             log_e = [self._log_expectation(safe, n_nodes, blocks) for n_nodes in (self.nodes, self.check_nodes)]
             return log_falling(safe, m) - gammaln(m + 1) + np.stack(log_e)
 
-        log_coarse, log_fine = _on_support(grid, m, both_rules)
+        log_coarse, log_fine = _on_support(grid, m, both_counts)
         # both -inf below M is no change; NaN fails
         below_m = (log_coarse == -np.inf) & (log_fine == -np.inf)
         with np.errstate(invalid="ignore"):
@@ -420,7 +403,7 @@ class MhMarginalKernel:
             else:
                 what = f"changed by {worst:.3e} (> rtol {self.rtol:.1e}) between {nodes}"
             raise QuadratureConvergenceError(
-                f"{self.rule} quadrature {what}; " + _CONVERGENCE_ADVICE[self.rule],
+                f"sinh quadrature {what}; {_CONVERGENCE_ADVICE}",
                 log_coarse=_maybe_scalar(log_coarse, scalar),
                 log_fine=_maybe_scalar(log_fine, scalar),
                 max_rel_change=worst,
@@ -540,7 +523,7 @@ def posterior_table(
     if not np.isfinite(log_total).any():
         raise ValueError("kernel is zero everywhere on the support")
 
-    log_z = _log_sum_exp(log_total)
+    log_z = _log_sum_exp(log_total.copy())
     mass = np.exp(log_total - log_z)
 
     mean = float(mass @ support)

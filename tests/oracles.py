@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betaln, gammaln, logsumexp, roots_genlaguerre, roots_hermite, roots_jacobi, xlog1py, xlogy
+from scipy.special import betaln, gammaln, logsumexp, xlog1py, xlogy
 from scipy.stats import beta as beta_dist
 from scipy.stats import betabinom
 
@@ -196,83 +196,20 @@ def quad_mh_complete_log_lik(stats, n_val: int, alpha: float, beta: float) -> fl
     return float(out)
 
 
-def per_n_centred_hermite_log_expectation(kern, grid, n_nodes: int):
-    """The mh kernel's Gauss-Hermite rule with fresh nodes at every N.
+def per_n_centred_sinh_log_expectation(kern, grid, n_nodes: int):
+    """The mh kernel's sinh rule with a node set of its own at every N.
 
-    Each N gets its own mode-centred node set from ``kern._hermite_centre``
-    and its own data factor ``kern._log_data``; nothing is shared between
-    grid points. Returns the log prior expectation that
-    ``kern._log_expectation`` computes on the same grid. Unlike the rest of
-    this module it reuses the kernel's centres and integrand: it is the
-    reference for sharing node sets across N, not for the integrand.
+    Each N is a block of one point, centred on its own mode from
+    ``kern._mode_centre``, so no nodes are shared between grid points; the
+    kernel's ``_log_expectation`` sums the data factor on those blocks.
+    Returns the log prior expectation that ``kern._log_expectation``
+    computes on the blocks of ``kern._blocks``. Unlike the rest of this
+    module it runs the kernel's own rule: it is the reference for sharing
+    node sets across N, not for the integrand.
     """
-    g, st = kern.gammas, kern.stats
-    a, b, c = g.a, g.b, g.c
-    m = st.m_k1
-    x, w = roots_hermite(n_nodes)
-    logw = np.log(w) + x * x  # e^(x^2) folded into the weights: the integrand has no e^(-x^2)
-    root2 = np.sqrt(2.0)
-    u0, v0, l11, l21, l22 = kern._hermite_centre(grid)
-    out = np.empty_like(grid)
-    for i, n_val in enumerate(grid):
-        # (u, v) = centre + sqrt(2) L (x_r, x_s) with L lower-triangular: u and
-        # the first part of v depend on the row node only
-        u = u0[i] + root2 * l11[i] * x
-        v_row = v0[i] + root2 * l21[i] * x
-        v_col = root2 * l22[i] * x
-        alpha = np.exp(u)[:, None]
-        beta = np.exp(v_row)[:, None] * np.exp(v_col)[None, :]
-        logint = (
-            (logw + a * u + b * v_row - alpha[:, 0] / c)[:, None]
-            + (logw + b * v_col)[None, :]
-            - beta / c
-            + kern._log_data(alpha, beta, n_val - m)
-        )
-        out[i] = logsumexp(logint) + np.log(2.0 * l11[i] * l22[i])
-    return out - (a + b) * np.log(c) - gammaln(a) - gammaln(b)
-
-
-def split_rescaled_log_expectation(kern, grid, n_nodes: int):
-    """The rescaled Laguerre rule with the zero cell split in two parts.
-
-    With e = N - M and S = sum_{j<K} 1/(beta + j), the zero cell's slope at
-    alpha = 0, the rule puts alpha = t / lam with lam = 1/c + e S, so that the
-    generalized Laguerre weight e^-t holds both the prior's e^(-alpha/c) and
-    e^(-e S alpha). What the zero cell leaves is e times the residual
-    rho = sum_j z_j - log1p(z_j), z_j = alpha / (beta + j), summed here on
-    its own. The beta nodes are the kernel's: Gauss-Jacobi nodes for
-    x^(a+b-1) on (0, 1), moved to beta = c x/(1 - x), built here from scipy.
-    ``kern._log_expectation`` instead sums the whole zero cell, once for
-    every rule, and adds t - alpha/c back to the weights. Like
-    ``per_n_centred_hermite_log_expectation`` it reuses the kernel's
-    observed-animal factor ``kern._log_obs``: it is the reference for the
-    zero-cell split, not for the integrand.
-    """
-    g, st = kern.gammas, kern.stats
-    a, b, c = g.a, g.b, g.c
-    m, k = st.m_k1, st.k
-    t, w = roots_genlaguerre(n_nodes, a - 1.0)
-    y, v = roots_jacobi(n_nodes, 0.0, a + b - 1.0)
-    with np.errstate(divide="ignore"):  # weights that underflow to 0 carry no mass
-        logw, logv = np.log(w), np.log(v)
-    x = (1.0 + y) / 2.0
-    beta = c * x[None, :] / (1.0 - x[None, :])
-    # the Jacobi weight (1 + y)^(a+b-1) dy is 2^(a+b) x^(a+b-1) dx, and
-    # beta^(a+b-1) e^(-beta/c) dbeta is c^(a+b) x^(a+b-1) (1 - x)^-(a+b+1) e^(-beta/c) dx
-    logv = logv[None, :] - (a + b) * np.log(2.0) - (a + b + 1.0) * np.log1p(-x[None, :]) - beta / c
-    s_rate = sum(1.0 / (beta + j) for j in range(k))
-    out = np.empty_like(grid)
-    for i, n_val in enumerate(grid):
-        excess = n_val - m
-        lam = 1.0 / c + excess * s_rate
-        alpha = t[:, None] / lam
-        rho = np.zeros_like(alpha)
-        for j in range(k):
-            z = alpha / (beta + j)
-            rho += z - np.log1p(z)
-        logint = logw[:, None] + logv - a * np.log(beta * lam) + excess * rho + kern._log_obs(alpha, beta)
-        out[i] = logsumexp(logint) - gammaln(a) - gammaln(b)
-    return out
+    centre = np.stack(kern._mode_centre(grid))
+    blocks = [(slice(i, i + 1), tuple(centre[:, i])) for i in range(grid.size)]
+    return kern._log_expectation(grid, n_nodes, blocks)
 
 
 def mh_log_integrand(stats, a: float, b: float, c: float, u, v, excess):
@@ -304,29 +241,49 @@ def box_mh_marginal_log_kernel(stats, n_vals, a: float, b: float, c: float) -> n
     beta ~ Gamma(b, c) at each N. In (u, v) = (log alpha, log beta) the
     integrand is smooth and falls off fast on every side, so a plain sum over
     evenly spaced points (the trapezoid rule, with negligible edges)
-    converges geometrically in the spacing. A coarse scan of [-40, 25]^2
-    finds the box where the log integrand lies within 45 of its largest
-    value; the box gets 201 x 201 nodes (401 x 401 changed no value by
-    more than 3e-13 on random sets), and the oracle fails if the integrand
-    on its edges is not negligible. No node rule, no mode
-    search and no library code: slow but independent of both mh rules.
+    converges geometrically in the spacing. A coarse scan of 261 points per
+    coordinate over [-40, 25] finds the box where the log integrand lies
+    within 45 of its largest value. A small left-tail rate can put that box
+    beyond -40; the scan's left end then doubles in that coordinate, down to
+    -640. Each side of the box gets 201 nodes, or more to keep the step at
+    most 0.1 (401 x 401 changed no value by more than 3e-13 on random sets;
+    a step of 0.05 moved none of the wide boxes by more than 5e-13), and
+    the oracle fails if the integrand on its edges is not negligible. No
+    node rule, no mode search and no library code: slow but independent of
+    the mh rule.
     """
     m = stats.m_k1
-    scan = np.linspace(-40.0, 25.0, 261)
-    step = scan[1] - scan[0]
     out = []
     for n_val in np.atleast_1d(n_vals):
-        g = mh_log_integrand(stats, a, b, c, scan[:, None], scan[None, :], n_val - m)
-        rows, cols = np.nonzero(g > g.max() - 45.0)
-        if min(rows.min(), cols.min()) == 0 or max(rows.max(), cols.max()) == scan.size - 1:
-            raise AssertionError(f"integrand at N = {n_val} reaches the edge of the scan")
-        u = np.linspace(scan[rows.min()] - step, scan[rows.max()] + step, 201)
-        v = np.linspace(scan[cols.min()] - step, scan[cols.max()] + step, 201)
-        g = mh_log_integrand(stats, a, b, c, u[:, None], v[None, :], n_val - m)
-        edges = np.concatenate([g[0], g[-1], g[:, 0], g[:, -1]])
-        if not edges.max() < g.max() - 30.0:
+        left = [-40.0, -40.0]
+        while True:
+            scan_u, scan_v = (np.linspace(lo, 25.0, 261) for lo in left)
+            g = mh_log_integrand(stats, a, b, c, scan_u[:, None], scan_v[None, :], n_val - m)
+            rows, cols = np.nonzero(g > g.max() - 45.0)
+            firsts = rows.min(), cols.min()
+            too_far = any(first == 0 and lo < -600.0 for lo, first in zip(left, firsts))
+            if rows.max() == 260 or cols.max() == 260 or too_far:
+                raise AssertionError(f"integrand at N = {n_val} reaches the edge of the scan")
+            if min(firsts) > 0:
+                break
+            left = [lo * 2.0 if first == 0 else lo for lo, first in zip(left, firsts)]
+        u, v = (
+            np.linspace(lo - step, hi + step, max(201, int(math.ceil((hi - lo + 2.0 * step) / 0.1)) + 1))
+            for lo, hi, step in (
+                (scan_u[rows.min()], scan_u[rows.max()], scan_u[1] - scan_u[0]),
+                (scan_v[cols.min()], scan_v[cols.max()], scan_v[1] - scan_v[0]),
+            )
+        )
+        sums, top, edge = [], -np.inf, -np.inf
+        for i in range(0, u.size, 256):  # 256 rows at a time bound the memory of a wide box
+            g = mh_log_integrand(stats, a, b, c, u[i : i + 256, None], v[None, :], n_val - m)
+            sums.append(logsumexp(g))
+            top = max(top, g.max())
+            edge = max(edge, g[:, 0].max(), g[:, -1].max(), g[0].max() if i == 0 else -np.inf)
+        edge = max(edge, g[-1].max())
+        if not edge < top - 30.0:
             raise AssertionError(f"integrand at N = {n_val} is not negligible on the box's edges")
-        log_e = logsumexp(g) + math.log((u[1] - u[0]) * (v[1] - v[0]))
+        log_e = logsumexp(sums) + math.log((u[1] - u[0]) * (v[1] - v[0]))
         log_comb = sum(math.log(n_val - i) for i in range(m)) - math.lgamma(m + 1)  # log C(N, M)
         out.append(log_comb + log_e - (a + b) * math.log(c) - gammaln(a) - gammaln(b))
     return np.array(out)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crbayes.cli import build_parser, main
-from crbayes.data import load_history, store_history, simulate_m0
+from crbayes.data import load_history, store_history, simulate_m0, simulate_mh
 from crbayes.data import CaptureHistory
 
 
@@ -101,10 +101,10 @@ class TestAnalyze:
         assert rc == 0
         payload = json.loads((tmp_path / "mh.json").read_text())
         assert payload["quadrature"]["max_rel_change"] is not None
-        assert payload["quadrature"]["rule"] == "hermite"
+        assert payload["quadrature"]["rule"] == "sinh"
         assert list(payload["quadrature"]) == ["rule", "nodes", "check_nodes", "max_rel_change", "centres"]
         assert 1 <= payload["quadrature"]["centres"] <= 118  # the support [3, 120]
-        assert "hermite quadrature max relative change" in capsys.readouterr().out
+        assert "sinh quadrature max relative change" in capsys.readouterr().out
 
     @pytest.mark.parametrize("shape_a, rc_expected, verdict", [("1.0", 3, "improper"), ("2", 0, "proper")])
     def test_mh_exact_verdict_decides_exit_code(self, tmp_path, capsys, shape_a, rc_expected, verdict):
@@ -131,6 +131,19 @@ class TestAnalyze:
                   "--quad-rtol", "1e-10", "--out", str(tmp_path / "mh")])
         assert rc == 5
         assert "quadrature" in capsys.readouterr().err
+
+    def test_mh_data_rich_table_passes_a_tight_rtol(self, tmp_path):
+        # 40 animals on 8 occasions over the default support [40, 1e4]: the
+        # node sets share centres, and the 64/96 check still sees quadrature
+        # error only (about 1e-13), not the offset of a shared centre
+        path = tmp_path / "rich.json"
+        store_history(simulate_mh(50, 2.0, 4.0, 8, seed=6), path)
+        rc = run(["analyze", "--data", str(path), "--model", "mh", "--quad-rtol", "1e-8",
+                  "--out", str(tmp_path / "mh")])
+        assert rc == 0
+        quadrature = json.loads((tmp_path / "mh.json").read_text())["quadrature"]
+        assert quadrature["max_rel_change"] <= 1e-10
+        assert quadrature["centres"] < 40
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         rc = run(["analyze", "--data", str(tmp_path / "nope.json"), "--model", "m0",
