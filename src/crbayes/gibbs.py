@@ -14,14 +14,15 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.special import gammaln
 
-from .data import CaptureHistory, summarize, write_csv, write_json
+from .data import CaptureHistory, SufficientStats, summarize, write_csv, write_json
 from .likelihoods import BetaParams
+from .posterior import _log_sum_exp, m0_marginal_log_kernel
 
-# the first visit to a state fills the aligned chunk of this many consecutive
-# states, _FIRST_BLOCK triples each; a later refill doubles the state's last block
+# a chunk fill gives the states of the aligned chunk of this many consecutive
+# states their first blocks at once
 _CHUNK = 64
-_FIRST_BLOCK = 16
 # the walk drops its unconsumed triples after each segment of this many
 # iterations, so that its memory does not grow with the run's length
 _SEGMENT = 1 << 18
@@ -105,6 +106,28 @@ def effective_sample_size(chain: np.ndarray) -> float:
     return float(n / max(tau, 1.0))
 
 
+def _da_log_mass(stats: SufficientStats, config: DaConfig) -> np.ndarray:
+    """Exact log N-marginal of the augmented model at N = M_obs..M, normalized.
+
+    Summing out psi and the membership of the M rows leaves the prior
+    N ~ BetaBinomial(M, a_psi, b_psi); summing out p leaves the m0 kernel.
+    This is the chain's stationary law, used to size its triple pools.
+    """
+    a_psi, b_psi = config.psi_prior
+    n = np.arange(stats.m_k1, config.m + 1, dtype=float)
+    log_post = m0_marginal_log_kernel(n, stats, config.p_prior)
+    # the Beta-binomial pmf up to its constant: C(M, N) B(a_psi + N, b_psi + M - N)
+    log_post += gammaln(a_psi + n) - gammaln(n + 1.0) + gammaln(b_psi + config.m - n) - gammaln(config.m - n + 1.0)
+    return log_post - _log_sum_exp(log_post.copy())
+
+
+def _block_size(visits):
+    """Triples to draw for a state expected ``visits`` times: two Poisson
+    standard deviations above that, and at least two, as one more draw costs
+    far less than the call that would refill a state the chain comes back to."""
+    return np.maximum(np.ceil(visits + 2.0 * np.sqrt(visits)), 2.0).astype(np.int64)
+
+
 def da_gibbs(data: CaptureHistory, config: DaConfig) -> DaChains:
     """Run the augmented Gibbs sampler and return the retained draws.
 
@@ -123,24 +146,36 @@ def da_gibbs(data: CaptureHistory, config: DaConfig) -> DaChains:
     each state keeps a pointer to and the end of its current block. The walk
     only records the id of each triple it consumes and moves to that triple's
     next state; after each segment of ``_SEGMENT`` iterations, one fancy
-    index over the segment's retained ids gathers N, psi and p. The first
-    visit to any state fills the aligned chunk of ``_CHUNK`` consecutive
-    states around it, ``_FIRST_BLOCK`` triples each, in one vectorized draw.
-    A state whose block is used up gets a fresh one, twice the size of its
-    last, drawn for it alone. Each visit consumes one triple, none is reused,
-    and the triples of a state are i.i.d. from its law and independent of the
-    chain's past. So the chain has exactly the one-draw-at-a-time Gibbs
-    transition kernel and stationary law; only the use of the random stream
-    differs. The same holds when a segment ends and the walk drops every
-    unconsumed triple and starts the next segment with empty pools: those
-    triples never moved the chain.
+    index over the segment's retained ids gathers N, psi and p.
 
-    Within a segment of S iterations, a state visited v > 0 times draws at
-    most 2v + 14 triples, and every other state of a filled chunk draws 16.
-    A segment thus draws at most 2 S + 16 min(M - M_obs + 1, 64 S) triples,
-    the size of the pools, of which only the written pages take memory, and
-    the two pointer lists take 16 bytes per augmented row. Memory does not
-    grow with ``iters`` beyond the retained draws.
+    Block sizes come from the chain's exact stationary law pi (see
+    ``_da_log_mass``): a state expected v times in the L iterations still to
+    run, v = pi L, gets ``_block_size(v)`` = max(2, ceil(v + 2 sqrt(v)))
+    triples, two Poisson standard deviations above its expected visits. A
+    segment of S iterations starts with one vectorized draw of the blocks of
+    every state with pi S >= 1. The first visit to any other state fills
+    the states of that kind in the aligned chunk of ``_CHUNK`` consecutive
+    states around it, in one draw; as v < 1 there, a block holds two or
+    three triples. A state whose block is used up gets a fresh one, sized
+    the same way from the iterations left and drawn for it alone. Each visit
+    consumes one triple, none is reused, and the triples of a state are
+    i.i.d. from its law and independent of the chain's past, as every block
+    size depends only on pi, the config and that past. So the chain has
+    exactly the one-draw-at-a-time Gibbs transition kernel and stationary
+    law; only the use of the random stream differs. The same holds when a
+    segment ends and the walk drops every unconsumed triple and starts the
+    next segment with empty pools: those triples never moved the chain.
+
+    Within a segment, a state's unconsumed triples are at most its last
+    block, of at most pi S + 2 sqrt(pi S) + 2 triples. Over the B states
+    given a block these add up to at most S + 2 sqrt(B S) + 2 B <= 2 S + 3 B,
+    so with the S it consumes a segment draws at most 3 S + 3 B triples. At
+    most S states have pi S >= 1, and each of at most S chunk fills adds at
+    most ``_CHUNK`` states, so B <= min(M - M_obs + 1, (``_CHUNK`` + 1) S).
+    That bound sizes the pools, of which only the written pages take memory;
+    pi, the cold-state mask and the two pointer lists take 25 bytes per
+    augmented row. Memory does not grow with ``iters`` beyond the retained
+    draws.
     """
     stats = summarize(data)
     m_k1, k, n_dot = stats.m_k1, stats.k, stats.n_dot
@@ -150,17 +185,17 @@ def da_gibbs(data: CaptureHistory, config: DaConfig) -> DaChains:
     rng = np.random.default_rng(config.seed)
     a_p, b_p = config.p_prior.a, config.p_prior.b
     a_psi, b_psi = config.psi_prior
+    mass = np.exp(_da_log_mass(stats, config))
 
     segment = min(config.iters, _SEGMENT)
     # the bound on triples one segment draws (see above) sizes the pools
-    capacity = 2 * segment + _FIRST_BLOCK * min(n_free + 1, _CHUNK * segment)
+    capacity = 3 * segment + 3 * min(n_free + 1, (_CHUNK + 1) * segment)
     nxt_pool, psi_pool, p_pool = np.empty(capacity, dtype=np.int64), np.empty(capacity), np.empty(capacity)
     # memoryviews read and store Python ints, faster than an ndarray handles
     # its numpy scalars; the walk reads nxt and stores through record
     nxt = memoryview(nxt_pool)
-    # state s owns the unconsumed triples ptr[s] <= id < end[s]; end[s] = 0 until its chunk is filled
+    # state s owns the unconsumed triples ptr[s] <= id < end[s]; end[s] = 0 until it gets a block
     ptr, end = [0] * (n_free + 1), [0] * (n_free + 1)
-    block_size: dict[int, int] = {}
     top = 0
 
     def draw(members, size=None) -> int:
@@ -180,21 +215,12 @@ def da_gibbs(data: CaptureHistory, config: DaConfig) -> DaChains:
         p_pool[first:top] = p
         return first
 
-    def refill(extra: int) -> int:
-        """Give state ``extra`` a fresh block and return its first id."""
-        if end[extra] == 0:
-            lo = extra - extra % _CHUNK
-            hi = min(lo + _CHUNK, n_free + 1)
-            first = draw(m_k1 + np.repeat(np.arange(lo, hi), _FIRST_BLOCK))
-            ptr[lo:hi] = range(first, first + (hi - lo) * _FIRST_BLOCK, _FIRST_BLOCK)
-            end[lo:hi] = range(first + _FIRST_BLOCK, first + (hi - lo + 1) * _FIRST_BLOCK, _FIRST_BLOCK)
-            return ptr[extra]
-        # one state's block, twice its last (a chunk fill's is _FIRST_BLOCK),
-        # at scalar shapes: array-shaped ones cost more for one state than they save
-        size = block_size[extra] = 2 * block_size.get(extra, _FIRST_BLOCK)
-        first = draw(m_k1 + extra, size)
-        end[extra] = first + size
-        return first
+    def fill(states: np.ndarray, left: int) -> None:
+        """Give each of ``states`` its first block in one draw at per-element shapes."""
+        sizes = _block_size(mass[states] * left)
+        ends = draw(m_k1 + np.repeat(states, sizes)) + np.cumsum(sizes)
+        for s, lo, hi in zip(states.tolist(), (ends - sizes).tolist(), ends.tolist()):
+            ptr[s], end[s] = lo, hi
 
     out_n, out_psi, out_p = np.empty(config.kept, dtype=np.int64), np.empty(config.kept), np.empty(config.kept)
     done = 0
@@ -203,10 +229,25 @@ def da_gibbs(data: CaptureHistory, config: DaConfig) -> DaChains:
     ids = np.empty(segment, dtype=np.int64)
     record = memoryview(ids)
     for base in range(0, config.iters, segment):
-        for it in range(min(segment, config.iters - base)):
+        steps = min(segment, config.iters - base)
+        # states expected at least once get their blocks now; the rest, the
+        # burn-in transient and the far tail, wait for a first visit
+        cold = mass * steps < 1.0
+        fill(np.flatnonzero(~cold), steps)
+        for it in range(steps):
             i = ptr[extra]
             if i == end[extra]:
-                i = refill(extra)
+                left = steps - it
+                if end[extra] == 0:
+                    lo = extra - extra % _CHUNK
+                    fill(lo + np.flatnonzero(cold[lo : lo + _CHUNK]), left)
+                    i = ptr[extra]
+                else:
+                    # one state's block at scalar shapes: array-shaped ones
+                    # cost more for one state than they save
+                    size = int(_block_size(mass[extra] * left))
+                    i = draw(m_k1 + extra, size)
+                    end[extra] = i + size
             ptr[extra] = i + 1
             record[it] = i
             extra = nxt[i]
@@ -220,7 +261,6 @@ def da_gibbs(data: CaptureHistory, config: DaConfig) -> DaChains:
         done += kept.size
         top = 0
         ptr[:] = end[:] = [0] * (n_free + 1)
-        block_size.clear()
     out_n += m_k1
     return DaChains(n=out_n, psi=out_psi, p=out_p)
 

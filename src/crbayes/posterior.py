@@ -467,12 +467,14 @@ def fit_log_log_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float
     lx, ly = np.log(x), np.asarray(y, dtype=float)
     n_pts = lx.size
     lxc = lx - lx.mean()
-    sxx = float(lxc @ lxc)
-    slope = float(lxc @ ly) / sxx
+    # elementwise sums, not BLAS dots, which start the BLAS thread pool and
+    # slow every later chain in the process (as in effective_sample_size)
+    sxx = float((lxc * lxc).sum())
+    slope = float((lxc * ly).sum()) / sxx
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (intercept + slope * lx)
     dof = max(n_pts - 2, 1)
-    stderr = float(np.sqrt((resid @ resid) / dof / sxx))
+    stderr = float(np.sqrt((resid * resid).sum() / dof / sxx))
     return slope, intercept, stderr
 
 
@@ -526,8 +528,9 @@ def posterior_table(
     log_z = _log_sum_exp(log_total.copy())
     mass = np.exp(log_total - log_z)
 
-    mean = float(mass @ support)
-    var = float(mass @ (support - mean) ** 2)
+    # elementwise sums, not BLAS dots (see fit_log_log_slope)
+    mean = float((mass * support).sum())
+    var = float((mass * (support - mean) ** 2).sum())
     sd = float(np.sqrt(max(var, 0.0)))
     cdf = np.cumsum(mass)
     lo_q, hi_q = (1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import beta as beta_rv
 from scipy.stats import kstest
 
@@ -91,6 +92,78 @@ def test_closed_form_oracle_matches_grid_posterior_under_flat_psi_prior():
     np.testing.assert_allclose(mass, table.mass, rtol=1e-9, atol=1e-300)
 
 
+def oracle_cases():
+    # random histories at sizes from no free rows to 1600, under the flat and
+    # Link's psi priors, and the degenerate shapes of the forced-membership test
+    rng = np.random.default_rng(2)
+    for i in range(6):
+        k = int(rng.integers(2, 7))
+        history = simulate_m0(int(rng.integers(5, 150)), float(rng.uniform(0.02, 0.6)), k, seed=100 + i)
+        m_obs = history.n_observed  # below 150, so below 200
+        for m_aug in (m_obs, m_obs + 1, 200, 1600):
+            for psi_prior in ((1.0, 1.0), (0.001, 1.0)):
+                yield history, m_aug, BetaParams(1.0, 1.0), psi_prior
+    everyone = CaptureHistory(k=3, rows=((1, 1, 1),) * 5)
+    for m_aug in (5, 60):
+        yield everyone, m_aug, BetaParams(1.0, 1e-3), (1.0, 1e-3)
+
+
+def test_exact_da_mass_matches_closed_form_oracle():
+    # the library's mass is built on the m0 kernel, the oracle on scipy's
+    # betaln and betabinom. Both add log-gamma terms as large as
+    # L = gammaln(K M + a_p + b_p), which float64 holds only to eps L:
+    # 1.7e-11 at K = 6 and M = 1600, where each form is some 2.5e-11 from a
+    # 40-digit evaluation. So the two agree to 1e-12 plus that rounding.
+    for history, m_aug, p_prior, psi_prior in oracle_cases():
+        stats = summarize(history)
+        log_mass = gibbs._da_log_mass(stats, DaConfig(m=m_aug, psi_prior=psi_prior, p_prior=p_prior))
+        oracle = da_posterior_mass(stats, m_aug, (p_prior.a, p_prior.b), psi_prior)
+        assert log_mass.shape == oracle.shape == (m_aug - stats.m_k1 + 1,)
+        keep = oracle > 1e-300
+        rounding = np.finfo(float).eps * gammaln(stats.k * m_aug + p_prior.a + p_prior.b)
+        np.testing.assert_allclose(log_mass[keep], np.log(oracle[keep]), rtol=1e-12, atol=1e-12 + rounding,
+                                   err_msg=f"K={stats.k} M_obs={stats.m_k1} M={m_aug} psi={psi_prior}")
+        assert (np.exp(log_mass[~keep]) <= 1e-299).all()
+
+
+class CountingRng:
+    """A Generator that counts the triples drawn: one per entry of each
+    array-valued binomial draw (the start state is the one scalar draw)."""
+
+    def __init__(self, rng):
+        self.rng, self.triples = rng, 0
+
+    def beta(self, *args):
+        return self.rng.beta(*args)
+
+    def binomial(self, *args):
+        out = self.rng.binomial(*args)
+        if np.ndim(out):
+            self.triples += out.size
+        return out
+
+
+@pytest.mark.parametrize(
+    "history, m_aug, bound",
+    [
+        (simulate_m0(100, 0.3, 5, seed=7), 200, 1.2),
+        (simulate_m0(100, 0.3, 5, seed=7), 1600, 1.2),
+        # the doubling refill this sizing replaced drew 1.59 and 1.84 here
+        (simulate_m0(400, 0.01, 5, seed=3), 200, 1.59),
+        (simulate_m0(400, 0.01, 5, seed=3), 1600, 1.84),
+    ],
+    ids=["informative-200", "informative-1600", "no-recapture-200", "no-recapture-1600"],
+)
+def test_pools_draw_little_more_than_the_chain_consumes(monkeypatch, history, m_aug, bound):
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(CountingRng(real(seed))) or made[-1])
+    cfg = DaConfig(m=m_aug, seed=0)
+    da_gibbs(history, cfg)
+    # each iteration consumes one triple
+    assert cfg.iters <= made[0].triples < bound * cfg.iters
+
+
 def test_forced_membership_when_psi_and_p_round_to_one():
     # every animal caught on every occasion, no augmented rows and tiny
     # second shapes: most draws have psi = p = 1 exactly, where the
@@ -178,6 +251,26 @@ def test_each_draw_follows_the_conditionals_at_the_state_before_it(history, m_au
     assert_draws_follow_conditionals(history, m_aug, chains)
 
 
+@pytest.mark.parametrize(
+    "history, m_aug, iters",
+    [
+        (simulate_m0(100, 0.3, 5, seed=7), 400, 20_000),
+        (simulate_m0(400, 0.01, 5, seed=3), 1600, 20_000),
+    ],
+    ids=["informative", "no-recapture"],
+)
+def test_draws_follow_the_conditionals_on_each_side_of_the_median_state(history, m_aug, iters):
+    # blocks drawn at the wrong states of one vectorized fill, say with the
+    # states reversed, can leave every residual's overall mean at 0, as
+    # errors at low states offset those at high ones; split by the state
+    # before each draw, they cannot
+    chains = da_gibbs(history, DaConfig(m=m_aug, iters=iters, burnin=100, seed=6))
+    prev = chains.n[:-1]
+    low = prev <= np.median(prev)
+    for side in (low, ~low):
+        assert_draws_follow_conditionals(history, m_aug, chains, where=side)
+
+
 @pytest.mark.parametrize("segment", [5, 64, 500])
 def test_chain_crosses_segment_edges(monkeypatch, segment):
     # each segment ends by dropping every unconsumed triple; short segments
@@ -194,12 +287,13 @@ def test_chain_crosses_segment_edges(monkeypatch, segment):
     assert_draws_follow_conditionals(history, 200, full)
 
 
-def assert_draws_follow_conditionals(history, m_aug, chains):
+def assert_draws_follow_conditionals(history, m_aug, chains, where=slice(None)):
     # psi_t and p_t are drawn at N_{t-1}, and N_t - M_obs ~ Binomial(M - M_obs, pi_t)
     # with pi = psi (1-p)^K / (psi (1-p)^K + 1 - psi) at them. Each residual
     # below has mean 0 given the chain's past, however slowly the chain mixes,
-    # so plain standard errors hold. A block drawn at the wrong state, or an
-    # N gathered from another triple than its psi and p, moves one of them.
+    # so plain standard errors hold, also over the draws ``where`` picks by
+    # that past. A block drawn at the wrong state, or an N gathered from
+    # another triple than its psi and p, moves one of them.
     stats = summarize(history)
     prev, n, psi, p = chains.n[:-1], chains.n[1:], chains.psi[1:], chains.p[1:]
     w = psi * (1.0 - p) ** stats.k
@@ -213,6 +307,7 @@ def assert_draws_follow_conditionals(history, m_aug, chains):
         "N variance": count**2 - free * pi * (1.0 - pi),
     }
     for name, r in residuals.items():
+        r = r[where]
         se = r.std(ddof=1) / np.sqrt(r.size)
         assert abs(r.mean()) <= 4.0 * se, (name, r.mean(), se)
 
