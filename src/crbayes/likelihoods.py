@@ -89,7 +89,7 @@ def kahn_log_prob(n_j: Sequence[int], n, p: float):
     return _maybe_scalar(out, scalar)
 
 
-def mh_log_obs_factor(f_j: Sequence[int], alpha, beta):
+def mh_log_obs_factor(f_j: Sequence[int], alpha, beta, log_alpha, log_beta, log_total):
     """Log product of the observed animals' integrated-likelihood factors.
 
     An animal caught y of K times contributes
@@ -97,27 +97,30 @@ def mh_log_obs_factor(f_j: Sequence[int], alpha, beta):
     (x)_n = x (x+1) ... (x+n-1), so the data enter only through the
     capture frequencies f_y:
 
-        sum_y f_y [sum_{j<y} log(alpha+j) + sum_{j<K-y} log(beta+j)]
-            - M sum_{j<K} log(alpha+beta+j)
+        sum_{j<K} [c_j log(alpha+j) + z_j log(beta+j)] - M sum_{j<K} log(alpha+beta+j)
 
-    Both prefix sums are accumulated once, in K log calls each, and weighted
-    by f_y. ``alpha`` and ``beta`` broadcast against each other.
+    with c_j = sum_{y>j} f_y animals caught and z_j = sum_{y<K-j} f_y
+    missed more than j times; a term whose count is 0 is skipped. The j = 0
+    logs come in as ``log_alpha``, ``log_beta`` and ``log_total`` =
+    log(alpha + beta), which the callers already hold; the other terms of
+    the last sum are taken from e^log_total, one log per entry of
+    ``log_total`` and term. So ``log_total`` may have fewer entries than
+    ``alpha``: a row of nodes that shares alpha + beta costs K - 1 logs,
+    not K - 1 per node. All arguments broadcast against each other.
     """
     freqs = [int(v) for v in f_j]
     k, m = len(freqs), sum(freqs)
-    log_a = np.log(alpha)  # sum_{j<y} log(alpha+j) at y = 1
-    out = freqs[0] * log_a
-    for y in range(2, k + 1):
-        log_a = log_a + np.log(alpha + (y - 1))
-        out = out + freqs[y - 1] * log_a
-    log_b = 0.0  # sum_{j<z} log(beta+j) at z = K - y = 0
-    for z in range(1, k):
-        log_b = log_b + np.log(beta + (z - 1))
-        out = out + freqs[k - z - 1] * log_b
-    total = alpha + beta
-    for j in range(k):
-        out = out - m * np.log(total + j)
-    return out
+    out = m * log_alpha + sum(freqs[: k - 1]) * log_beta  # c_0 = M
+    for j in range(1, k):
+        caught, missed = sum(freqs[j:]), sum(freqs[: k - 1 - j])
+        if caught:
+            out = out + caught * np.log(alpha + j)
+        if missed:
+            out = out + missed * np.log(beta + j)
+    total, log_rising = np.exp(log_total), log_total
+    for j in range(1, k):
+        log_rising = log_rising + np.log(total + j)
+    return out - m * log_rising
 
 
 def mh_log_zero_cell(alpha, beta, k: int):

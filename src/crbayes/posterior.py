@@ -93,7 +93,11 @@ def _excess_sums(base: np.ndarray, log_zero_cell: np.ndarray, excess: np.ndarray
     return out
 
 
-# Each node array holds n^2 entries per node set, so the node counts are capped
+# Each node array holds n^2 entries per node set, so the node counts are
+# capped: one check set at the cap (363^2 = 131769 nodes, 1 MB per array)
+# raises a process's peak RSS by about 10 MB and takes about 20 ms of CPU
+# time, plus 0.4 ms per further N that shares it (40 animals over 8
+# occasions, one thread of a 2-vCPU Xeon VM)
 _MAX_NODES = 363
 
 # Consecutive grid points share one node set while each point and the
@@ -122,6 +126,13 @@ _MAX_SPAN = 6.0
 # into a NaN; the prior weight uses the node's own log alpha and log beta.
 _MAX_LOG_SHAPE = 350.0
 
+# A row of nodes shares s = log(alpha + beta), so the data factor takes its
+# log(alpha + beta + j) terms once per row from e^s. The floors add at most
+# 2 e^-350 to alpha + beta: below the rounding of e^s + j for j >= 1
+# everywhere, and of e^s itself while s >= this value (e^-50 relative). Rows
+# below it take log(alpha + beta) node by node from the floored logs.
+_ROW_TOTAL_MIN = -300.0
+
 # What a failed check says, after the change it saw
 _CONVERGENCE_ADVICE = (
     "the mode-centred sinh rule has too few nodes for this integrand; raise "
@@ -141,7 +152,8 @@ class MhMarginalKernel:
 
     Combines the combinatorial term with the expectation of the integrated
     likelihood's data factor over the Gamma priors on (alpha, beta): the
-    observed-animal product (``_log_obs``) times the zero-cell factor
+    observed-animal product (``_log_obs``, which the mode search and the
+    node sets both call) times the zero-cell factor
     (:func:`mh_log_zero_cell`) to the power N - M.
 
     One rule integrates it, a trapezoid rule on a double-exponential (sinh)
@@ -160,8 +172,12 @@ class MhMarginalKernel:
     a fine grid over a short reach and sparse ones a long reach.
     ``_blocks`` groups consecutive N into blocks that share one centre, so
     each block gets one node set (runs of grid points that share nodes and
-    log weights with the prior folded in), and one sum
-    (``_log_expectation``) evaluates the data factor on every set.
+    log weights with the prior and the observed-animal factor folded in),
+    and one sum (``_log_expectation``) adds the zero-cell factor on every
+    set. A node set hands the observed-animal factor the log alpha and log
+    beta it has built and, row by row, log(alpha + beta) = s (``_nodes_at``),
+    so a node costs at most 2K - 3 logs and K ``log1p`` calls, and a row
+    K - 1 logs more.
 
     Every evaluation is repeated at ``check_nodes`` per axis on the same
     blocks; if any grid point moves by more than ``rtol`` in relative terms
@@ -201,23 +217,48 @@ class MhMarginalKernel:
     def _log_expectation(self, grid: np.ndarray, n_nodes: int, blocks) -> np.ndarray:
         """Log prior expectation of the data factor at each N, summed over the
         node sets of ``_node_sets`` on ``blocks`` (from ``_blocks``). A node
-        set is ``(rows, alpha, beta, log_weight, log_scale)``: the grid points
-        it serves, its nodes and weights, and a constant added to each sum."""
+        set is ``(rows, alpha, beta, base, log_scale)``: the grid points it
+        serves, its nodes, their log weights plus the log observed-animal
+        factor, and a constant added to each sum."""
         m, k = self.stats.m_k1, self.stats.k
         out = np.empty_like(grid)
-        for rows, alpha, beta, log_weight, log_scale in self._node_sets(n_nodes, grid, blocks):
-            base = log_weight + self._log_obs(alpha, beta)
+        for rows, alpha, beta, base, log_scale in self._node_sets(n_nodes, grid, blocks):
             out[rows] = _excess_sums(base, mh_log_zero_cell(alpha, beta, k), grid[rows] - m) + log_scale
         g = self.gammas  # the weights leave out the Gamma priors' normalizer
         return out - (g.a + g.b) * np.log(g.c) - gammaln(g.a) - gammaln(g.b)
 
-    def _log_obs(self, alpha, beta) -> np.ndarray:
-        """Log product of the per-animal rising-factorial factors."""
-        return mh_log_obs_factor(self.stats.f_j, alpha, beta)
+    def _log_obs(self, alpha, beta, log_alpha, log_beta, log_total) -> np.ndarray:
+        """Log product of the per-animal rising-factorial factors (see
+        :func:`mh_log_obs_factor` for the arguments)."""
+        return mh_log_obs_factor(self.stats.f_j, alpha, beta, log_alpha, log_beta, log_total)
 
-    def _log_data(self, alpha, beta, excess) -> np.ndarray:
-        """Log data factor at (alpha, beta) with ``excess`` = N - M animals never caught."""
-        return self._log_obs(alpha, beta) + excess * mh_log_zero_cell(alpha, beta, self.stats.k)
+    def _log_data(self, u, v, excess) -> np.ndarray:
+        """Log data factor at (alpha, beta) = (e^u, e^v) with ``excess`` = N - M animals never caught."""
+        alpha, beta = np.exp(u), np.exp(v)
+        log_obs = self._log_obs(alpha, beta, u, v, np.logaddexp(u, v))
+        return log_obs + excess * mh_log_zero_cell(alpha, beta, self.stats.k)
+
+    def _nodes_at(self, s, r):
+        """alpha, beta, log(alpha/(alpha + beta)) and the log observed-animal
+        factor at the nodes (s, r): ``s`` a column, nondecreasing down the
+        rows and at most _MAX_LOG_SHAPE, ``r`` one row of nodes per entry of
+        ``s``. The data factor sees log alpha and log beta floored at
+        -_MAX_LOG_SHAPE, and log(alpha + beta) = s on the rows at or above
+        _ROW_TOTAL_MIN; the rows below it, a leading run, take the logaddexp
+        of the floored logs instead."""
+        # log(alpha/(alpha + beta)) = -log(1 + e^-r), finite for any r
+        log_share = np.minimum(r, 0.0) - np.log1p(np.exp(-np.abs(r)))
+        u = s + log_share
+        u, v = np.maximum(u, -_MAX_LOG_SHAPE), np.maximum(u - r, -_MAX_LOG_SHAPE)
+        alpha, beta = np.exp(u), np.exp(v)
+        log_obs = np.empty(np.broadcast_shapes(s.shape, r.shape))
+        low = int(np.count_nonzero(s < _ROW_TOTAL_MIN))
+        if low:
+            lo = slice(low)
+            log_obs[lo] = self._log_obs(alpha[lo], beta[lo], u[lo], v[lo], np.logaddexp(u[lo], v[lo]))
+        hi = slice(low, None)
+        log_obs[hi] = self._log_obs(alpha[hi], beta[hi], u[hi], v[hi], s[hi])
+        return alpha, beta, log_share, log_obs
 
     def _mode_centre(self, grid: np.ndarray):
         """Mode (s, r) of the log integrand at each N and the Cholesky factor
@@ -251,8 +292,7 @@ class MhMarginalKernel:
         excess = grid - m
 
         def objective(u, v):
-            alpha, beta = np.exp(u), np.exp(v)
-            return a * u + b * v - (alpha + beta) / c + self._log_data(alpha, beta, excess)
+            return a * u + b * v - (np.exp(u) + np.exp(v)) / c + self._log_data(u, v, excess)
 
         def derivatives(u, v):
             alpha, beta = np.exp(u), np.exp(v)
@@ -363,18 +403,15 @@ class MhMarginalKernel:
             t, h = np.linspace(-math.asinh(reach), math.asinh(reach), n_nodes, retstep=True)
             z, logw = np.sinh(t), np.log(h * np.cosh(t))
             # L is lower-triangular: s, and so alpha + beta = e^s, depend on
-            # the row node only; u = log alpha and v = log beta never exceed s
+            # the row node only; u = log alpha and v = log beta never exceed
+            # s, which rises down the rows (l11 > 0)
             s = np.minimum(s0 + l11 * z, _MAX_LOG_SHAPE)
             r = r0 + l21 * z[:, None] + l22 * z[None, :]
-            # log(alpha/(alpha + beta)) = -log(1 + e^-r), finite for any r
-            log_share = np.minimum(r, 0.0) - np.log1p(np.exp(-np.abs(r)))
-            u = s[:, None] + log_share
-            alpha = np.exp(np.maximum(u, -_MAX_LOG_SHAPE))
-            beta = np.exp(np.maximum(u - r, -_MAX_LOG_SHAPE))
+            alpha, beta, log_share, log_obs = self._nodes_at(s[:, None], r)
             # a u + b v with v = u - r, and the prior's -(alpha + beta)/c
             row = logw + (a + b) * s - np.exp(s) / c
             log_weight = (a + b) * log_share - b * r + row[:, None] + logw[None, :]
-            yield block, alpha, beta, log_weight, np.log(l11 * l22)
+            yield block, alpha, beta, log_weight + log_obs, np.log(l11 * l22)
 
     def log_kernel(self, n):
         """Log kernel values; raises QuadratureConvergenceError if unsettled."""

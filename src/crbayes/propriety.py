@@ -147,6 +147,21 @@ def _agreement(fitted: float, expected: float, tolerance: float) -> bool:
     return bool(abs(fitted - expected) <= tolerance)
 
 
+def _probe_points(n) -> np.ndarray:
+    """The N of the two-point probe at ``n``: N followed by 2N."""
+    points = np.atleast_1d(np.asarray(n, dtype=float))
+    return np.concatenate((points, 2.0 * points))
+
+
+def _probe_exponent(n, vals: np.ndarray):
+    """The two-point probe at ``n`` from log f at ``_probe_points(n)``."""
+    if not np.isfinite(vals).all():
+        raise TailFitError(f"kernel not finite at N = {n} and 2N")
+    half = vals.size // 2
+    local = -(vals[half:] - vals[:half]) / np.log(2.0)
+    return float(local[0]) if np.ndim(n) == 0 else local
+
+
 def local_exponent(log_kernel: Callable[[np.ndarray], np.ndarray], n):
     """Two-point decay probe d(N) = -[log f(2N) - log f(N)] / log 2.
 
@@ -154,12 +169,24 @@ def local_exponent(log_kernel: Callable[[np.ndarray], np.ndarray], n):
     is one N (a float comes back) or a 1-D array of them (an array comes
     back); the kernel is evaluated once, on N followed by 2N.
     """
-    points = np.atleast_1d(np.asarray(n, dtype=float))
-    vals = np.asarray(log_kernel(np.concatenate((points, 2.0 * points))), dtype=float)
+    return _probe_exponent(n, np.asarray(log_kernel(_probe_points(n)), dtype=float))
+
+
+def _fit_grid(n_lo: float, n_hi: float, points: int) -> np.ndarray:
+    """The geometric grid of ``fit_tail_exponent``, after checking its bounds."""
+    if n_hi < 4.0 * n_lo:
+        raise ValueError("fit range too short: need n_hi >= 4 * n_lo")
+    if points < 10:
+        raise ValueError("need at least 10 grid points")
+    return np.geomspace(n_lo, n_hi, points)
+
+
+def _fitted_exponent(grid: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
+    """(d_hat, standard error) of the log-log fit to log f at ``grid``."""
     if not np.isfinite(vals).all():
-        raise TailFitError(f"kernel not finite at N = {n} and 2N")
-    local = -(vals[points.size :] - vals[: points.size]) / np.log(2.0)
-    return float(local[0]) if np.ndim(n) == 0 else local
+        raise TailFitError("kernel not finite everywhere on the fit grid")
+    slope, _, stderr = fit_log_log_slope(grid, vals)
+    return -slope, stderr
 
 
 def fit_tail_exponent(
@@ -174,16 +201,8 @@ def fit_tail_exponent(
     in [n_lo, n_hi] and returns (d_hat, standard error) with d_hat the negated
     slope. Deterministic; requires n_hi >= 4 * n_lo and at least 10 points.
     """
-    if n_hi < 4.0 * n_lo:
-        raise ValueError("fit range too short: need n_hi >= 4 * n_lo")
-    if points < 10:
-        raise ValueError("need at least 10 grid points")
-    grid = np.geomspace(n_lo, n_hi, points)
-    vals = np.asarray(log_kernel(grid), dtype=float)
-    if not np.isfinite(vals).all():
-        raise TailFitError("kernel not finite everywhere on the fit grid")
-    slope, _, stderr = fit_log_log_slope(grid, vals)
-    return -slope, stderr
+    grid = _fit_grid(n_lo, n_hi, points)
+    return _fitted_exponent(grid, np.asarray(log_kernel(grid), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -262,15 +281,24 @@ def propriety_report(model: str, n_prior: str, fit: FitConfig | None = None, **p
     grid scales with the kernel's support start. Agreement compares the fitted
     exponent of prior * kernel against the prior-adjusted analytic exponent at
     ``fit.tolerance``.
+
+    Prior * kernel is evaluated once, on the sorted union of the fit grid of
+    ``fit_tail_exponent`` and the pair of ``local_exponent`` at the grid's
+    geometric centre, and both read their values from it: for ``mh`` that is
+    one mode search, one set of blocks and one node-set pass per node count.
+    The union is sorted because the mh kernel's blocks follow the grid's order.
     """
     _check_n_prior(n_prior)
     fit = fit or FitConfig()
 
     kernel = model_kernel(model, **params)
     n_lo, n_hi = fit.resolve(kernel.support_start)
-    target = lambda n: kernel.log_kernel(n) + _log_n_prior(n, n_prior)
-    fitted, stderr = fit_tail_exponent(target, n_lo, n_hi, fit.points)
-    probe = local_exponent(target, float(np.sqrt(n_lo * n_hi)))
+    grid = _fit_grid(n_lo, n_hi, fit.points)
+    centre = float(np.sqrt(n_lo * n_hi))
+    union, where = np.unique(np.concatenate((grid, _probe_points(centre))), return_inverse=True)
+    vals = np.asarray(kernel.log_kernel(union) + _log_n_prior(union, n_prior), dtype=float)[where]
+    fitted, stderr = _fitted_exponent(grid, vals[: grid.size])
+    probe = _probe_exponent(centre, vals[grid.size :])
 
     analytic_total = kernel.exponent + (1.0 if n_prior == "scale" else 0.0)
     warnings: list[str] = []

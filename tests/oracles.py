@@ -323,13 +323,13 @@ def mh_complete_log_lik(stats, n, params):
     """Complete-data log likelihood of the mh model at fixed Beta shapes, as the kernel builds it.
 
     log N!/(N - M)! - log M! plus ``MhMarginalKernel._log_data`` at
-    (params.a, params.b) with N - M animals never caught; -inf below M. The
-    Gamma priors given to the kernel do not enter its data factor.
+    (log params.a, log params.b) with N - M animals never caught; -inf below
+    M. The Gamma priors given to the kernel do not enter its data factor.
     """
     m = stats.m_k1
     log_data = MhMarginalKernel(stats, GammaPriors(1.0, 1.0))._log_data
     return _on_support(n, m, lambda safe: (
-        log_falling(safe, m) - gammaln(m + 1) + log_data(params.a, params.b, safe - m)
+        log_falling(safe, m) - gammaln(m + 1) + log_data(math.log(params.a), math.log(params.b), safe - m)
     ))
 
 
@@ -430,3 +430,29 @@ def da_posterior_mass(stats, m_aug: int, p_prior, psi_prior) -> np.ndarray:
     log_lik = gammaln(n + 1.0) - gammaln(n - m + 1.0) + betaln(a_p + n_dot, b_p + k * n - n_dot)
     log_post = log_lik + betabinom.logpmf(n, m_aug, a_psi, b_psi)
     return np.exp(log_post - logsumexp(log_post))
+
+
+def pairwise_effective_sample_size(chain) -> float:
+    """ESS by Geyer's initial positive sequence, one pair at a time.
+
+    Autocovariances come from direct sums (``np.correlate``), not an FFT,
+    and the pairs rho[m] + rho[m + 1], m = 1, 3, ..., are added to
+    tau = 1 one by one until the first negative pair; ESS = n / max(tau, 1).
+    """
+    x = np.asarray(chain, dtype=float)
+    n = x.size
+    if n < 4:
+        return float(n)
+    x = x - x.mean()
+    acov = np.correlate(x, x, mode="full")[n - 1 :] / n
+    if acov[0] == 0.0:
+        return float(n)
+    rho = acov / acov[0]
+    tau, m = 1.0, 1
+    while m + 1 < n:
+        pair = rho[m] + rho[m + 1]
+        if pair < 0.0:
+            break
+        tau += 2.0 * pair
+        m += 2
+    return float(n / max(tau, 1.0))

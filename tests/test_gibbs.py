@@ -12,7 +12,7 @@ from crbayes.gibbs import DaConfig, da_gibbs, effective_sample_size, m_sweep
 from crbayes.likelihoods import BetaParams
 from crbayes.posterior import m0_marginal_log_kernel, posterior_table
 
-from oracles import da_posterior_mass
+from oracles import da_posterior_mass, pairwise_effective_sample_size
 
 
 def no_recapture_history(n_animals: int = 6) -> CaptureHistory:
@@ -380,6 +380,20 @@ def test_ess_of_fixed_ar1_chain_is_pinned():
     for t in range(1, chain.size):
         chain[t] = 0.8 * chain[t - 1] + noise[t]
     assert effective_sample_size(chain) == pytest.approx(625.9292413444125, rel=1e-12)
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.5, 0.9, -0.6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 50, 3001])
+def test_ess_matches_pair_by_pair_scan(n, phi):
+    # the vectorized scan stops at the first negative pair, as the loop does;
+    # the two autocovariances differ only in rounding
+    rng = np.random.default_rng(n)
+    chain = np.empty(n)
+    chain[0] = rng.normal()
+    for t in range(1, n):
+        chain[t] = phi * chain[t - 1] + rng.normal()
+    for x in (chain, chain + 0.01 * np.arange(n)):
+        assert effective_sample_size(x) == pytest.approx(pairwise_effective_sample_size(x), rel=1e-12)
 
 
 class TestMSweep:

@@ -2,8 +2,11 @@
 
 The library computes the product of the observed animals' rising-factorial
 factors from the capture frequencies alone; these tests hold every place
-that uses it to the per-animal log-gamma oracle.
+that uses it to the per-animal log-gamma oracle: the factor itself, the mh
+kernel's mode search (``_log_data``) and its node sets (``_nodes_at``).
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from scipy.special import gammaln
 
 from crbayes.data import CaptureHistory, simulate_mh, summarize
 from crbayes.likelihoods import BetaParams, log_falling, mh_log_obs_factor
-from crbayes.posterior import GammaPriors, MhMarginalKernel
+from crbayes.posterior import _MAX_LOG_SHAPE, _ROW_TOTAL_MIN, GammaPriors, MhMarginalKernel
 
 from oracles import (
     mh_complete_log_lik,
@@ -55,9 +58,46 @@ def test_grouped_factor_matches_per_animal_oracle(history, alpha, beta):
     stats = summarize(history)
     want = float(per_animal_log_obs(per_animal_counts(stats.f_j), stats.k, alpha, beta))
     scale = stats.m_k1 * log_gamma_scale(alpha, beta, stats.k)
-    assert_agrees(float(mh_log_obs_factor(stats.f_j, alpha, beta)), want, scale)
+    logs = math.log(alpha), math.log(beta), math.log(alpha + beta)
+    assert_agrees(float(mh_log_obs_factor(stats.f_j, alpha, beta, *logs)), want, scale)
+    # the mode search's data factor at N = M, where the zero cell drops out
     kern = MhMarginalKernel(stats, GammaPriors(2.0, 2.0))
-    assert_agrees(float(kern._log_obs(np.array([alpha]), np.array([beta]))[0]), want, scale)
+    assert_agrees(float(kern._log_data(np.array([logs[0]]), np.array([logs[1]]), 0.0)[0]), want, scale)
+
+
+# s rises down the rows of a node set: the floors bite below s = -350, the
+# row total gives way to per-node sums below _ROW_TOTAL_MIN and s is capped
+# at _MAX_LOG_SHAPE, so rows are drawn on both sides of each of these
+row_s = st.one_of(
+    st.floats(min_value=-450.0, max_value=_MAX_LOG_SHAPE),
+    st.sampled_from([-2.0 * _MAX_LOG_SHAPE, -_MAX_LOG_SHAPE, _ROW_TOTAL_MIN, _MAX_LOG_SHAPE]),
+)
+node_r = st.one_of(
+    st.floats(min_value=-800.0, max_value=800.0),
+    st.floats(min_value=-5.0, max_value=5.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    histories(),
+    st.lists(row_s, min_size=1, max_size=6),
+    st.lists(node_r, min_size=1, max_size=6),
+)
+def test_node_set_factor_matches_per_animal_oracle(history, s_rows, r_row):
+    """Every node of a node set against the oracle at the node's floored
+    (alpha, beta), the pair its data factor is documented to see."""
+    stats = summarize(history)
+    kern = MhMarginalKernel(stats, GammaPriors(2.0, 2.0))
+    s = np.sort(np.array(s_rows))[:, None]
+    r = np.array(r_row)[None, :] + np.linspace(0.0, 1.0, s.size)[:, None]
+    alpha, beta, _, log_obs = kern._nodes_at(s, r)
+    assert log_obs.shape == r.shape and not np.isnan(log_obs).any()
+    floor = math.exp(-_MAX_LOG_SHAPE)
+    assert (alpha >= floor).all() and (beta >= floor).all()
+    want = per_animal_log_obs(per_animal_counts(stats.f_j), stats.k, alpha, beta)
+    for got_i, want_i, a_i, b_i in zip(log_obs.flat, want.flat, alpha.flat, beta.flat):
+        assert_agrees(got_i, want_i, stats.m_k1 * log_gamma_scale(a_i, b_i, stats.k))
 
 
 @settings(max_examples=100, deadline=None)
@@ -88,7 +128,7 @@ def test_summary_and_integrated_forms_differ_by_a_constant_in_n(history, alpha, 
 class PerAnimalKernel(MhMarginalKernel):
     """The mh kernel with its observed-animal factor summed animal by animal."""
 
-    def _log_obs(self, alpha, beta):
+    def _log_obs(self, alpha, beta, *logs):
         return per_animal_log_obs(per_animal_counts(self.stats.f_j), self.stats.k, alpha, beta)
 
 

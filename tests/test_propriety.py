@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from crbayes.data import CaptureHistory, SufficientStats, summarize
 from crbayes.likelihoods import BetaParams, york_madigan_log_kernel
-from crbayes.posterior import GammaPriors, MhMarginalKernel, QuadratureConvergenceError, m0_marginal_log_kernel
+from crbayes.posterior import (
+    GammaPriors, MhMarginalKernel, QuadratureConvergenceError, _log_n_prior, m0_marginal_log_kernel,
+)
+from crbayes import propriety
 from crbayes.propriety import (
     FitConfig,
     ProprietyReport,
@@ -353,16 +356,103 @@ def test_mh_report_on_sparse_six_occasion_set(n_prior):
     # regression: an earlier rule failed its fit grid at every node count
     # the test tries (6.9e-3 at 64/96 down to 1.2e-4 at 192/288). The sinh
     # rule settles at 64/96 (2.4e-11 on these four points) and matches the
-    # box oracle (4.6e-9 at 2e6, the oracle's own floor there).
+    # box oracle (4.6e-9 at 2e6, the oracle's own floor there). The report
+    # makes one kernel call, and its fit and probe match separate calls.
     stats = summarize(CaptureHistory(k=6, rows=((1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1))))
     gammas = GammaPriors(2.0, 0.25, 4.0)
     kern = MhMarginalKernel(stats, gammas)
-    assert propriety_report("mh", n_prior, stats=stats, gammas=gammas).agreement
+    assert _assert_mh_report_matches_separate_calls(n_prior, stats, gammas).agreement
     grid = np.geomspace(2e3, 2e6, 4)
     got = kern.log_kernel(grid)
     assert kern.diagnostics["max_rel_change"] <= 1e-10
     want = box_mh_marginal_log_kernel(stats, grid, 2.0, 0.25, 4.0)
     assert np.abs(np.expm1(got - want)).max() <= 1e-7
+
+
+def _counted_report(model, n_prior, **params):
+    """``propriety_report`` with the model kernel wrapped: returns the report
+    and the grids the kernel was called on."""
+    calls = []
+    build = propriety.model_kernel
+
+    def counting_model_kernel(*args, **kwargs):
+        kernel = build(*args, **kwargs)
+
+        def log_kernel(n):
+            calls.append(np.array(n, copy=True))
+            return kernel.log_kernel(n)
+
+        return dataclasses.replace(kernel, log_kernel=log_kernel)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propriety, "model_kernel", counting_model_kernel)
+        return propriety_report(model, n_prior, **params), calls
+
+
+def _separate_fit_and_probe(model, n_prior, **params):
+    """(fitted, std err, probe) from separate ``fit_tail_exponent`` and
+    ``local_exponent`` calls on prior * kernel, as a report at the default
+    fit settings would compute them with one kernel call each."""
+    kernel = model_kernel(model, **params)
+    n_lo, n_hi = FitConfig().resolve(kernel.support_start)
+    target = lambda n: kernel.log_kernel(n) + _log_n_prior(n, n_prior)
+    fitted, stderr = fit_tail_exponent(target, n_lo, n_hi)
+    return fitted, stderr, local_exponent(target, math.sqrt(n_lo * n_hi))
+
+
+def _assert_one_sorted_call(report, calls):
+    assert len(calls) == 1
+    (grid,) = calls
+    assert (np.diff(grid) > 0).all()  # the mh kernel's blocks follow the grid's order
+    n_lo, n_hi = report.fit_range
+    centre = math.sqrt(n_lo * n_hi)
+    assert set(grid.tolist()) == set(np.geomspace(n_lo, n_hi, report.fit_points).tolist()) | {centre, 2 * centre}
+
+
+@pytest.mark.parametrize("n_prior", ["uniform", "scale"])
+@pytest.mark.parametrize(
+    "model, params",
+    [
+        ("m0", {"stats": synthetic_stats(3, 5, 2), "beta": BetaParams(1.0, 1.0)}),
+        ("m0", {"stats": synthetic_stats(17, 5, 0), "beta": BetaParams(0.3, 2.0)}),
+        ("ym", {"ym_n": 4, "ym_k": 6, "ym_delta": 0.25}),
+        ("ym", {"ym_n": 57, "ym_k": 5, "ym_delta": 0.15}),
+    ],
+)
+def test_closed_form_report_evaluates_its_kernel_once(model, params, n_prior):
+    # the m0 and ym kernels are elementwise, so reading the fit and the probe
+    # from one evaluation changes no bit of either
+    report, calls = _counted_report(model, n_prior, **params)
+    _assert_one_sorted_call(report, calls)
+    fitted, stderr, probe = _separate_fit_and_probe(model, n_prior, **params)
+    assert (report.fitted_exponent, report.fitted_std_err, report.local_exponent) == (fitted, stderr, probe)
+
+
+def _assert_mh_report_matches_separate_calls(n_prior, stats, gammas):
+    """One kernel call per report, and the fit and probe of separate calls
+    within 1e-10 relative, at the first node pair where both converge;
+    returns the report."""
+    for nodes, check_nodes in ((64, 96), (128, 192), (192, 288)):
+        params = {"stats": stats, "gammas": gammas, "quad_nodes": nodes, "quad_check_nodes": check_nodes}
+        try:
+            report, calls = _counted_report("mh", n_prior, **params)
+            separate = _separate_fit_and_probe("mh", n_prior, **params)
+        except QuadratureConvergenceError:
+            if check_nodes == 288:
+                raise
+            continue
+        _assert_one_sorted_call(report, calls)
+        assert report.fitted_exponent == pytest.approx(separate[0], rel=1e-10, abs=0.0)
+        assert report.local_exponent == pytest.approx(separate[2], rel=1e-10, abs=0.0)
+        return report
+
+
+@pytest.mark.parametrize("tails", ["steep", "sparse"])
+@settings(max_examples=10, deadline=None)
+@given(st.data(), st.floats(min_value=0.3, max_value=4.0), st.sampled_from(["uniform", "scale"]))
+def test_mh_report_evaluates_its_kernel_once(tails, data, c, n_prior):
+    history, a, b = data.draw(mh_cases(tails))
+    _assert_mh_report_matches_separate_calls(n_prior, summarize(history), GammaPriors(a, b, c))
 
 
 def test_exponent_csv_export(tmp_path):
