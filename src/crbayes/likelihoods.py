@@ -100,7 +100,9 @@ def mh_log_obs_factor(f_j: Sequence[int], alpha, beta, log_alpha, log_beta, log_
         sum_{j<K} [c_j log(alpha+j) + z_j log(beta+j)] - M sum_{j<K} log(alpha+beta+j)
 
     with c_j = sum_{y>j} f_y animals caught and z_j = sum_{y<K-j} f_y
-    missed more than j times; a term whose count is 0 is skipped. The j = 0
+    missed more than j times; a term whose count is 0 is skipped, z_0 * log
+    beta included, so ``log_beta`` may be infinite when K = 1 or every
+    animal was caught on all K occasions. The j = 0
     logs come in as ``log_alpha``, ``log_beta`` and ``log_total`` =
     log(alpha + beta), which the callers already hold; the other terms of
     the last sum are taken from e^log_total, one log per entry of
@@ -110,7 +112,8 @@ def mh_log_obs_factor(f_j: Sequence[int], alpha, beta, log_alpha, log_beta, log_
     """
     freqs = [int(v) for v in f_j]
     k, m = len(freqs), sum(freqs)
-    out = m * log_alpha + sum(freqs[: k - 1]) * log_beta  # c_0 = M
+    missed = sum(freqs[: k - 1])
+    out = m * log_alpha + (missed * log_beta if missed else 0.0)  # c_0 = M
     for j in range(1, k):
         caught, missed = sum(freqs[j:]), sum(freqs[: k - 1 - j])
         if caught:

@@ -9,6 +9,7 @@ kernel's mode search (``_log_data``) and its node sets (``_nodes_at``).
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
@@ -63,6 +64,16 @@ def test_grouped_factor_matches_per_animal_oracle(history, alpha, beta):
     # the mode search's data factor at N = M, where the zero cell drops out
     kern = MhMarginalKernel(stats, GammaPriors(2.0, 2.0))
     assert_agrees(float(kern._log_data(np.array([logs[0]]), np.array([logs[1]]), 0.0)[0]), want, scale)
+
+
+@pytest.mark.parametrize("f_j", [(3,), (0, 0, 2), (0, 0, 0, 1)])
+def test_factor_skips_log_beta_when_no_animal_was_missed(f_j):
+    # z_0 = 0, so log beta has no count and may even be -inf
+    alpha, beta = 1.5, 0.25
+    logs = math.log(alpha), math.log(alpha + beta)
+    got = mh_log_obs_factor(f_j, alpha, beta, logs[0], -math.inf, logs[1])
+    assert got == mh_log_obs_factor(f_j, alpha, beta, logs[0], math.log(beta), logs[1])
+    assert_agrees(got, float(per_animal_log_obs(per_animal_counts(f_j), len(f_j), alpha, beta)), 10.0)
 
 
 # s rises down the rows of a node set: the floors bite below s = -350, the

@@ -292,17 +292,24 @@ small_histories = st.integers(min_value=2, max_value=6).flatmap(
 )
 
 
-def _mh_report(n_prior, stats, gammas):
-    """``propriety_report("mh")`` at the first of 64/96, 128/192 and 192/288
-    nodes that converges, raising nodes as the quadrature error advises."""
-    for nodes, check_nodes in ((64, 96), (128, 192)):
+def _mh_report(n_prior, stats, gammas, node_pairs=((64, 96), (128, 192), (192, 288))):
+    """``propriety_report("mh")`` at the first node pair of ``node_pairs``
+    that converges, raising nodes as the quadrature error advises. The
+    report must make one sorted kernel call, and its fit and probe must
+    match separate calls at the same nodes within 1e-10 relative."""
+    for nodes, check_nodes in node_pairs:
+        params = {"stats": stats, "gammas": gammas, "quad_nodes": nodes, "quad_check_nodes": check_nodes}
         try:
-            return propriety_report(
-                "mh", n_prior, stats=stats, gammas=gammas, quad_nodes=nodes, quad_check_nodes=check_nodes
-            )
+            report, calls = _counted_report("mh", n_prior, **params)
         except QuadratureConvergenceError:
-            pass
-    return propriety_report("mh", n_prior, stats=stats, gammas=gammas, quad_nodes=192, quad_check_nodes=288)
+            if (nodes, check_nodes) == node_pairs[-1]:
+                raise
+            continue
+        _assert_one_sorted_call(report, calls)
+        fitted, _, probe = _separate_fit_and_probe("mh", n_prior, **params)
+        assert report.fitted_exponent == pytest.approx(fitted, rel=1e-10, abs=0.0)
+        assert report.local_exponent == pytest.approx(probe, rel=1e-10, abs=0.0)
+        return report
 
 
 @st.composite
@@ -361,7 +368,7 @@ def test_mh_report_on_sparse_six_occasion_set(n_prior):
     stats = summarize(CaptureHistory(k=6, rows=((1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1))))
     gammas = GammaPriors(2.0, 0.25, 4.0)
     kern = MhMarginalKernel(stats, gammas)
-    assert _assert_mh_report_matches_separate_calls(n_prior, stats, gammas).agreement
+    assert _mh_report(n_prior, stats, gammas, node_pairs=((64, 96),)).agreement
     grid = np.geomspace(2e3, 2e6, 4)
     got = kern.log_kernel(grid)
     assert kern.diagnostics["max_rel_change"] <= 1e-10
@@ -426,33 +433,6 @@ def test_closed_form_report_evaluates_its_kernel_once(model, params, n_prior):
     _assert_one_sorted_call(report, calls)
     fitted, stderr, probe = _separate_fit_and_probe(model, n_prior, **params)
     assert (report.fitted_exponent, report.fitted_std_err, report.local_exponent) == (fitted, stderr, probe)
-
-
-def _assert_mh_report_matches_separate_calls(n_prior, stats, gammas):
-    """One kernel call per report, and the fit and probe of separate calls
-    within 1e-10 relative, at the first node pair where both converge;
-    returns the report."""
-    for nodes, check_nodes in ((64, 96), (128, 192), (192, 288)):
-        params = {"stats": stats, "gammas": gammas, "quad_nodes": nodes, "quad_check_nodes": check_nodes}
-        try:
-            report, calls = _counted_report("mh", n_prior, **params)
-            separate = _separate_fit_and_probe("mh", n_prior, **params)
-        except QuadratureConvergenceError:
-            if check_nodes == 288:
-                raise
-            continue
-        _assert_one_sorted_call(report, calls)
-        assert report.fitted_exponent == pytest.approx(separate[0], rel=1e-10, abs=0.0)
-        assert report.local_exponent == pytest.approx(separate[2], rel=1e-10, abs=0.0)
-        return report
-
-
-@pytest.mark.parametrize("tails", ["steep", "sparse"])
-@settings(max_examples=10, deadline=None)
-@given(st.data(), st.floats(min_value=0.3, max_value=4.0), st.sampled_from(["uniform", "scale"]))
-def test_mh_report_evaluates_its_kernel_once(tails, data, c, n_prior):
-    history, a, b = data.draw(mh_cases(tails))
-    _assert_mh_report_matches_separate_calls(n_prior, summarize(history), GammaPriors(a, b, c))
 
 
 def test_exponent_csv_export(tmp_path):
