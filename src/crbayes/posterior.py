@@ -64,32 +64,98 @@ def m0_marginal_log_kernel(n, stats: SufficientStats, beta: BetaParams):
     ))
 
 
+# numpy's exp is 5-15x slower on arguments that underflow, and most mh nodes
+# lie far below the largest term; a term floored at e^-700 adds at most
+# 1e-304 to a sum of at least 1, which rounds it away
+_LOG_FLOOR = -700.0
+
+# A run of consecutive N in _excess_sums lasts at most _RUN_CAP steps, and at
+# most as many as keep every node's gain on any other within _RUN_GAIN: a
+# term floored at the run's start then stays below e^(_LOG_FLOOR + _RUN_GAIN)
+# = e^-100 of the largest, and the cap bounds the rounding that the running
+# product adds (one rounding per step and node). Runs shorter than _RUN_MIN
+# take the per-N pass: their saving would not pay for the exp that makes
+# the step factor.
+_RUN_GAIN = 600.0
+_RUN_CAP = 256
+_RUN_MIN = 3
+
+
+def _floored_exp(values: np.ndarray):
+    """The largest entry ``top``; if it is finite, overwrites ``values`` with
+    exp(values - top), each term floored at e^_LOG_FLOOR."""
+    top = values.max()
+    if np.isfinite(top):
+        values -= top
+        np.maximum(values, _LOG_FLOOR, out=values)
+        np.exp(values, out=values)
+    return top
+
+
 def _log_sum_exp(values: np.ndarray) -> float:
     """log(sum(exp(values))) over every entry, shifted by the largest one.
 
     Every entry -inf gives -inf; a NaN anywhere gives NaN. Works in place:
     ``values`` is overwritten.
     """
-    top = values.max()
+    top = _floored_exp(values)
     if not np.isfinite(top):
         return float(top)
-    values -= top
-    # numpy's exp is 5-15x slower on arguments that underflow, and most mh
-    # nodes lie far below the largest term; a term floored at e^-700 adds at
-    # most 1e-304 to a sum of at least 1, which rounds it away
-    np.maximum(values, -700.0, out=values)
-    return float(top + np.log(np.exp(values, out=values).sum()))
+    return float(top + np.log(values.sum()))
 
 
 def _excess_sums(base: np.ndarray, log_zero_cell: np.ndarray, excess: np.ndarray) -> np.ndarray:
     """``_log_sum_exp(base + e * log_zero_cell)`` over fixed nodes, for each
-    excess e = N - M, all in one work array."""
+    excess e = N - M, all in one work array.
+
+    Consecutive unit steps of e are summed in runs: one exact pass at the
+    run's first e leaves w = exp(base + e * log_zero_cell - top) floored as
+    in ``_log_sum_exp``, and each further step multiplies w by x =
+    exp(log_zero_cell - min log_zero_cell) and sums it, adding the minimum
+    back to the shift. Since 1 <= x <= e^spread, spread being the range of
+    log_zero_cell over the nodes, a run of at most _RUN_GAIN / spread steps
+    keeps every term within [e^-700, e^600] of the run's top: no term
+    underflows, and none floored at the start gains more than _RUN_GAIN on
+    the top. Runs stop at _RUN_CAP steps and then start afresh. Non-unit
+    steps, runs shorter than _RUN_MIN, a NaN or infinite spread and every N
+    whose pass has a NaN or an infinite largest term take one pass per N,
+    so NaN comes out as NaN. (N = M, the one N without the zero-cell
+    factor, gets a block of its own from ``MhMarginalKernel._blocks``.)
+    """
     out = np.empty(len(excess))
     work = np.empty(np.broadcast_shapes(base.shape, log_zero_cell.shape))
-    for i, e in enumerate(excess):
-        np.multiply(log_zero_cell, e, out=work)
-        work += base
-        out[i] = _log_sum_exp(work)
+    low = log_zero_cell.min()
+    spread = float(log_zero_cell.max() - low)
+    if not spread < np.inf:  # NaN or infinite: one pass per N
+        longest = 1
+    else:
+        longest = _RUN_CAP if spread * _RUN_CAP <= _RUN_GAIN else int(_RUN_GAIN / spread)
+    gain = None  # x, made at the first run
+    i = 0
+    # the last index of each maximal run of unit steps
+    for last in [*np.flatnonzero(np.diff(excess) != 1.0).tolist(), len(excess) - 1]:
+        while i <= last:
+            np.multiply(log_zero_cell, excess[i], out=work)
+            work += base
+            top = _floored_exp(work)
+            if not np.isfinite(top):
+                out[i] = top
+                i += 1
+                continue
+            steps = min(longest, last + 1 - i)
+            if steps < _RUN_MIN:
+                out[i] = top + np.log(work.sum())
+                i += 1
+                continue
+            if gain is None:
+                gain = np.exp(log_zero_cell - low)
+            sums = np.empty(steps)
+            sums[0] = work.sum()
+            for j in range(1, steps):
+                work *= gain
+                sums[j] = work.sum()
+            out[i : i + steps] = top + low * np.arange(steps) + np.log(sums)
+            i += steps
     return out
 
 
@@ -173,8 +239,12 @@ class MhMarginalKernel:
     ``_blocks`` groups consecutive N into blocks that share one centre, so
     each block gets one node set (runs of grid points that share nodes and
     log weights with the prior and the observed-animal factor folded in),
-    and one sum (``_log_expectation``) adds the zero-cell factor on every
-    set. A node set hands the observed-animal factor the log alpha and log
+    and ``_excess_sums`` adds the zero-cell factor on every set. It sums
+    runs of consecutive N by a running product, one multiply and one sum
+    per N after an exact pass at the run's start; a run ends after 256
+    steps, or sooner where a node could gain more than 600 on another, so
+    a term floored at e^-700 at the start stays negligible. A node set
+    hands the observed-animal factor the log alpha and log
     beta it has built and, row by row, log(alpha + beta) = s (``_nodes_at``),
     so a node costs at most 2K - 3 logs and K ``log1p`` calls, and a row
     K - 1 logs more.

@@ -27,7 +27,7 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import betabinom
 
 from crbayes.likelihoods import _check_p, _on_support, log_falling, mh_log_zero_cell
-from crbayes.posterior import GammaPriors, MhMarginalKernel
+from crbayes.posterior import GammaPriors, MhMarginalKernel, _log_sum_exp
 
 
 def enumerate_kahn_log_prob(n_j, n_total: int, p: float) -> float:
@@ -210,6 +210,16 @@ def per_n_centred_sinh_log_expectation(kern, grid, n_nodes: int):
     centre = np.stack(kern._mode_centre(grid))
     blocks = [(slice(i, i + 1), tuple(centre[:, i])) for i in range(grid.size)]
     return kern._log_expectation(grid, n_nodes, blocks)
+
+
+def per_n_excess_sums(base, log_zero_cell, excess) -> np.ndarray:
+    """``posterior._excess_sums`` one N at a time: the log-sum-exp of ``base
+    + e * log_zero_cell`` over the nodes at each excess e, with no running
+    product. Like ``per_n_centred_sinh_log_expectation`` it reuses the
+    library's own ``_log_sum_exp``: it is the reference for summing
+    consecutive N in runs, not for the sum itself.
+    """
+    return np.array([_log_sum_exp(base + e * log_zero_cell) for e in excess])
 
 
 def mh_log_integrand(stats, a: float, b: float, c: float, u, v, excess):

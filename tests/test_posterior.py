@@ -6,17 +6,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betaln, gammaln
 
-from crbayes import data
+from crbayes import data, posterior
 from crbayes.data import BLOCK, CaptureHistory, SufficientStats, simulate_m0, simulate_mh, summarize
 from crbayes.likelihoods import BetaParams, log_falling
 from crbayes.posterior import (
     GammaPriors,
     MhMarginalKernel,
     QuadratureConvergenceError,
+    _RUN_CAP,
+    _excess_sums,
     _log_sum_exp,
     m0_marginal_log_kernel,
     posterior_table,
@@ -29,6 +31,7 @@ from oracles import (
     mc_mh_marginal_log_kernel,
     mh_log_integrand,
     per_n_centred_sinh_log_expectation,
+    per_n_excess_sums,
     quad_m0_marginal_log_kernel,
 )
 
@@ -580,6 +583,80 @@ def test_log_sum_exp_keeps_infinities_and_nan():
     assert _log_sum_exp(np.array([-np.inf, -np.inf])) == -np.inf
     assert _log_sum_exp(np.array([0.0, -np.inf, -1e300])) == 0.0
     assert np.isnan(_log_sum_exp(np.array([0.0, np.nan])))
+
+
+def _excess_grid(start, count, gaps=()):
+    """``count`` excesses from ``start`` in unit steps, except a step of
+    ``size`` after each position of ``gaps`` = ((position, size), ...)."""
+    steps = np.ones(count)
+    for pos, size in gaps:
+        steps[pos % count] = size
+    return start + np.concatenate([[0.0], np.cumsum(steps[:-1])])
+
+
+@st.composite
+def excess_sum_cases(draw):
+    """Node logs and excesses on the scale of a kernel table: every
+    base + e * log_zero_cell stays within a few thousand of 0, where
+    per-N rounding stays well below 1e-12."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = st.lists(st.floats(0.0, 1.0), min_size=rows * cols, max_size=rows * cols)
+    base = -1000.0 * np.array(draw(cells)).reshape(rows, cols)
+    for pos in draw(st.lists(st.integers(0, rows * cols - 1), max_size=2)):
+        base.flat[pos] = -np.inf
+    count = draw(st.integers(1, 600))
+    gaps = draw(st.lists(st.tuples(st.integers(0, 599), st.sampled_from([0.5, 2.0, 37.0])), max_size=3))
+    excess = _excess_grid(draw(st.integers(0, 40)), count, gaps)
+    # the spread of log_zero_cell sets the run length: up to 50 forces runs
+    # of 12 steps, down to 1e-3 leaves runs at the cap
+    spread = min(draw(st.floats(1e-3, 50.0)), 1500.0 / max(excess[-1], 1.0))
+    log_zero_cell = -spread * np.array(draw(cells)).reshape(rows, cols) - draw(st.floats(0.0, 0.5))
+    return base, log_zero_cell, excess
+
+
+@settings(max_examples=60, deadline=None)
+@given(excess_sum_cases())
+# node 1 starts 900 below node 0 and gains 3 per step: floored at the first
+# run's start (the run ends after 200 steps), it dominates from e = 300
+@example((np.array([0.0, -900.0]), np.array([-3.0, 0.0]), _excess_grid(0, 400)))
+@example((np.array([[0.0, -20.0], [-5.0, -750.0]]), np.array([[-1.0, -0.5], [-1.2, -0.9]]), _excess_grid(1, 3 * _RUN_CAP + 7)))
+@example((np.array([0.0, -3.0, -30.0]), np.array([-45.0, -5.0, 0.0]), _excess_grid(0, 40)))
+@example((np.array([0.0, -3.0]), np.array([-2.0, -0.5]), _excess_grid(3, 50, ((4, 2.0), (9, 0.5), (20, 37.0)))))
+@example((np.array([-1.0, -4.0]), np.array([-2.0, -0.5]), np.array([17.0])))
+@example((np.array([-np.inf, -4.0, -np.inf]), np.array([-2.0, -0.5, -1.0]), _excess_grid(0, 30)))
+@example((np.full(3, -np.inf), np.array([-1.0, -0.5, -0.2]), _excess_grid(0, 20)))
+@example((np.array([0.0, -2.0]), np.array([-np.inf, -0.5]), _excess_grid(0, 30)))
+@example((np.array([0.0, np.nan, -2.0]), np.array([-1.0, -0.5, -0.2]), _excess_grid(0, 20)))
+@example((np.array([0.0, -1.0, -2.0]), np.array([-1.0, np.nan, -0.2]), _excess_grid(0, 20)))
+def test_excess_sums_match_one_pass_per_n(case):
+    # Runs of unit steps replace one log-sum-exp per N by a running product,
+    # with a fresh exact pass every _RUN_CAP steps or every 600 units of
+    # gain between nodes, whichever comes first. Cases: a node below the
+    # floor at a run's start that dominates later, runs past the cap, a
+    # spread of 45 that allows 13 steps, non-unit steps, a single N, -inf
+    # nodes, every node -inf (-inf at every N), an infinite spread (NaN at
+    # e = 0, as per N), and a NaN node in base or in log_zero_cell, which
+    # makes every N NaN, so that log_kernel reports it.
+    base, log_zero_cell, excess = case
+    with np.errstate(invalid="ignore"):  # -inf * 0
+        got = _excess_sums(base, log_zero_cell, excess)
+        want = per_n_excess_sums(base, log_zero_cell, excess)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_mh_kernel_sums_runs_as_one_pass_per_n_would(monkeypatch):
+    # The data-rich M = 223 table at the default n_max: unit steps over 1e4
+    # N, so nearly every sum is in a run. The kernel with one pass per N
+    # agrees to 1e-11 in log, with the same centres and the same CI.
+    stats = summarize(simulate_mh(300, 2, 5, 5, seed=2))
+    kern = MhMarginalKernel(stats, GammaPriors(2.0, 2.0, 1.0))
+    runs = posterior_table(kern.log_kernel, "uniform", stats=stats)
+    centres = kern.diagnostics["centres"]
+    monkeypatch.setattr(posterior, "_excess_sums", per_n_excess_sums)
+    per_n = posterior_table(kern.log_kernel, "uniform", stats=stats)
+    assert kern.diagnostics["centres"] == centres
+    np.testing.assert_allclose(runs.log_kernel, per_n.log_kernel, rtol=0.0, atol=1e-11)
+    assert runs.ci == per_n.ci
 
 
 def test_prior_spec_rejects_unknown_prior():
