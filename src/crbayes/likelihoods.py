@@ -45,17 +45,33 @@ def _on_support(n, lo, body):
     """Evaluate ``body`` on N >= lo and return -inf below it.
 
     N below ``lo`` is replaced by ``lo`` before ``body`` sees it, so the body
-    never leaves its domain; those entries are then masked. Scalar in, float out.
+    never leaves its domain; those entries are then masked. When every N is
+    on the support (always so for a posterior table) ``body`` gets the grid
+    itself and its result comes back unmasked, so a body must never write
+    into its argument. Scalar in, float out.
     """
     grid, scalar = _as_grid(n)
     valid = grid >= lo
+    if valid.all():
+        return _maybe_scalar(body(grid), scalar)
     safe = np.where(valid, grid, lo)
     return _maybe_scalar(np.where(valid, body(safe), -np.inf), scalar)
 
 
+def _gammaln_over(x):
+    """gammaln(x), written over ``x`` when it is a float array: ``x`` must be
+    a temporary of the caller's. Scalars, which cannot be written, and other
+    dtypes get a new result."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float64:
+        return gammaln(x, out=x)
+    return gammaln(x)
+
+
 def log_falling(n, m):
     """log N!/(N-M)!, the ordered ways to pick the M observed animals out of N."""
-    return gammaln(n + 1) - gammaln(n - m + 1)
+    out = _gammaln_over(n + 1)
+    out -= _gammaln_over(n - m + 1)
+    return out
 
 
 def _check_p(p: float) -> None:
@@ -152,6 +168,11 @@ def york_madigan_log_kernel(n_grid, n_obs: int, k: int, delta: float):
         raise ValueError("delta must be positive")
     if n_obs < 0:
         raise ValueError("observed count must be nonnegative")
-    return _on_support(n_grid, n_obs, lambda safe: (
-        log_falling(safe, n_obs) + gammaln(safe - n_obs + delta) - gammaln(safe + k * delta)
-    ))
+
+    def body(safe):
+        out = log_falling(safe, n_obs)
+        out += _gammaln_over(safe - n_obs + delta)
+        out -= _gammaln_over(safe + k * delta)
+        return out
+
+    return _on_support(n_grid, n_obs, body)

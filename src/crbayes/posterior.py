@@ -19,7 +19,8 @@ from scipy.special import gammaln
 
 from .data import FloatColumn, SufficientStats, write_json, write_table_csv
 from .likelihoods import (
-    BetaParams, _as_grid, _maybe_scalar, _on_support, log_falling, mh_log_obs_factor, mh_log_zero_cell,
+    BetaParams, _as_grid, _gammaln_over, _maybe_scalar, _on_support, log_falling, mh_log_obs_factor,
+    mh_log_zero_cell,
 )
 
 
@@ -57,11 +58,14 @@ def m0_marginal_log_kernel(n, stats: SufficientStats, beta: BetaParams):
     like N^-(r + a) with r = n. - M recaptures.
     """
     m, k, n_dot = stats.m_k1, stats.k, stats.n_dot
-    return _on_support(n, m, lambda safe: (
-        log_falling(safe, m)
-        + gammaln(k * safe - n_dot + beta.b)
-        - gammaln(k * safe + beta.a + beta.b)
-    ))
+
+    def body(safe):
+        out = log_falling(safe, m)
+        out += _gammaln_over(k * safe - n_dot + beta.b)
+        out -= _gammaln_over(k * safe + beta.a + beta.b)
+        return out
+
+    return _on_support(n, m, body)
 
 
 # numpy's exp is 5-15x slower on arguments that underflow, and most mh nodes
@@ -429,20 +433,37 @@ class MhMarginalKernel:
         """
         centre = np.stack(self._mode_centre(grid))
         finite = np.isfinite(centre).all(axis=0) & (centre[2] > 0) & (centre[4] > 0)
-        usable = (finite & (grid > self.stats.m_k1)).tolist()
-        s, r, l11, l21, l22 = centre.tolist()
+        usable = finite & (grid > self.stats.m_k1)
+        s, r, l11, l21, l22 = centre
 
-        def offset(i, j):  # |L_j^-1 (centre_i - centre_j)|
+        def offset(i, j):  # |L_j^-1 (centre_i - centre_j)|; one of i, j a slice
             z1 = (s[i] - s[j]) / l11[j]
-            return math.hypot(z1, (r[i] - r[j] - l21[j] * z1) / l22[j])
+            z2 = (r[i] - r[j] - l21[j] * z1) / l22[j]
+            dist = np.hypot(z1, z2)
+            # np.hypot (the C library's) and math.hypot may differ in the last
+            # bit: within 1e-9 of the radius math.hypot decides, so the
+            # blocks do not depend on the C library
+            near = np.flatnonzero(np.abs(dist - _BLOCK_RADIUS) < 1e-9)
+            dist[near] = [math.hypot(*z) for z in zip(z1[near].tolist(), z2[near].tolist())]
+            return dist
 
+        # one distance pass per window of points after a block's first, the
+        # window doubling while every point in it joins
         starts: list[int] = []
-        for i in range(grid.size):
-            dist = math.nan
-            if starts and usable[i] and usable[starts[-1]]:
-                dist = max(offset(i, starts[-1]), offset(starts[-1], i))
-            if not dist <= _BLOCK_RADIUS:  # NaN opens a block too
+        i = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while i < grid.size:
                 starts.append(i)
+                first, i, width = i, i + 1, 64
+                while usable[first] and i < grid.size:
+                    ahead = slice(i, min(i + width, grid.size))
+                    dist = np.maximum(offset(ahead, first), offset(first, ahead))
+                    # NaN leaves a block too
+                    left = np.flatnonzero(~(usable[ahead] & (dist <= _BLOCK_RADIUS)))
+                    if left.size:
+                        i += int(left[0])
+                        break
+                    i, width = ahead.stop, 2 * width
         stops = starts[1:] + [grid.size]
         return [(slice(i, stop), tuple(centre[:, i])) for i, stop in zip(starts, stops)]
 
@@ -568,21 +589,54 @@ class PosteriorTable:
         write_table_csv(path, ("N", "mass", "log_kernel"), self.n_min, (self._mass_column, self.log_kernel))
 
 
+def _line_fit(lx: np.ndarray, ly: np.ndarray) -> tuple[float, float, float]:
+    """(slope, intercept, sxx) of the least-squares line ly = intercept +
+    slope * lx. Overwrites ``lx``, which must be the caller's own float
+    array, with lx - mean(lx), and uses one work array of its size."""
+    lx_mean = lx.mean()
+    lx -= lx_mean
+    # elementwise sums, not BLAS dots, which start the BLAS thread pool and
+    # slow every later chain in the process (as in effective_sample_size)
+    work = lx * lx
+    sxx = float(work.sum())
+    np.multiply(lx, ly, out=work)
+    slope = float(work.sum()) / sxx
+    return slope, float(ly.mean() - slope * lx_mean), sxx
+
+
 def fit_log_log_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line log y = intercept + slope * log x; returns
     (slope, intercept, slope standard error)."""
     lx, ly = np.log(x), np.asarray(y, dtype=float)
-    n_pts = lx.size
-    lxc = lx - lx.mean()
-    # elementwise sums, not BLAS dots, which start the BLAS thread pool and
-    # slow every later chain in the process (as in effective_sample_size)
-    sxx = float((lxc * lxc).sum())
-    slope = float((lxc * ly).sum()) / sxx
-    intercept = float(ly.mean() - slope * lx.mean())
-    resid = ly - (intercept + slope * lx)
-    dof = max(n_pts - 2, 1)
-    stderr = float(np.sqrt((resid * resid).sum() / dof / sxx))
+    slope, intercept, sxx = _line_fit(lx, ly)
+    # the residuals ly - (intercept + slope * log x), in the centred logs' place
+    resid = np.log(x, out=lx)
+    resid *= slope
+    resid += intercept
+    np.subtract(ly, resid, out=resid)
+    resid *= resid
+    dof = max(resid.size - 2, 1)
+    stderr = float(np.sqrt(resid.sum() / dof / sxx))
     return slope, intercept, stderr
+
+
+def _last_decade_line(grid: np.ndarray, log_total: np.ndarray, n_max: int) -> tuple[float, float] | None:
+    """(slope, intercept) of the least-squares line log_total = intercept +
+    slope * log N through the finite points of the last decade, N >= n_max
+    / 10, or None if it has fewer than 3. The decade is a suffix of the
+    sorted ``grid``: the fit runs on views of it, or on copies of its finite
+    points when it holds a non-finite one."""
+    start = int(np.searchsorted(grid, n_max / 10.0))
+    lx, ly = grid[start:], log_total[start:]
+    finite = np.isfinite(ly)
+    if finite.all():
+        lx = np.log(lx)
+    else:
+        lx, ly = np.log(lx[finite]), ly[finite]
+    if lx.size < 3:
+        return None
+    slope, intercept, _ = _line_fit(lx, ly)
+    return slope, intercept
 
 
 def _check_n_prior(n_prior: str) -> None:
@@ -624,34 +678,30 @@ def posterior_table(
     if not 0 < level < 1:
         raise ValueError("credible level must be in (0, 1)")
 
-    support = np.arange(lo, n_max + 1)
-    logk = np.asarray(log_kernel(support.astype(float)), dtype=float)
+    # the support as floats: the kernel's argument, the fit's x and the
+    # moments' N (a table holds at most 6 arrays of its size at once)
+    grid = np.arange(lo, n_max + 1, dtype=float)
+    logk = np.asarray(log_kernel(grid), dtype=float)
     if np.isnan(logk).any():
         raise ValueError("kernel returned NaN on the support")
-    log_total = logk + _log_n_prior(support, n_prior)
+    # the flat prior adds nothing, so its log_total is logk itself
+    log_total = logk if n_prior == "uniform" else logk + _log_n_prior(grid, n_prior)
     if not np.isfinite(log_total).any():
         raise ValueError("kernel is zero everywhere on the support")
 
-    log_z = _log_sum_exp(log_total.copy())
-    mass = np.exp(log_total - log_z)
-
-    # elementwise sums, not BLAS dots (see fit_log_log_slope)
-    mean = float((mass * support).sum())
-    var = float((mass * (support - mean) ** 2).sum())
-    sd = float(np.sqrt(max(var, 0.0)))
-    cdf = np.cumsum(mass)
-    lo_q, hi_q = (1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0
-    ci = (
-        float(support[int(np.searchsorted(cdf, lo_q))]),
-        float(support[min(int(np.searchsorted(cdf, hi_q)), support.size - 1)]),
-    )
+    line = _last_decade_line(grid, log_total, n_max)  # before the mass exists
+    # one buffer holds the copy that log_z consumes, then the mass
+    mass = log_total.copy()
+    log_z = _log_sum_exp(mass)
+    np.subtract(log_total, log_z, out=mass)
+    np.exp(mass, out=mass)
+    del log_total  # the scale prior's copy goes before the work array comes
 
     warnings: list[str] = []
     tail_exponent = np.nan
     tail_mass = np.nan
-    in_decade = (support >= n_max / 10.0) & np.isfinite(log_total)
-    if in_decade.sum() >= 3:
-        slope, intercept, _ = fit_log_log_slope(support[in_decade], log_total[in_decade])
+    if line is not None:
+        slope, intercept = line
         tail_exponent = -slope
         if tail_exponent > 1.0:
             # integral of c x^-d beyond n_max, then converted to a probability
@@ -666,6 +716,22 @@ def posterior_table(
             )
     else:
         warnings.append("support too narrow for a tail fit; no truncation estimate")
+
+    # the moments and the CDF share one work array; elementwise sums, not
+    # BLAS dots (see _line_fit)
+    work = np.multiply(mass, grid)
+    mean = float(work.sum())
+    np.subtract(grid, mean, out=work)
+    np.square(work, out=work)
+    work *= mass
+    var = float(work.sum())
+    sd = float(np.sqrt(max(var, 0.0)))
+    cdf = np.cumsum(mass, out=work)
+    lo_q, hi_q = (1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0
+    ci = (
+        float(grid[int(np.searchsorted(cdf, lo_q))]),
+        float(grid[min(int(np.searchsorted(cdf, hi_q)), grid.size - 1)]),
+    )
 
     return PosteriorTable(
         n_min=int(lo),

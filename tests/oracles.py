@@ -15,6 +15,11 @@ Some entries are closed forms instead, built on the library's
 - ``mh_complete_log_lik``, which is no oracle: it is the complete-data
   likelihood built from the kernel's own data factor, for the oracles to
   check.
+
+Others rerun the library's own arithmetic one step at a time, as
+references for faster or leaner versions of it that must agree bit for
+bit: ``walk_blocks``, ``reference_posterior_table`` and
+``reference_fit_log_log_slope``.
 """
 
 import itertools
@@ -27,7 +32,7 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import betabinom
 
 from crbayes.likelihoods import _check_p, _on_support, log_falling, mh_log_zero_cell
-from crbayes.posterior import GammaPriors, MhMarginalKernel, _log_sum_exp
+from crbayes.posterior import _BLOCK_RADIUS, GammaPriors, MhMarginalKernel, PosteriorTable, _log_sum_exp
 
 
 def enumerate_kahn_log_prob(n_j, n_total: int, p: float) -> float:
@@ -220,6 +225,96 @@ def per_n_excess_sums(base, log_zero_cell, excess) -> np.ndarray:
     consecutive N in runs, not for the sum itself.
     """
     return np.array([_log_sum_exp(base + e * log_zero_cell) for e in excess])
+
+
+def walk_blocks(kern, grid) -> list:
+    """``MhMarginalKernel._blocks`` walked one grid point at a time: each
+    point is measured against the open block's first point with
+    ``math.hypot``, both ways, and opens a block of its own unless both
+    offsets are at most ``_BLOCK_RADIUS``. Like ``per_n_excess_sums`` it
+    reuses the kernel's own mode search: it is the reference for the
+    vectorized walk, not for the centres.
+    """
+    centre = np.stack(kern._mode_centre(grid))
+    finite = np.isfinite(centre).all(axis=0) & (centre[2] > 0) & (centre[4] > 0)
+    usable = (finite & (grid > kern.stats.m_k1)).tolist()
+    s, r, l11, l21, l22 = centre.tolist()
+
+    def offset(i, j):  # |L_j^-1 (centre_i - centre_j)|
+        z1 = (s[i] - s[j]) / l11[j]
+        return math.hypot(z1, (r[i] - r[j] - l21[j] * z1) / l22[j])
+
+    starts: list[int] = []
+    for i in range(grid.size):
+        dist = math.nan
+        if starts and usable[i] and usable[starts[-1]]:
+            dist = max(offset(i, starts[-1]), offset(starts[-1], i))
+        if not dist <= _BLOCK_RADIUS:
+            starts.append(i)
+    stops = starts[1:] + [grid.size]
+    return [(slice(i, stop), tuple(centre[:, i])) for i, stop in zip(starts, stops)]
+
+
+def reference_posterior_table(log_kernel, n_prior: str, lo: int, n_max: int, level: float = 0.95,
+                              improper_margin: float = 0.05) -> PosteriorTable:
+    """``posterior_table``'s arithmetic on an int64 support, with a new
+    array for every step: the normalized mass from one log-sum-exp, then
+    the moments and CI, then the log-log fit on masked copies of the
+    finite points of the last decade. ``lo`` is the support's start,
+    already checked. The library's table holds fewer arrays at once and
+    must match this one bit for bit; like ``per_n_excess_sums`` it reuses
+    the library's ``_log_sum_exp``.
+    """
+    support = np.arange(lo, n_max + 1)
+    logk = np.asarray(log_kernel(support.astype(float)), dtype=float)
+    log_total = logk + (-np.log(support) if n_prior == "scale" else 0.0)
+    log_z = _log_sum_exp(log_total.copy())
+    mass = np.exp(log_total - log_z)
+    mean = float((mass * support).sum())
+    var = float((mass * (support - mean) ** 2).sum())
+    cdf = np.cumsum(mass)
+    lo_q, hi_q = (1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0
+    ci = (
+        float(support[int(np.searchsorted(cdf, lo_q))]),
+        float(support[min(int(np.searchsorted(cdf, hi_q)), support.size - 1)]),
+    )
+    warnings = []
+    tail_exponent = tail_mass = np.nan
+    in_decade = (support >= n_max / 10.0) & np.isfinite(log_total)
+    if in_decade.sum() >= 3:
+        lx, ly = np.log(support[in_decade]), log_total[in_decade]
+        lxc = lx - lx.mean()
+        slope = float((lxc * ly).sum()) / float((lxc * lxc).sum())
+        intercept = float(ly.mean() - slope * lx.mean())
+        tail_exponent = -slope
+        if tail_exponent > 1.0:
+            log_tail = intercept + (1.0 - tail_exponent) * np.log(n_max) - np.log(tail_exponent - 1.0)
+            tail_mass = float(np.exp(log_tail - np.logaddexp(log_z, log_tail)))
+        else:
+            tail_mass = np.inf
+        if tail_exponent <= 1.0 + improper_margin:
+            warnings.append(
+                "posterior likely improper; normalization unreliable "
+                f"(fitted tail exponent {tail_exponent:.3f} <= 1 + {improper_margin:g})"
+            )
+    else:
+        warnings.append("support too narrow for a tail fit; no truncation estimate")
+    return PosteriorTable(
+        n_min=lo, n_max=n_max, log_kernel=logk, mass=mass, mean=mean, sd=float(np.sqrt(max(var, 0.0))), ci=ci,
+        level=level, tail_exponent=float(tail_exponent), tail_mass_estimate=float(tail_mass),
+        warnings=tuple(warnings),
+    )
+
+
+def reference_fit_log_log_slope(x, y) -> tuple[float, float, float]:
+    """``fit_log_log_slope`` with a new array for every step."""
+    lx, ly = np.log(x), np.asarray(y, dtype=float)
+    lxc = lx - lx.mean()
+    sxx = float((lxc * lxc).sum())
+    slope = float((lxc * ly).sum()) / sxx
+    intercept = float(ly.mean() - slope * lx.mean())
+    resid = ly - (intercept + slope * lx)
+    return slope, intercept, float(np.sqrt((resid * resid).sum() / max(lx.size - 2, 1) / sxx))
 
 
 def mh_log_integrand(stats, a: float, b: float, c: float, u, v, excess):

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlog1py, xlogy
 
 from crbayes.data import CaptureHistory, SufficientStats, simulate_mh, summarize
-from crbayes.likelihoods import BetaParams, kahn_log_prob, york_madigan_log_kernel
+from crbayes.likelihoods import BetaParams, kahn_log_prob, log_falling, york_madigan_log_kernel
 from crbayes.posterior import GammaPriors, MhMarginalKernel, m0_marginal_log_kernel
 
 from oracles import (
@@ -276,3 +277,64 @@ def test_kernels_are_neg_inf_exactly_below_support(kernel, lo):
     assert isinstance(vals, np.ndarray) and vals.shape == grid.shape
     assert (vals[grid < lo] == -np.inf).all()
     assert np.isfinite(vals[grid >= lo]).all()
+
+
+# The parent formulas of the in-place kernel bodies, one new array per step
+# and the support mask taken with np.where on every call
+def _masked(n, lo, body):
+    grid = np.atleast_1d(np.asarray(n, dtype=float))
+    valid = grid >= lo
+    return np.where(valid, body(np.where(valid, grid, lo)), -np.inf)
+
+
+REFERENCE_KERNELS = {
+    "log_falling": (
+        lambda n: log_falling(n, 3),
+        lambda n: np.atleast_1d(gammaln(np.asarray(n, dtype=float) + 1) - gammaln(np.asarray(n, dtype=float) - 3 + 1)),
+    ),
+    "m0_marginal_log_kernel": (
+        lambda n: m0_marginal_log_kernel(n, THREE_ANIMALS, BetaParams(1.5, 0.5)),
+        lambda n: _masked(n, 3, lambda safe: (
+            gammaln(safe + 1) - gammaln(safe - 3 + 1) + gammaln(3 * safe - 5 + 0.5) - gammaln(3 * safe + 1.5 + 0.5)
+        )),
+    ),
+    "york_madigan_log_kernel": (
+        lambda n: york_madigan_log_kernel(n, 4, 3, 0.5),
+        lambda n: _masked(n, 4, lambda safe: (
+            gammaln(safe + 1) - gammaln(safe - 4 + 1) + gammaln(safe - 4 + 0.5) - gammaln(safe + 3 * 0.5)
+        )),
+    ),
+    "kahn_log_prob": (
+        lambda n: kahn_log_prob([2, 0, 3], n, 0.25),
+        lambda n: np.atleast_1d(sum(
+            gammaln(np.asarray(n, dtype=float) + 1) - gammaln(np.asarray(n, dtype=float) - c + 1) - gammaln(c + 1)
+            for c in (2, 0, 3)
+        ) + (xlogy(5, 0.25) + xlog1py(3 * np.asarray(n, dtype=float) - 5, -0.25))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_KERNELS))
+def test_kernel_bodies_match_their_formulas_on_scalars_and_arrays(name):
+    # the bodies accumulate in place: scalars must still work, the argument
+    # must not be written, and every value must equal the formula's bit for bit
+    kernel, reference = REFERENCE_KERNELS[name]
+    grid = np.array([4.0, 4.5, 7.0, 40.0, 1e3, 3e5, 1e8])
+    if name not in ("log_falling", "kahn_log_prob"):
+        grid = np.concatenate([[-1.0, 2.0, 3.5], grid])
+    before = grid.copy()
+    got = kernel(grid)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.tobytes() == reference(grid).tobytes()
+    assert grid.tobytes() == before.tobytes()
+    big = np.linspace(4.0, 1e6, 70_000)  # above numpy's size for reusing temporaries
+    assert kernel(big).tobytes() == reference(big).tobytes()
+    assert kernel(big[::7]).tobytes() == reference(big[::7]).tobytes()
+    for i, value in enumerate(grid.tolist()):
+        for scalar in (value, np.float64(value), np.array(value)):
+            one = kernel(scalar)
+            assert np.ndim(one) == 0 and np.float64(one).tobytes() == got[i].tobytes(), (scalar, one)
+        if value.is_integer():
+            assert np.float64(kernel(int(value))).tobytes() == got[i].tobytes()
+    ints = np.array([4, 7, 40, 1000], dtype=np.int64)
+    assert np.asarray(kernel(ints), dtype=float).tobytes() == reference(ints).tobytes()

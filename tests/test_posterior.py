@@ -3,16 +3,17 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betaln, gammaln
 
 from crbayes import data, posterior
 from crbayes.data import BLOCK, CaptureHistory, SufficientStats, simulate_m0, simulate_mh, summarize
-from crbayes.likelihoods import BetaParams, log_falling
+from crbayes.likelihoods import BetaParams, log_falling, york_madigan_log_kernel
 from crbayes.posterior import (
     GammaPriors,
     MhMarginalKernel,
@@ -20,6 +21,7 @@ from crbayes.posterior import (
     _RUN_CAP,
     _excess_sums,
     _log_sum_exp,
+    fit_log_log_slope,
     m0_marginal_log_kernel,
     posterior_table,
 )
@@ -33,6 +35,9 @@ from oracles import (
     per_n_centred_sinh_log_expectation,
     per_n_excess_sums,
     quad_m0_marginal_log_kernel,
+    reference_fit_log_log_slope,
+    reference_posterior_table,
+    walk_blocks,
 )
 
 TWO_ANIMALS = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))
@@ -852,3 +857,142 @@ def test_mass_invariant_to_kernel_rescaling(offset):
     t0 = posterior_table(base, "uniform", stats=TWO_ANIMALS, n_max=300)
     t1 = posterior_table(shifted, "uniform", stats=TWO_ANIMALS, n_max=300)
     assert np.allclose(t0.mass, t1.mass, rtol=1e-11, atol=0)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _assert_same_table(got, want):
+    assert (got.n_min, got.n_max, got.level) == (want.n_min, want.n_max, want.level)
+    assert got.log_kernel.tobytes() == want.log_kernel.tobytes()
+    assert got.mass.tobytes() == want.mass.tobytes()
+    for name in ("mean", "sd", "ci", "tail_exponent", "tail_mass_estimate"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert got.warnings == want.warnings
+
+
+@st.composite
+def table_cases(draw):
+    """A prior on N, a support and a kernel: a power-law decay with a wobble,
+    and some entries overwritten, -inf and +inf among them, before or inside
+    the last decade. Supports run past ``BLOCK`` as well as below 3 points."""
+    n_prior = draw(st.sampled_from(["uniform", "scale"]))
+    lo = draw(st.integers(0, 40))
+    size = draw(st.one_of(st.integers(1, 60), st.integers(BLOCK + 1, 3 * BLOCK)))
+    n_max = max(lo, 1) + size - 1
+    decay = draw(st.floats(0.0, 4.0))
+    wobble = draw(st.floats(0.0, 2.0))
+    values = st.one_of(st.sampled_from([-np.inf, np.inf, 0.0, -0.0]), st.floats(-800.0, 800.0))
+    holes = draw(st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0), values), max_size=8))
+
+    def kernel(n):
+        out = -decay * np.log(n + 1.0) + wobble * np.sin(n)
+        split = int(np.searchsorted(n, n_max / 10.0))
+        for inside, where, value in holes:
+            first, stop = (split, n.size) if inside else (0, split)
+            if stop > first:
+                out[first + min(int(where * (stop - first)), stop - first - 1)] = value
+        return out
+
+    return n_prior, lo, n_max, kernel
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_cases(), st.sampled_from([0.5, 0.95]), st.sampled_from([0.0, 0.05]))
+@example(("uniform", 17, 300, lambda n: -np.log(n)), 0.95, 0.05)
+@example(("scale", 0, 3 * BLOCK, lambda n: np.where(n > 2 * BLOCK, -np.inf, -2.0 * np.log(n))), 0.95, 0.05)
+@example(("uniform", 5, 2 * BLOCK, lambda n: np.where(n % 3 == 0, -np.inf, -np.log(n))), 0.95, 0.05)
+@example(("uniform", 5, 2 * BLOCK, lambda n: np.where(n < 50, -np.inf, -0.0)), 0.95, 0.05)
+def test_posterior_table_matches_reference_bit_for_bit(case, level, margin):
+    # the table's fewer arrays change no output bit: mass, log_kernel,
+    # moments, CI, tail fit and warnings equal the one-array-per-step
+    # arithmetic, with non-finite values before and inside the last decade
+    n_prior, lo, n_max, kernel = case
+    start = max(lo, 1) if n_prior == "scale" else lo
+    support = np.arange(start, n_max + 1, dtype=float)
+    log_total = kernel(support) - (np.log(support) if n_prior == "scale" else 0.0)
+    assume(np.isfinite(log_total).any())
+    with np.errstate(invalid="ignore"):  # +inf in the kernel makes NaN mass
+        got = posterior_table(kernel, n_prior, n_min=lo, n_max=n_max, level=level, improper_margin=margin)
+        want = reference_posterior_table(kernel, n_prior, start, n_max, level=level, improper_margin=margin)
+    _assert_same_table(got, want)
+
+
+def test_posterior_table_matches_reference_on_model_kernels():
+    stats = summarize(simulate_m0(400, 0.01, 5, seed=3))  # no recaptures
+    rich = summarize(simulate_m0(100, 0.3, 5, seed=7))
+    cases = [
+        (lambda n: m0_marginal_log_kernel(n, st_, BetaParams(a, 1.0)), st_, prior, n_max)
+        for st_ in (stats, rich) for a in (1.0, 0.5) for prior in ("uniform", "scale") for n_max in (2_000, 300_000)
+    ]
+    cases += [(lambda n: york_madigan_log_kernel(n, 300, 5, 0.2), None, "uniform", 3000)]
+    for kernel, st_, prior, n_max in cases:
+        lo = st_.m_k1 if st_ is not None else 300
+        kwargs = {"stats": st_} if st_ is not None else {"n_min": lo}
+        start = max(lo, 1) if prior == "scale" else lo
+        _assert_same_table(
+            posterior_table(kernel, prior, n_max=n_max, **kwargs), reference_posterior_table(kernel, prior, start, n_max)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(1.0, 1e7), min_size=3, max_size=300, unique=True),
+    st.floats(-4.0, 4.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_log_log_slope_matches_reference_bit_for_bit(xs, slope, seed):
+    x = np.sort(np.array(xs))
+    y = slope * np.log(x) + np.random.default_rng(seed).normal(size=x.size)
+    before = x.copy()
+    got = fit_log_log_slope(x, y)
+    assert _bits(got) == _bits(reference_fit_log_log_slope(x, y))
+    assert x.tobytes() == before.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mh_histories, gamma_shapes, gamma_shapes, st.floats(min_value=0.2, max_value=5.0),
+    st.sampled_from(["unit", "geometric"]), st.integers(2, 800),
+)
+@example(simulate_mh(50, 2, 4, 8, seed=6), 2.0, 2.0, 1.0, "unit", 2_000)
+@example(simulate_mh(300, 2, 5, 5, seed=2), 2.0, 2.0, 1.0, "unit", 2_000)
+@example(simulate_mh(400, 2, 4, 6, seed=1), 2.0, 2.0, 1.0, "geometric", 50)
+def test_blocks_match_point_by_point_walk(history, a, b, c, spacing, size):
+    # one distance pass per window of points gives the blocks and centres
+    # of measuring one point at a time
+    stats = summarize(history)
+    kern = MhMarginalKernel(stats, GammaPriors(a, b, c))
+    m = stats.m_k1
+    grid = np.arange(m, m + size, dtype=float) if spacing == "unit" else np.geomspace(max(m, 1), 40 * max(m, 1), size)
+    got, want = kern._blocks(grid), walk_blocks(kern, grid)
+    assert [block for block, _ in got] == [block for block, _ in want]
+    assert [_bits(centre) for _, centre in got] == [_bits(centre) for _, centre in want]
+
+
+NO_RECAPTURES = summarize(simulate_m0(400, 0.01, 5, seed=3))
+
+
+@pytest.mark.parametrize("n_prior", ["uniform", "scale"])
+@pytest.mark.parametrize("holes", [False, True], ids=["m0", "m0-with-inf-in-decade"])
+def test_posterior_table_holds_at_most_six_support_arrays(n_prior, holes):
+    # a 1e6-point table peaks at 6 float64 arrays of its size plus 2 MB,
+    # with -inf entries in its last decade too (which the fit must copy past)
+    n_max = 1_000_000
+
+    def kernel(n):
+        out = m0_marginal_log_kernel(n, NO_RECAPTURES, BetaParams(1.0, 1.0))
+        if holes:
+            out[n % 7 == 0] = -np.inf
+        return out
+
+    size = n_max - max(NO_RECAPTURES.m_k1, 1) + 1
+    tracemalloc.start()
+    try:
+        table = posterior_table(kernel, n_prior, stats=NO_RECAPTURES, n_max=n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.mass.size == size and np.isfinite(table.tail_exponent)
+    assert peak <= 6 * 8 * size + 2 * 2**20, f"{peak / (8 * size):.2f} arrays"
