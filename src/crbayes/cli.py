@@ -28,7 +28,7 @@ from . import __version__
 from .data import InvalidHistoryError, load_history, simulate_m0, simulate_mh, store_history, summarize, write_json
 from .gibbs import DaConfig, m_sweep
 from .likelihoods import BetaParams
-from .posterior import GammaPriors, QuadratureConvergenceError, posterior_table
+from .posterior import _N_PRIORS, GammaPriors, QuadratureConvergenceError, _prior_power, posterior_table
 from .propriety import (
     IMPROPER,
     FitConfig,
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # priors and quadrature settings shared by analyze and check-propriety
     priors = argparse.ArgumentParser(add_help=False)
-    priors.add_argument("--n-prior", choices=("uniform", "scale"), default="uniform")
+    priors.add_argument("--n-prior", choices=tuple(_N_PRIORS), default="uniform")
     priors.add_argument("--a", type=_positive, default=1.0, help="Beta prior shape on p (m0)")
     priors.add_argument("--b", type=_positive, default=1.0, help="Beta prior shape on p (m0)")
     priors.add_argument("--shape-a", type=_positive, default=2.0, help="Gamma shape on alpha (mh)")
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     ym.add_argument("--n", type=_positive_int, required=True, help="observed count")
     ym.add_argument("--k", type=_positive_int, required=True, help="cells")
     ym.add_argument("--delta", type=_positive, required=True)
-    ym.add_argument("--prior", choices=("uniform", "scale"), default="uniform")
+    ym.add_argument("--prior", choices=tuple(_N_PRIORS), default="uniform")
     ym.add_argument("--n-max", type=_positive_int, default=100_000)
     ym.add_argument("--level", type=_probability, default=0.95)
     ym.add_argument("--improper-margin", type=_positive, default=0.05)
@@ -187,6 +187,17 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _refuse_out_on_data(args) -> None:
+    """Refuse, before anything is written, an --out prefix whose files would land on --data."""
+    data = getattr(args, "data", None)
+    suffixes = [".json", ".json.manifest.json"]
+    if args.command != "check-propriety" or args.synthetic_exponent is not None:
+        suffixes.append(".csv")
+    for path in (Path(str(args.out) + suffix) for suffix in suffixes):
+        if data is not None and path.resolve() == data.resolve():
+            raise ValueError(f"--out {args.out} would overwrite the dataset {data} with {path}")
+
+
 def _model_params(args) -> dict:
     """``model_kernel`` keywords for --model m0 or mh from --data and the shared prior flags."""
     stats = summarize(load_history(args.data))
@@ -207,7 +218,7 @@ def _posterior_command(args, model: str, n_prior: str, kernel, input_path: Path 
     """
     table = posterior_table(kernel.log_kernel, n_prior, n_min=kernel.support_start, n_max=args.n_max,
                             level=args.level, improper_margin=args.improper_margin)
-    verdict = _verdict(kernel.exponent, n_prior)
+    verdict = _verdict(kernel.exponent, _prior_power(n_prior))
     if verdict == IMPROPER:
         table = dataclasses.replace(table, warnings=table.warnings + (
             f"posterior improper: the {model} kernel decays exactly like N^-{kernel.exponent:.15g}, "
@@ -255,9 +266,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_check_propriety(args) -> int:
-    fit = FitConfig(
-        n_lo=args.fit_lo, n_hi=args.fit_hi, points=args.fit_points, tolerance=args.tolerance
-    )
+    fit = FitConfig(n_lo=args.fit_lo, n_hi=args.fit_hi, points=args.fit_points, tolerance=args.tolerance)
     json_path = Path(str(args.out) + ".json")
 
     if args.synthetic_exponent is not None:
@@ -353,12 +362,8 @@ def _cmd_ym(args) -> int:
 
 
 def _params_of(args) -> dict:
-    params = {}
-    for key, value in sorted(vars(args).items()):
-        if key == "command":
-            continue
-        params[key] = str(value) if isinstance(value, Path) else value
-    return params
+    return {key: str(value) if isinstance(value, Path) else value
+            for key, value in sorted(vars(args).items()) if key != "command"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -376,6 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         "ym": _cmd_ym,
     }
     try:
+        _refuse_out_on_data(args)
         return handlers[args.command](args)
     except (InvalidHistoryError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

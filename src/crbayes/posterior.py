@@ -6,7 +6,8 @@ get independent Gamma(shape, common scale) priors and are integrated out by
 one rule, a trapezoid rule on a sinh map about the integrand's mode in
 (log(alpha + beta), log(alpha/beta)) (see MhMarginalKernel). Truncation is
 never hidden: every table carries a power-law extrapolation of the mass
-beyond its upper endpoint and warns when that extrapolation diverges.
+beyond its upper endpoint and warns when that extrapolation diverges. The
+prior on N is N^-s, the one table ``_N_PRIORS`` naming each power s.
 """
 
 import math
@@ -639,14 +640,15 @@ def _last_decade_line(grid: np.ndarray, log_total: np.ndarray, n_max: int) -> tu
     return slope, intercept
 
 
-def _check_n_prior(n_prior: str) -> None:
-    if n_prior not in ("uniform", "scale"):
+_N_PRIORS = {"uniform": 0.0, "scale": 1.0}  # each prior on N is N^-s, by its power s
+
+
+def _prior_power(n_prior: str) -> float:
+    """The power s of the prior N^-s named ``n_prior``: prior times a kernel
+    that decays like N^-d is proper iff d + s > 1."""
+    if n_prior not in _N_PRIORS:
         raise ValueError(f"unknown prior on N: {n_prior!r}")
-
-
-def _log_n_prior(n, n_prior: str):
-    """Log prior on N up to a constant: 0 for the flat prior, -log N for the 1/N scale prior."""
-    return -np.log(n) if n_prior == "scale" else 0.0
+    return _N_PRIORS[n_prior]
 
 
 def posterior_table(
@@ -661,18 +663,18 @@ def posterior_table(
     """Normalize prior(N) * kernel(N) over the truncated integer support.
 
     The support starts at the number of observed animals (``stats.m_k1`` or an
-    explicit ``n_min``); the scale prior shifts the start to at least 1. The
+    explicit ``n_min``); a prior N^-s with s > 0 shifts the start to at least 1. The
     tail beyond ``n_max`` is estimated by fitting c * N^-d to the last decade
     of the prior-times-kernel product and summing the fit analytically; for
     d within ``improper_margin`` of 1 (or below) the table is flagged as
     likely improper instead of silently reporting a normalized answer.
     """
-    _check_n_prior(n_prior)
+    s = _prior_power(n_prior)
     if (stats is None) == (n_min is None):
         raise ValueError("pass exactly one of stats or n_min")
     lo = stats.m_k1 if stats is not None else int(n_min)
-    if n_prior == "scale":
-        lo = max(lo, 1)  # 1/N is undefined at zero
+    if s > 0:
+        lo = max(lo, 1)  # N^-s is undefined at zero
     if n_max < lo:
         raise ValueError(f"n_max = {n_max} is below the support start {lo}")
     if not 0 < level < 1:
@@ -684,8 +686,9 @@ def posterior_table(
     logk = np.asarray(log_kernel(grid), dtype=float)
     if np.isnan(logk).any():
         raise ValueError("kernel returned NaN on the support")
-    # the flat prior adds nothing, so its log_total is logk itself
-    log_total = logk if n_prior == "uniform" else logk + _log_n_prior(grid, n_prior)
+    # the log prior -s log N, added, as numpy reuses a temporary for an add but
+    # not a subtract; the flat prior adds nothing, so its log_total is logk itself
+    log_total = logk + -s * np.log(grid) if s else logk
     if not np.isfinite(log_total).any():
         raise ValueError("kernel is zero everywhere on the support")
 
@@ -695,7 +698,7 @@ def posterior_table(
     log_z = _log_sum_exp(mass)
     np.subtract(log_total, log_z, out=mass)
     np.exp(mass, out=mass)
-    del log_total  # the scale prior's copy goes before the work array comes
+    del log_total  # a non-flat prior's copy goes before the work array comes
 
     warnings: list[str] = []
     tail_exponent = np.nan

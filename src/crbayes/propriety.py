@@ -5,12 +5,12 @@ constant-detection marginal kernel decays like N^-(r + a) (r recaptures, a
 the Beta shape on the detection rate), the heterogeneous kernel like N^-a
 (a the Gamma shape on the first Beta parameter), and the
 Dirichlet-multinomial kernel like N^-((k-1) delta). ``model_kernel`` builds
-each kernel with its support start and exponent. A posterior is proper
-exactly when prior times kernel decays faster than 1/N, so one rule
-(``_verdict``) turns every exponent into a verdict: the flat prior needs
-exponent > 1 and the 1/N scale prior, which shifts every exponent up by one,
-needs exponent > 0. The empirical side fits the tail exponent of prior *
-kernel on a geometric grid and checks it against the analytic value.
+each kernel with its support start and exponent. Every layer takes the
+prior on N as its power s (N^-s: s = 0 flat, s = 1 the 1/N scale prior), so
+prior times kernel decays like N^-(d + s) and is proper iff d + s > 1; one
+rule (``_verdict``) turns every exponent into a verdict. The empirical side
+fits the tail exponent of prior * kernel on a geometric grid and checks it
+against the analytic value d + s.
 """
 
 from dataclasses import asdict, dataclass
@@ -25,8 +25,7 @@ from .likelihoods import BetaParams, york_madigan_log_kernel
 from .posterior import (
     GammaPriors,
     MhMarginalKernel,
-    _check_n_prior,
-    _log_n_prior,
+    _prior_power,
     fit_log_log_slope,
     m0_marginal_log_kernel,
 )
@@ -39,18 +38,12 @@ class TailFitError(RuntimeError):
     """Raised when the kernel is not finite on the requested fit grid."""
 
 
-def _verdict(exponent: float, n_prior: str) -> str:
-    """The propriety rule shared by every model.
-
-    ``exponent`` is the bare kernel's tail exponent d. Prior times kernel
-    must decay faster than 1/N: the flat prior needs d > 1 and the 1/N scale
-    prior needs d > 0. Equality sits on the boundary, where the sum still
-    diverges, so it is improper. The bare exponent is compared with the
-    cutoff, never d + 1 with 1, which would round a tiny d to the boundary.
-    """
-    _check_n_prior(n_prior)
-    cutoff = 1.0 if n_prior == "uniform" else 0.0
-    return PROPER if exponent > cutoff else IMPROPER
+def _verdict(exponent: float, s: float) -> str:
+    """The propriety rule shared by every model: the prior N^-s times a kernel
+    of tail exponent d = ``exponent`` decays faster than 1/N iff d + s > 1.
+    Equality diverges, so it is improper. The bare exponent is compared with
+    the cutoff 1 - s, never d + s with 1, which would round a tiny d onto it."""
+    return PROPER if exponent > 1.0 - s else IMPROPER
 
 
 @dataclass(frozen=True)
@@ -110,14 +103,12 @@ def model_kernel(
     raise ValueError(f"unknown model {model!r}")
 
 
-def m0_propriety_condition(
-    stats: SufficientStats, a: float, n_prior: str
-) -> tuple[float, str]:
+def m0_propriety_condition(stats: SufficientStats, a: float, n_prior: str) -> tuple[float, str]:
     """Exponent d = n. - M + a and the exact verdict for constant detection."""
     if not a > 0:
         raise ValueError("Beta shape a must be positive")
     d = model_kernel("m0", stats=stats, beta=BetaParams(a, 1.0)).exponent  # b does not enter d
-    return d, _verdict(d, n_prior)
+    return d, _verdict(d, _prior_power(n_prior))
 
 
 def mh_propriety_condition(a: float, n_prior: str) -> str:
@@ -133,13 +124,13 @@ def mh_propriety_condition(a: float, n_prior: str) -> str:
     """
     if not a > 0:
         raise ValueError("Gamma shape a must be positive")
-    return _verdict(a, n_prior)
+    return _verdict(a, _prior_power(n_prior))
 
 
 def ym_propriety_condition(k: int, delta: float, n_prior: str) -> str:
     """Exact verdict for the Dirichlet-multinomial kernel, which decays like
     N^-((k-1) delta) whatever the observed count."""
-    return _verdict(model_kernel("ym", ym_n=0, ym_k=k, ym_delta=delta).exponent, n_prior)
+    return _verdict(model_kernel("ym", ym_n=0, ym_k=k, ym_delta=delta).exponent, _prior_power(n_prior))
 
 
 def _agreement(fitted: float, expected: float, tolerance: float) -> bool:
@@ -233,8 +224,8 @@ class FitConfig:
 class ProprietyReport:
     """Analytic tail exponent and verdict next to the fitted exponent.
 
-    ``analytic_exponent`` describes the bare kernel; ``analytic_total_exponent``
-    adds 1 under the scale prior and is what ``fitted_exponent`` (which is fit
+    ``analytic_exponent`` describes the bare kernel, d; ``analytic_total_exponent``
+    is d + s under the prior N^-s and is what ``fitted_exponent`` (which is fit
     on prior times kernel) is compared against: ``agreement`` holds when the two
     differ by at most ``tolerance``, for every model.
     """
@@ -269,8 +260,8 @@ def write_exponent_csv(
 ) -> None:
     """Dump (N, log kernel, local exponent) over the fit grid for plotting."""
     grid = np.geomspace(n_lo, n_hi, points)
-    vals = np.asarray(log_kernel(grid), dtype=float)
-    rows = zip(grid.tolist(), vals.tolist(), local_exponent(log_kernel, grid).tolist())
+    vals = np.asarray(log_kernel(_probe_points(grid)), dtype=float)  # the grid, then twice it
+    rows = zip(grid.tolist(), vals[: grid.size].tolist(), _probe_exponent(grid, vals).tolist())
     write_csv(path, chain([("N", "log_kernel", "local_exponent")], rows))
 
 
@@ -288,7 +279,7 @@ def propriety_report(model: str, n_prior: str, fit: FitConfig | None = None, **p
     one mode search, one set of blocks and one node-set pass per node count.
     The union is sorted because the mh kernel's blocks follow the grid's order.
     """
-    _check_n_prior(n_prior)
+    s = _prior_power(n_prior)
     fit = fit or FitConfig()
 
     kernel = model_kernel(model, **params)
@@ -296,11 +287,11 @@ def propriety_report(model: str, n_prior: str, fit: FitConfig | None = None, **p
     grid = _fit_grid(n_lo, n_hi, fit.points)
     centre = float(np.sqrt(n_lo * n_hi))
     union, where = np.unique(np.concatenate((grid, _probe_points(centre))), return_inverse=True)
-    vals = np.asarray(kernel.log_kernel(union) + _log_n_prior(union, n_prior), dtype=float)[where]
+    vals = np.asarray(kernel.log_kernel(union) - s * np.log(union), dtype=float)[where]
     fitted, stderr = _fitted_exponent(grid, vals[: grid.size])
     probe = _probe_exponent(centre, vals[grid.size :])
 
-    analytic_total = kernel.exponent + (1.0 if n_prior == "scale" else 0.0)
+    analytic_total = kernel.exponent + s
     warnings: list[str] = []
     if abs(probe - fitted) > max(2.0 * stderr, 1e-3):
         warnings.append(
@@ -314,7 +305,7 @@ def propriety_report(model: str, n_prior: str, fit: FitConfig | None = None, **p
         n_prior=n_prior,
         analytic_exponent=float(kernel.exponent),
         analytic_total_exponent=float(analytic_total),
-        predicted=_verdict(kernel.exponent, n_prior),
+        predicted=_verdict(kernel.exponent, s),
         fitted_exponent=float(fitted),
         fitted_std_err=float(stderr),
         local_exponent=float(probe),

@@ -321,6 +321,53 @@ def test_manifest_params_keys(m0_dataset, tmp_path):
                                            "synthetic_exponent", "tolerance"])
 
 
+# the files under the --out prefix that each command writes, named as the
+# dataset: analyze and da-sweep write .json, .csv and the manifest, and
+# check-propriety on a model writes no .csv
+OUT_ON_DATA = [
+    (["analyze", "--model", "m0"], "d.json"),
+    (["analyze", "--model", "m0"], "d.csv"),
+    (["analyze", "--model", "m0"], "d.json.manifest.json"),
+    (["da-sweep", "--m", "100,200", "--iters", "400", "--burnin", "40"], "d.json"),
+    (["da-sweep", "--m", "100,200", "--iters", "400", "--burnin", "40"], "d.csv"),
+    (["check-propriety", "--model", "m0"], "d.json"),
+    (["check-propriety", "--model", "m0"], "d.json.manifest.json"),
+    (["check-propriety", "--synthetic-exponent", "2"], "d.csv"),
+]
+
+
+@pytest.mark.parametrize("argv, name", OUT_ON_DATA)
+def test_out_prefix_that_would_overwrite_the_dataset_is_refused(argv, name, tmp_path, monkeypatch, capsys):
+    data = tmp_path / name
+    store_history(simulate_m0(100, 0.3, 5, seed=7), data, fmt="csv" if name.endswith(".csv") else "json")
+    before = data.read_bytes()
+    monkeypatch.chdir(tmp_path)  # a relative --out against an absolute --data: paths compare resolved
+    rc = run([*argv, "--data", str(data), "--out", "d"])
+    assert rc == 2
+    assert data.read_bytes() == before
+    assert f"would overwrite the dataset {data} with d{name[1:]}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]  # nothing written
+
+
+def test_out_prefix_with_the_dataset_stem_elsewhere_or_unwritten_suffix_runs(tmp_path):
+    data = tmp_path / "in" / "d.json"
+    data.parent.mkdir()
+    store_history(simulate_m0(100, 0.3, 5, seed=7), data)
+    before = data.read_bytes()
+    (tmp_path / "out").mkdir()
+    assert run(["analyze", "--data", str(data), "--model", "m0", "--n-max", "2000",
+                "--out", str(tmp_path / "out" / "d")]) == 0
+    assert data.read_bytes() == before
+    assert (tmp_path / "out" / "d.json").exists() and (tmp_path / "out" / "d.csv").exists()
+    # check-propriety on a model writes no .csv, so a CSV dataset under its prefix is left alone
+    csv_data = tmp_path / "in" / "c.csv"
+    store_history(simulate_m0(100, 0.3, 5, seed=7), csv_data)
+    before = csv_data.read_bytes()
+    assert run(["check-propriety", "--model", "m0", "--data", str(csv_data),
+                "--out", str(tmp_path / "in" / "c")]) == 0
+    assert csv_data.read_bytes() == before
+
+
 class TestDaSweep:
     def test_sweep_outputs(self, m0_dataset, tmp_path, capsys):
         rc = run(["da-sweep", "--data", str(m0_dataset), "--m", "150,300",

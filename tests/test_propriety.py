@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 from crbayes.data import CaptureHistory, SufficientStats, summarize
 from crbayes.likelihoods import BetaParams, york_madigan_log_kernel
 from crbayes.posterior import (
-    GammaPriors, MhMarginalKernel, QuadratureConvergenceError, _log_n_prior, m0_marginal_log_kernel,
+    GammaPriors, MhMarginalKernel, QuadratureConvergenceError, _prior_power, m0_marginal_log_kernel,
+    posterior_table,
 )
 from crbayes import propriety
 from crbayes.propriety import (
+    IMPROPER,
+    PROPER,
     FitConfig,
     ProprietyReport,
     TailFitError,
@@ -24,6 +27,7 @@ from crbayes.propriety import (
     mh_propriety_condition,
     model_kernel,
     propriety_report,
+    _verdict,
     write_exponent_csv,
     ym_propriety_condition,
 )
@@ -376,10 +380,8 @@ def test_mh_report_on_sparse_six_occasion_set(n_prior):
     assert np.abs(np.expm1(got - want)).max() <= 1e-7
 
 
-def _counted_report(model, n_prior, **params):
-    """``propriety_report`` with the model kernel wrapped: returns the report
-    and the grids the kernel was called on."""
-    calls = []
+def _counting_model_kernel(calls):
+    """``model_kernel`` whose kernels append each grid they are called on to ``calls``."""
     build = propriety.model_kernel
 
     def counting_model_kernel(*args, **kwargs):
@@ -391,8 +393,15 @@ def _counted_report(model, n_prior, **params):
 
         return dataclasses.replace(kernel, log_kernel=log_kernel)
 
+    return counting_model_kernel
+
+
+def _counted_report(model, n_prior, **params):
+    """``propriety_report`` with the model kernel wrapped: returns the report
+    and the grids the kernel was called on."""
+    calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propriety, "model_kernel", counting_model_kernel)
+        mp.setattr(propriety, "model_kernel", _counting_model_kernel(calls))
         return propriety_report(model, n_prior, **params), calls
 
 
@@ -402,7 +411,7 @@ def _separate_fit_and_probe(model, n_prior, **params):
     fit settings would compute them with one kernel call each."""
     kernel = model_kernel(model, **params)
     n_lo, n_hi = FitConfig().resolve(kernel.support_start)
-    target = lambda n: kernel.log_kernel(n) + _log_n_prior(n, n_prior)
+    target = lambda n: kernel.log_kernel(n) - _prior_power(n_prior) * np.log(n)
     fitted, stderr = fit_tail_exponent(target, n_lo, n_hi)
     return fitted, stderr, local_exponent(target, math.sqrt(n_lo * n_hi))
 
@@ -447,3 +456,52 @@ def test_exponent_csv_export(tmp_path):
     assert cells[:, 1].tolist() == log_kernel(grid).tolist()
     assert cells[:, 2].tolist() == (-(log_kernel(2.0 * grid) - log_kernel(grid)) / np.log(2.0)).tolist()
     assert cells[0, 2] == pytest.approx(2.0)
+
+
+UNKNOWN_PRIOR_CASES = [
+    ("m0", {"stats": synthetic_stats(3, 5, 2), "beta": BetaParams(1.0, 1.0)},
+     lambda prior: m0_propriety_condition(synthetic_stats(3, 5, 2), 1.0, prior)),
+    ("mh", {"stats": synthetic_stats(3, 5, 2), "gammas": GammaPriors(1.5, 1.0, 1.0)},
+     lambda prior: mh_propriety_condition(1.5, prior)),
+    ("ym", {"ym_n": 4, "ym_k": 6, "ym_delta": 0.25}, lambda prior: ym_propriety_condition(6, 0.25, prior)),
+]
+
+
+@pytest.mark.parametrize("model, params, condition", UNKNOWN_PRIOR_CASES)
+def test_unknown_prior_is_refused_before_the_kernel_runs(model, params, condition, monkeypatch):
+    calls = []
+    counting_model_kernel = _counting_model_kernel(calls)
+    monkeypatch.setattr(propriety, "model_kernel", counting_model_kernel)
+    kernel = counting_model_kernel(model, **params)
+    unknown = "^unknown prior on N: 'flat'$"
+    with pytest.raises(ValueError, match=unknown):
+        posterior_table(kernel.log_kernel, "flat", n_min=kernel.support_start, n_max=kernel.support_start + 100)
+    with pytest.raises(ValueError, match=unknown):
+        propriety_report(model, "flat", **params)
+    with pytest.raises(ValueError, match=unknown):
+        condition("flat")
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_prior, s", [("uniform", 0.0), ("scale", 1.0)])
+def test_each_prior_enters_through_its_power(n_prior, s):
+    # the four places where the prior N^-s enters: the support start, the
+    # log prior -s log N, the verdict cutoff 1 - s and the total exponent d + s
+    assert _prior_power(n_prior) == s
+    log_kernel = lambda n: -2.5 * np.log1p(n)
+    table = posterior_table(log_kernel, n_prior, n_min=0, n_max=2_000)
+    assert table.n_min == (1 if s > 0 else 0)  # N^-s is undefined at zero
+    support = np.arange(table.n_min, table.n_max + 1, dtype=float)
+    on = support >= 1
+    log_ratio = np.log(table.mass[on]) - (log_kernel(support[on]) - s * np.log(support[on]))
+    assert np.ptp(log_ratio) <= 1e-12  # the mass is kernel times N^-s, normalized
+    cutoff = 1.0 - s
+    assert _verdict(cutoff, s) == IMPROPER
+    assert _verdict(np.nextafter(cutoff, np.inf), s) == PROPER
+    assert _verdict(np.nextafter(cutoff, -np.inf), s) == IMPROPER
+    assert mh_propriety_condition(np.nextafter(cutoff, np.inf), n_prior) == PROPER
+    report = propriety_report("ym", n_prior, ym_n=4, ym_k=6, ym_delta=0.25)
+    assert report.analytic_exponent == 1.25
+    assert report.analytic_total_exponent == 1.25 + s
+    assert report.predicted == PROPER
+    assert report.agreement
