@@ -25,8 +25,6 @@ from .propriety import (
     FitConfig,
     ProprietyReport,
     TailFitError,
-    fit_tail_exponent,
-    local_exponent,
     m0_propriety_condition,
     mh_propriety_condition,
     propriety_report,
@@ -52,10 +50,8 @@ __all__ = [
     "TailFitError",
     "da_gibbs",
     "effective_sample_size",
-    "fit_tail_exponent",
     "kahn_log_prob",
     "load_history",
-    "local_exponent",
     "m0_marginal_log_kernel",
     "m0_propriety_condition",
     "m_sweep",

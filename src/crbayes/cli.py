@@ -29,17 +29,7 @@ from .data import InvalidHistoryError, load_history, simulate_m0, simulate_mh, s
 from .gibbs import DaConfig, m_sweep
 from .likelihoods import BetaParams
 from .posterior import _N_PRIORS, GammaPriors, QuadratureConvergenceError, _prior_power, posterior_table
-from .propriety import (
-    IMPROPER,
-    FitConfig,
-    TailFitError,
-    _agreement,
-    _verdict,
-    fit_tail_exponent,
-    model_kernel,
-    propriety_report,
-    write_exponent_csv,
-)
+from .propriety import IMPROPER, FitConfig, TailFitError, _verdict, model_kernel, propriety_report, write_exponent_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -198,13 +188,23 @@ def _refuse_out_on_data(args) -> None:
             raise ValueError(f"--out {args.out} would overwrite the dataset {data} with {path}")
 
 
-def _model_params(args) -> dict:
-    """``model_kernel`` keywords for --model m0 or mh from --data and the shared prior flags."""
+def _model_params(args, model: str) -> tuple[dict, Path | None]:
+    """``model_kernel`` keywords for ``model`` from the command's flags, and the
+    dataset they read: --synthetic-exponent, --n/--k/--delta for ym, and
+    --data with the shared prior flags for m0 and mh."""
+    if model == "synthetic":
+        return {"synthetic_exponent": args.synthetic_exponent}, None
+    if model == "ym":
+        if args.n is None or args.k is None or args.delta is None:
+            raise ValueError(f"{args.command} --model ym needs --n, --k and --delta")
+        return {"ym_n": args.n, "ym_k": args.k, "ym_delta": args.delta}, None
+    if args.data is None:
+        raise ValueError(f"{args.command} --model {model} needs --data")
     stats = summarize(load_history(args.data))
-    if args.model == "m0":
-        return {"stats": stats, "beta": BetaParams(args.a, args.b)}
+    if model == "m0":
+        return {"stats": stats, "beta": BetaParams(args.a, args.b)}, args.data
     return dict(stats=stats, gammas=GammaPriors(args.shape_a, args.shape_b, args.scale_c),
-                quad_nodes=args.nodes, quad_check_nodes=args.check_nodes, quad_rtol=args.quad_rtol)
+                quad_nodes=args.nodes, quad_check_nodes=args.check_nodes, quad_rtol=args.quad_rtol), args.data
 
 
 def _posterior_command(args, model: str, n_prior: str, kernel, input_path: Path | None, describe) -> int:
@@ -239,7 +239,8 @@ def _posterior_command(args, model: str, n_prior: str, kernel, input_path: Path 
 
 
 def _cmd_analyze(args) -> int:
-    kernel = model_kernel(args.model, **_model_params(args))
+    params, input_path = _model_params(args, args.model)
+    kernel = model_kernel(args.model, **params)
 
     def describe(table, verdict):
         if args.model == "m0":
@@ -262,43 +263,35 @@ def _cmd_analyze(args) -> int:
         extra["verdict"] = verdict
         return extra, lines
 
-    return _posterior_command(args, args.model, args.n_prior, kernel, args.data, describe)
+    return _posterior_command(args, args.model, args.n_prior, kernel, input_path, describe)
 
 
 def _cmd_check_propriety(args) -> int:
     fit = FitConfig(n_lo=args.fit_lo, n_hi=args.fit_hi, points=args.fit_points, tolerance=args.tolerance)
     json_path = Path(str(args.out) + ".json")
-
-    if args.synthetic_exponent is not None:
-        d = args.synthetic_exponent
-        log_kernel = lambda n: -d * np.log(n)
-        lo, hi = fit.resolve(1)
-        fitted, stderr = fit_tail_exponent(log_kernel, lo, hi, fit.points)
-        payload = {
-            "model": "synthetic",
-            "requested_exponent": d,
-            "fitted_exponent": fitted,
-            "fitted_std_err": stderr,
-            "agreement": _agreement(fitted, d, fit.tolerance),
-        }
-        write_json(json_path, payload)
-        write_exponent_csv(log_kernel, lo, hi, fit.points, Path(str(args.out) + ".csv"))
-        _write_manifest(args, json_path, None)
-        print(f"synthetic kernel N^-{d}: fitted exponent {fitted:.4f} +- {stderr:.2e}")
-        return EXIT_OK if payload["agreement"] else EXIT_DISAGREEMENT
-
-    if args.model is None:
+    synthetic = args.synthetic_exponent is not None
+    if not synthetic and args.model is None:
         raise ValueError("check-propriety needs --model or --synthetic-exponent")
-    if args.model == "ym":
-        if args.n is None or args.k is None or args.delta is None:
-            raise ValueError("check-propriety --model ym needs --n, --k and --delta")
-        params, input_path = {"ym_n": args.n, "ym_k": args.k, "ym_delta": args.delta}, None
-    else:
-        if args.data is None:
-            raise ValueError(f"check-propriety --model {args.model} needs --data")
-        params, input_path = _model_params(args), args.data
+    model = "synthetic" if synthetic else args.model
+    params, input_path = _model_params(args, model)
+    # the sanity mode fits the bare power law, whatever --n-prior says
+    report = propriety_report(model, "uniform" if synthetic else args.n_prior, fit=fit, **params)
 
-    report = propriety_report(args.model, args.n_prior, fit=fit, **params)
+    if synthetic:
+        d = args.synthetic_exponent
+        write_json(json_path, {
+            "model": model,
+            "requested_exponent": d,
+            "fitted_exponent": report.fitted_exponent,
+            "fitted_std_err": report.fitted_std_err,
+            "agreement": report.agreement,
+        })
+        write_exponent_csv(model_kernel(model, **params).log_kernel, *report.fit_range, report.fit_points,
+                           Path(str(args.out) + ".csv"))
+        _write_manifest(args, json_path, input_path)
+        print(f"synthetic kernel N^-{d}: fitted exponent {report.fitted_exponent:.4f} +- {report.fitted_std_err:.2e}")
+        return EXIT_OK if report.agreement else EXIT_DISAGREEMENT
+
     report.write_json(json_path)
     _write_manifest(args, json_path, input_path)
 
@@ -347,10 +340,11 @@ def _cmd_da_sweep(args) -> int:
 
 
 def _cmd_ym(args) -> int:
-    kernel = model_kernel("ym", ym_n=args.n, ym_k=args.k, ym_delta=args.delta)
+    params, input_path = _model_params(args, "ym")
+    kernel = model_kernel("ym", **params)
 
     def describe(table, verdict):
-        report = propriety_report("ym", args.prior, ym_n=args.n, ym_k=args.k, ym_delta=args.delta)
+        report = propriety_report("ym", args.prior, **params)
         return {"verdict": verdict, "propriety": report.to_dict()}, [
             f"Dirichlet-multinomial: k={args.k}, delta={args.delta}, {args.prior} prior -> {verdict}",
             f"  kernel exponent: analytic {report.analytic_exponent:.4f}, "
@@ -358,7 +352,7 @@ def _cmd_ym(args) -> int:
             f"  truncated posterior mean = {table.mean:.4f}, sd = {table.sd:.4f}",
         ]
 
-    return _posterior_command(args, "ym", args.prior, kernel, None, describe)
+    return _posterior_command(args, "ym", args.prior, kernel, input_path, describe)
 
 
 def _params_of(args) -> dict:

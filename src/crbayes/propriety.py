@@ -5,10 +5,11 @@ constant-detection marginal kernel decays like N^-(r + a) (r recaptures, a
 the Beta shape on the detection rate), the heterogeneous kernel like N^-a
 (a the Gamma shape on the first Beta parameter), and the
 Dirichlet-multinomial kernel like N^-((k-1) delta). ``model_kernel`` builds
-each kernel with its support start and exponent. Every layer takes the
-prior on N as its power s (N^-s: s = 0 flat, s = 1 the 1/N scale prior), so
-prior times kernel decays like N^-(d + s) and is proper iff d + s > 1; one
-rule (``_verdict``) turns every exponent into a verdict. The empirical side
+each kernel with its support start and exponent, and also the pure power law
+N^-d ("synthetic") that ``check-propriety``'s sanity mode fits. Every layer
+takes the prior on N as its power s (N^-s: s = 0 flat, s = 1 the 1/N scale
+prior), so prior times kernel decays like N^-(d + s) and is proper iff
+d + s > 1; one rule (``_verdict``) turns every exponent into a verdict. The empirical side
 fits the tail exponent of prior * kernel on a geometric grid and checks it
 against the analytic value d + s.
 """
@@ -66,25 +67,25 @@ def model_kernel(
     ym_n: int | None = None,
     ym_k: int | None = None,
     ym_delta: float | None = None,
+    synthetic_exponent: float | None = None,
     quad_nodes: int = 64,
     quad_check_nodes: int = 96,
     quad_rtol: float = 1e-4,
 ) -> ModelKernel:
-    """Build the kernel of ``model`` ("m0", "mh" or "ym") with its exact exponent.
+    """Build the kernel of ``model`` ("m0", "mh", "ym" or "synthetic") with its exact exponent.
 
     Constant detection ("m0") needs ``stats`` and ``beta`` and decays like
-    N^-(n. - M + a). Heterogeneous detection ("mh") needs ``stats`` and
-    ``gammas``, takes its quadrature settings from ``quad_*`` and decays like
-    N^-a (see ``mh_propriety_condition``). The Dirichlet-multinomial model
-    ("ym") needs ``ym_n``, ``ym_k`` and ``ym_delta`` and decays like
-    N^-((k-1) delta).
+    N^-(r + a), r the recaptures. Heterogeneous detection ("mh") needs
+    ``stats`` and ``gammas``, takes its quadrature settings from ``quad_*``
+    and decays like N^-a (see ``mh_propriety_condition``). The
+    Dirichlet-multinomial model ("ym") needs ``ym_n``, ``ym_k`` and
+    ``ym_delta`` and decays like N^-((k-1) delta). The "synthetic" kernel is
+    -d log N on N >= 1 with d = ``synthetic_exponent``.
     """
     if model == "m0":
         if stats is None or beta is None:
             raise ValueError("constant-detection report needs stats and Beta prior")
-        return ModelKernel(
-            lambda n: m0_marginal_log_kernel(n, stats, beta), stats.m_k1, stats.n_dot - stats.m_k1 + beta.a
-        )
+        return ModelKernel(lambda n: m0_marginal_log_kernel(n, stats, beta), stats.m_k1, stats.recaptures + beta.a)
     if model == "mh":
         if stats is None or gammas is None:
             raise ValueError("heterogeneous report needs stats and Gamma priors")
@@ -100,6 +101,13 @@ def model_kernel(
         return ModelKernel(
             lambda n: york_madigan_log_kernel(n, ym_n, ym_k, ym_delta), ym_n, (ym_k - 1) * ym_delta
         )
+    if model == "synthetic":
+        if synthetic_exponent is None:
+            raise ValueError("synthetic report needs synthetic_exponent")
+        if not synthetic_exponent > 0:
+            raise ValueError("synthetic exponent must be positive")
+        d = synthetic_exponent
+        return ModelKernel(lambda n: -d * np.log(n), 1, d)
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -133,11 +141,6 @@ def ym_propriety_condition(k: int, delta: float, n_prior: str) -> str:
     return _verdict(model_kernel("ym", ym_n=0, ym_k=k, ym_delta=delta).exponent, _prior_power(n_prior))
 
 
-def _agreement(fitted: float, expected: float, tolerance: float) -> bool:
-    """Whether a fitted tail exponent lies within ``tolerance`` of the expected one."""
-    return bool(abs(fitted - expected) <= tolerance)
-
-
 def _probe_points(n) -> np.ndarray:
     """The N of the two-point probe at ``n``: N followed by 2N."""
     points = np.atleast_1d(np.asarray(n, dtype=float))
@@ -145,55 +148,15 @@ def _probe_points(n) -> np.ndarray:
 
 
 def _probe_exponent(n, vals: np.ndarray):
-    """The two-point probe at ``n`` from log f at ``_probe_points(n)``."""
+    """The two-point decay probe d(N) = -[log f(2N) - log f(N)] / log 2 at
+    ``n``, from log f at ``_probe_points(n)``. Exact for pure power laws, it
+    cross-checks the regression fit. ``n`` is one N (a float comes back) or a
+    1-D array of them (an array comes back)."""
     if not np.isfinite(vals).all():
         raise TailFitError(f"kernel not finite at N = {n} and 2N")
     half = vals.size // 2
     local = -(vals[half:] - vals[:half]) / np.log(2.0)
     return float(local[0]) if np.ndim(n) == 0 else local
-
-
-def local_exponent(log_kernel: Callable[[np.ndarray], np.ndarray], n):
-    """Two-point decay probe d(N) = -[log f(2N) - log f(N)] / log 2.
-
-    Exact for pure power laws; used to cross-check the regression fit. ``n``
-    is one N (a float comes back) or a 1-D array of them (an array comes
-    back); the kernel is evaluated once, on N followed by 2N.
-    """
-    return _probe_exponent(n, np.asarray(log_kernel(_probe_points(n)), dtype=float))
-
-
-def _fit_grid(n_lo: float, n_hi: float, points: int) -> np.ndarray:
-    """The geometric grid of ``fit_tail_exponent``, after checking its bounds."""
-    if n_hi < 4.0 * n_lo:
-        raise ValueError("fit range too short: need n_hi >= 4 * n_lo")
-    if points < 10:
-        raise ValueError("need at least 10 grid points")
-    return np.geomspace(n_lo, n_hi, points)
-
-
-def _fitted_exponent(grid: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """(d_hat, standard error) of the log-log fit to log f at ``grid``."""
-    if not np.isfinite(vals).all():
-        raise TailFitError("kernel not finite everywhere on the fit grid")
-    slope, _, stderr = fit_log_log_slope(grid, vals)
-    return -slope, stderr
-
-
-def fit_tail_exponent(
-    log_kernel: Callable[[np.ndarray], np.ndarray],
-    n_lo: float,
-    n_hi: float,
-    points: int = 50,
-) -> tuple[float, float]:
-    """Least-squares tail exponent of a kernel on a geometric grid.
-
-    Fits log kernel against log N over ``points`` geometrically spaced values
-    in [n_lo, n_hi] and returns (d_hat, standard error) with d_hat the negated
-    slope. Deterministic; requires n_hi >= 4 * n_lo and at least 10 points.
-    """
-    grid = _fit_grid(n_lo, n_hi, points)
-    return _fitted_exponent(grid, np.asarray(log_kernel(grid), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -273,10 +236,13 @@ def propriety_report(model: str, n_prior: str, fit: FitConfig | None = None, **p
     exponent of prior * kernel against the prior-adjusted analytic exponent at
     ``fit.tolerance``.
 
-    Prior * kernel is evaluated once, on the sorted union of the fit grid of
-    ``fit_tail_exponent`` and the pair of ``local_exponent`` at the grid's
-    geometric centre, and both read their values from it: for ``mh`` that is
-    one mode search, one set of blocks and one node-set pass per node count.
+    The fit is a least-squares line of log(prior * kernel) against log N on
+    ``fit.points`` geometric points of the resolved range, which must span a
+    factor of at least 4 with at least 10 points; d_hat is its negated slope.
+    Prior * kernel is evaluated once, on the sorted union of that grid and the
+    pair of ``_probe_exponent`` at the grid's geometric centre, and the fit
+    and the probe both read their values from it: for ``mh`` that is one mode
+    search, one set of blocks and one node-set pass per node count.
     The union is sorted because the mh kernel's blocks follow the grid's order.
     """
     s = _prior_power(n_prior)
@@ -284,11 +250,18 @@ def propriety_report(model: str, n_prior: str, fit: FitConfig | None = None, **p
 
     kernel = model_kernel(model, **params)
     n_lo, n_hi = fit.resolve(kernel.support_start)
-    grid = _fit_grid(n_lo, n_hi, fit.points)
+    if n_hi < 4.0 * n_lo:
+        raise ValueError("fit range too short: need n_hi >= 4 * n_lo")
+    if fit.points < 10:
+        raise ValueError("need at least 10 grid points")
+    grid = np.geomspace(n_lo, n_hi, fit.points)
     centre = float(np.sqrt(n_lo * n_hi))
     union, where = np.unique(np.concatenate((grid, _probe_points(centre))), return_inverse=True)
     vals = np.asarray(kernel.log_kernel(union) - s * np.log(union), dtype=float)[where]
-    fitted, stderr = _fitted_exponent(grid, vals[: grid.size])
+    if not np.isfinite(vals[: grid.size]).all():
+        raise TailFitError("kernel not finite everywhere on the fit grid")
+    slope, _, stderr = fit_log_log_slope(grid, vals[: grid.size])
+    fitted = -slope
     probe = _probe_exponent(centre, vals[grid.size :])
 
     analytic_total = kernel.exponent + s
@@ -312,6 +285,6 @@ def propriety_report(model: str, n_prior: str, fit: FitConfig | None = None, **p
         fit_range=(n_lo, n_hi),
         fit_points=fit.points,
         tolerance=fit.tolerance,
-        agreement=_agreement(fitted, analytic_total, fit.tolerance),
+        agreement=bool(abs(fitted - analytic_total) <= fit.tolerance),
         warnings=tuple(warnings),
     )

@@ -19,7 +19,9 @@ Some entries are closed forms instead, built on the library's
 Others rerun the library's own arithmetic one step at a time, as
 references for faster or leaner versions of it that must agree bit for
 bit: ``walk_blocks``, ``reference_posterior_table`` and
-``reference_fit_log_log_slope``.
+``reference_fit_log_log_slope``. ``fit_tail_exponent`` and
+``local_exponent`` fit and probe a kernel's tail on their own, one kernel
+call per grid, as ``propriety_report`` does from one call on the union.
 """
 
 import itertools
@@ -315,6 +317,24 @@ def reference_fit_log_log_slope(x, y) -> tuple[float, float, float]:
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (intercept + slope * lx)
     return slope, intercept, float(np.sqrt((resid * resid).sum() / max(lx.size - 2, 1) / sxx))
+
+
+def fit_tail_exponent(log_kernel, n_lo: float, n_hi: float, points: int = 50) -> tuple[float, float]:
+    """(d_hat, standard error) of the least-squares tail fit: d_hat is the
+    negated ``reference_fit_log_log_slope`` of log f at ``points`` geometric
+    points of [n_lo, n_hi]."""
+    grid = np.geomspace(n_lo, n_hi, points)
+    slope, _, stderr = reference_fit_log_log_slope(grid, log_kernel(grid))
+    return -slope, stderr
+
+
+def local_exponent(log_kernel, n):
+    """Two-point decay probe -(log f(2N) - log f(N)) / log 2, from two kernel
+    calls. Exact for pure power laws. ``n`` is one N (a float comes back) or a
+    1-D array of them (an array comes back)."""
+    points = np.atleast_1d(np.asarray(n, dtype=float))
+    local = -(np.asarray(log_kernel(2.0 * points)) - np.asarray(log_kernel(points))) / math.log(2.0)
+    return float(local[0]) if np.ndim(n) == 0 else local
 
 
 def mh_log_integrand(stats, a: float, b: float, c: float, u, v, excess):

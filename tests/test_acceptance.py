@@ -18,9 +18,10 @@ from crbayes.posterior import (
     m0_marginal_log_kernel,
     posterior_table,
 )
-from crbayes.propriety import fit_tail_exponent, m0_propriety_condition
+from crbayes.propriety import m0_propriety_condition
 
 from oracles import (
+    fit_tail_exponent,
     m0_profile_log_lik,
     m0_profile_mle,
     mh_complete_log_lik,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from crbayes.cli import build_parser, main
 from crbayes.data import load_history, store_history, simulate_m0, simulate_mh
 from crbayes.data import CaptureHistory
+from crbayes.propriety import propriety_report
 
 
 def run(argv):
@@ -172,12 +173,17 @@ class TestCheckPropriety:
         assert report["predicted"] == "improper"  # boundary case of the iff condition
 
     def test_synthetic_power_law_mode(self, tmp_path, capsys):
-        rc = run(["check-propriety", "--synthetic-exponent", "2",
+        # the sanity mode is the synthetic model's report under the flat prior, whatever --n-prior says
+        rc = run(["check-propriety", "--synthetic-exponent", "2", "--n-prior", "scale",
                   "--out", str(tmp_path / "syn")])
         assert rc == 0
         payload = json.loads((tmp_path / "syn.json").read_text())
+        report = propriety_report("synthetic", "uniform", synthetic_exponent=2.0)
+        assert payload == {"model": "synthetic", "requested_exponent": 2.0, "fitted_exponent": report.fitted_exponent,
+                           "fitted_std_err": report.fitted_std_err, "agreement": True}
         assert abs(payload["fitted_exponent"] - 2.0) < 1e-8
         assert (tmp_path / "syn.csv").exists()
+        assert capsys.readouterr().out == f"synthetic kernel N^-2.0: fitted exponent 2.0000 +- {report.fitted_std_err:.2e}\n"
 
     def test_mh_sufficiency_gap_reported(self, tmp_path):
         path = tmp_path / "small.json"
@@ -347,6 +353,39 @@ def test_out_prefix_that_would_overwrite_the_dataset_is_refused(argv, name, tmp_
     assert data.read_bytes() == before
     assert f"would overwrite the dataset {data} with d{name[1:]}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]  # nothing written
+
+
+# every command that takes --out and --data, with flags that keep it quick
+OUT_AND_DATA_COMMANDS = {
+    "analyze": ["analyze", "--model", "m0", "--n-max", "2000"],
+    "da-sweep": ["da-sweep", "--m", "100,200", "--iters", "400", "--burnin", "40"],
+    "check-propriety": ["check-propriety", "--model", "m0"],
+    "check-propriety-synthetic": ["check-propriety", "--synthetic-exponent", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(OUT_AND_DATA_COMMANDS))
+def test_every_file_a_command_writes_is_refused_on_data(command, tmp_path, capsys):
+    # run the command, then name a dataset after each file it wrote: a report
+    # file that the refusal does not know of would overwrite that dataset
+    argv = OUT_AND_DATA_COMMANDS[command]
+    history = simulate_m0(100, 0.3, 5, seed=7)
+    store_history(history, tmp_path / "data.json")
+    (tmp_path / "run").mkdir()
+    assert run([*argv, "--data", str(tmp_path / "data.json"), "--out", str(tmp_path / "run" / "r")]) == 0
+    suffixes = sorted(p.name[1:] for p in (tmp_path / "run").iterdir())
+    assert ".json" in suffixes and ".json.manifest.json" in suffixes
+    for i, suffix in enumerate(suffixes):
+        folder = tmp_path / f"refused{i}"
+        folder.mkdir()
+        data = folder / f"d{suffix}"
+        store_history(history, data, fmt="csv" if suffix.endswith(".csv") else "json")
+        before = data.read_bytes()
+        capsys.readouterr()
+        assert run([*argv, "--data", str(data), "--out", str(folder / "d")]) == 2, suffix
+        assert data.read_bytes() == before
+        assert f"would overwrite the dataset {data}" in capsys.readouterr().err
+        assert [p.name for p in folder.iterdir()] == [data.name]  # nothing written
 
 
 def test_out_prefix_with_the_dataset_stem_elsewhere_or_unwritten_suffix_runs(tmp_path):

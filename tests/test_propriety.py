@@ -21,8 +21,6 @@ from crbayes.propriety import (
     FitConfig,
     ProprietyReport,
     TailFitError,
-    fit_tail_exponent,
-    local_exponent,
     m0_propriety_condition,
     mh_propriety_condition,
     model_kernel,
@@ -32,7 +30,7 @@ from crbayes.propriety import (
     ym_propriety_condition,
 )
 
-from oracles import box_mh_marginal_log_kernel
+from oracles import box_mh_marginal_log_kernel, fit_tail_exponent, local_exponent
 
 
 def synthetic_stats(m_k1: int, k: int, recaptures: int):
@@ -120,6 +118,10 @@ class TestConditions:
             call()
 
 
+# TestLocalExponent and TestFitTailExponent hold the oracles to the theory;
+# their validation tests check propriety_report's own checks
+
+
 class TestLocalExponent:
     def test_pure_power_law(self):
         assert local_exponent(lambda n: -2.0 * np.log(n), 50.0) == pytest.approx(2.0)
@@ -140,9 +142,19 @@ class TestLocalExponent:
         assert local.shape == grid.shape
         np.testing.assert_allclose(local, [local_exponent(kernel, n) for n in grid], rtol=1e-12)
 
-    def test_non_finite_kernel_raises(self):
-        with pytest.raises(TailFitError):
-            local_exponent(lambda n: np.full_like(n, -np.inf), 10.0)
+    def test_non_finite_kernel_raises(self, monkeypatch):
+        # a kernel finite on the fit grid but not at the probe's N and 2N
+        build = propriety.model_kernel
+        centre = float(np.sqrt(1e3 * 1e6))
+
+        def holed_model_kernel(*args, **kwargs):
+            kernel = build(*args, **kwargs)
+            holed = lambda n: np.where(np.isin(n, [centre, 2.0 * centre]), -np.inf, kernel.log_kernel(n))
+            return dataclasses.replace(kernel, log_kernel=holed)
+
+        monkeypatch.setattr(propriety, "model_kernel", holed_model_kernel)
+        with pytest.raises(TailFitError, match=f"^kernel not finite at N = {centre} and 2N$"):
+            propriety_report("synthetic", "uniform", synthetic_exponent=2.0)
 
 
 class TestFitTailExponent:
@@ -163,13 +175,14 @@ class TestFitTailExponent:
         assert d_hat == pytest.approx(3.0, abs=0.05)
 
     def test_validation(self):
-        flat = lambda n: np.zeros_like(n)
+        synthetic = {"synthetic_exponent": 2.0}
         with pytest.raises(ValueError, match="range"):
-            fit_tail_exponent(flat, 100.0, 300.0)
+            propriety_report("synthetic", "uniform", fit=FitConfig(n_lo=100.0, n_hi=300.0), **synthetic)
         with pytest.raises(ValueError, match="points"):
-            fit_tail_exponent(flat, 10.0, 1000.0, points=5)
-        with pytest.raises(TailFitError):
-            fit_tail_exponent(lambda n: np.full_like(n, -np.inf), 10.0, 1000.0)
+            propriety_report("synthetic", "uniform", fit=FitConfig(n_lo=10.0, n_hi=1000.0, points=5), **synthetic)
+        # the ym kernel is -inf below its support start, here the whole grid
+        with pytest.raises(TailFitError, match="^kernel not finite everywhere on the fit grid$"):
+            propriety_report("ym", "uniform", fit=FitConfig(n_lo=10.0, n_hi=1000.0), ym_n=2000, ym_k=3, ym_delta=1.0)
 
 
 def m0_tail_ratio_deviation(x: float, a: float, b: float) -> float:
@@ -260,6 +273,9 @@ class TestProprietyReport:
             ("mh", {"stats": stats}, "heterogeneous report needs stats and Gamma priors"),
             ("ym", {"ym_n": 4}, "multinomial report needs ym_n, ym_k and ym_delta"),
             ("ym", {"ym_n": 4, "ym_k": 1, "ym_delta": 0.5}, "need at least two cells"),
+            ("synthetic", {}, "synthetic report needs synthetic_exponent"),
+            ("synthetic", {"synthetic_exponent": 0.0}, "synthetic exponent must be positive"),
+            ("synthetic", {"synthetic_exponent": math.nan}, "synthetic exponent must be positive"),
             ("bogus", {}, "unknown model 'bogus'"),
         ]
         for model, params, text in cases:
@@ -406,9 +422,9 @@ def _counted_report(model, n_prior, **params):
 
 
 def _separate_fit_and_probe(model, n_prior, **params):
-    """(fitted, std err, probe) from separate ``fit_tail_exponent`` and
-    ``local_exponent`` calls on prior * kernel, as a report at the default
-    fit settings would compute them with one kernel call each."""
+    """(fitted, std err, probe) of prior * kernel from the oracles
+    ``fit_tail_exponent`` and ``local_exponent``, at a report's default fit
+    settings, with one kernel call per grid."""
     kernel = model_kernel(model, **params)
     n_lo, n_hi = FitConfig().resolve(kernel.support_start)
     target = lambda n: kernel.log_kernel(n) - _prior_power(n_prior) * np.log(n)
@@ -433,11 +449,13 @@ def _assert_one_sorted_call(report, calls):
         ("m0", {"stats": synthetic_stats(17, 5, 0), "beta": BetaParams(0.3, 2.0)}),
         ("ym", {"ym_n": 4, "ym_k": 6, "ym_delta": 0.25}),
         ("ym", {"ym_n": 57, "ym_k": 5, "ym_delta": 0.15}),
+        ("synthetic", {"synthetic_exponent": 0.5}),
+        ("synthetic", {"synthetic_exponent": 88.99}),
     ],
 )
 def test_closed_form_report_evaluates_its_kernel_once(model, params, n_prior):
-    # the m0 and ym kernels are elementwise, so reading the fit and the probe
-    # from one evaluation changes no bit of either
+    # the m0, ym and synthetic kernels are elementwise, so reading the fit and
+    # the probe from one evaluation changes no bit of either
     report, calls = _counted_report(model, n_prior, **params)
     _assert_one_sorted_call(report, calls)
     fitted, stderr, probe = _separate_fit_and_probe(model, n_prior, **params)
