@@ -172,20 +172,26 @@ def _excess_sums(base: np.ndarray, log_zero_cell: np.ndarray, excess: np.ndarray
 _MAX_NODES = 363
 
 # Consecutive grid points share one node set while each point and the
-# block's centre (its first point) lie within this many standardized units
-# of each other, measured both ways: the point in the units of the centre's
-# Cholesky factor, and the centre in the units of the point's own factor.
-# The second catches a point whose integrand is narrower than the centre's,
-# so that a shift small in the centre's units is large in its own. The
-# nodes/check_nodes comparison guards what sharing still costs. A wider
-# block means fewer node sets and fewer data-factor evaluations per grid.
+# block's centre lie within this many standardized units of each other,
+# measured both ways: the point in the units of the centre's Cholesky
+# factor, and the centre in the units of the point's own factor. The second
+# catches a point whose integrand is narrower than the centre's, so that a
+# shift small in the centre's units is large in its own. The centre is the
+# block's first point where the integrand's slowest tail sets the reach, and
+# a point mid-run where its body does, so that modes on both sides of it
+# share its nodes (``MhMarginalKernel._blocks``). The nodes/check_nodes
+# comparison guards what sharing still costs. A wider block means fewer
+# node sets and fewer data-factor evaluations per grid.
 _BLOCK_RADIUS = 3.0
 
 # Reach of a node set, in standardized units on either side of its centre:
 # _BODY_REACH covers a Gaussian body to e^-40 (9 units) about a point's own
-# mode, which lies up to _BLOCK_RADIUS units from the block's centre; beyond
-# it the slowest exponential tail of the integrand must fall by
-# e^_TAIL_DROP. The reach never exceeds sinh(_MAX_SPAN) = 202 units.
+# mode, which lies up to _BLOCK_RADIUS units from the block's centre. A
+# block centred mid-run holds points whose units are wider than the
+# centre's, and reaches _BODY_REACH of each point's own units past its mode
+# (at least _BODY_REACH of the centre's). Beyond that body the slowest
+# exponential tail of the integrand must fall by e^_TAIL_DROP. The reach
+# never exceeds sinh(_MAX_SPAN) = 202 units.
 _BODY_REACH = 9.0 + _BLOCK_RADIUS
 _TAIL_DROP = 40.0
 _MAX_SPAN = 6.0
@@ -243,7 +249,9 @@ class MhMarginalKernel:
     a fine grid over a short reach and sparse ones a long reach.
     ``_blocks`` groups consecutive N into blocks that share one centre, so
     each block gets one node set (runs of grid points that share nodes and
-    log weights with the prior and the observed-animal factor folded in),
+    log weights with the prior and the observed-animal factor folded in);
+    where the integrand's body sets the reach, the centre sits mid-run and
+    modes on both sides of it share its nodes,
     and ``_excess_sums`` adds the zero-cell factor on every set. It sums
     runs of consecutive N by a running product, one multiply and one sum
     per N after an exact pass at the run's start; a run ends after 256
@@ -419,18 +427,38 @@ class MhMarginalKernel:
             l22 = 1.0 / np.sqrt(-hrr)
         return np.logaddexp(u, v), u - v, l11, l21, l22
 
+    def _tail_fall(self, l11, l21, l22, excess) -> float:
+        """Fall per standardized unit of the integrand's slowest exponential
+        tail, in the units of the Cholesky factor (l11, l21, l22) and with
+        ``excess`` = N - M animals never caught (see ``_node_sets``)."""
+        g, st = self.gammas, self.stats
+        a, b, m, tail = g.a, g.b, st.m_k1, st.m_k1 - st.f_j[-1]
+        # along r (s fixed) and along s (r fixed)
+        return min(min(a + m, b + tail + excess) * l22, (a + b + tail) * l11 * l22 / math.hypot(l21, l22))
+
     def _blocks(self, grid: np.ndarray) -> list:
         """Consecutive runs of grid points that share one centre.
 
-        Returns ``(block, centre)`` pairs, ``block`` a slice of the grid and
-        ``centre`` the (s, r, l11, l21, l22) of ``_mode_centre`` at its first
-        point. A point joins the open block when its own mode and the
-        block's lie within ``_BLOCK_RADIUS`` = 3 of each other, both in the
-        units z = L^-1 (ds, dr) of the block's Cholesky factor L and in those
-        of the point's own factor. A point whose centre is not finite, or
-        whose factor has a non-positive diagonal, opens a block of its own
-        and lends its nodes to no other point, so its NaN stays its own. So
-        does N = M, the only N without the zero-cell factor.
+        Returns ``(block, centre, body)`` triples: ``block`` a slice of the
+        grid, ``centre`` the (s, r, l11, l21, l22) of ``_mode_centre`` at one
+        of its points and ``body`` the part of its node set's reach that
+        covers the integrand's body. Two points are near when their modes
+        lie within ``_BLOCK_RADIUS`` = 3 of each other, both in the units z
+        = L^-1 (ds, dr) of the one's Cholesky factor L and in those of the
+        other's. A block starts at its first point i and runs while its
+        points are near i. Where i's node set would be body-limited (the
+        tail part of its reach, ``_TAIL_DROP / fall`` at i's own factor and
+        N - M, is at most ``_BODY_REACH``), the centre moves to the last
+        point c of that run that is near every point from i to c, and the
+        block runs on past c while its points are near c. Points before c
+        tend to be wider than c, so that body reaches ``_BODY_REACH`` units
+        of each point's own factor past its mode. Where the tail sets the
+        reach, a centre up to 3 units from a mode would leave a coarse grid
+        about it: the block keeps i as centre and ``_BODY_REACH`` as body.
+        A point whose centre is not finite, or whose factor has a
+        non-positive diagonal, opens a block of its own and lends its nodes
+        to no other point, so its NaN stays its own. So does N = M, the only
+        N without the zero-cell factor.
         """
         centre = np.stack(self._mode_centre(grid))
         finite = np.isfinite(centre).all(axis=0) & (centre[2] > 0) & (centre[4] > 0)
@@ -448,25 +476,48 @@ class MhMarginalKernel:
             dist[near] = [math.hypot(*z) for z in zip(z1[near].tolist(), z2[near].tolist())]
             return dist
 
-        # one distance pass per window of points after a block's first, the
-        # window doubling while every point in it joins
-        starts: list[int] = []
+        def body(points, c):
+            # units of c's factor L_c that reach _BODY_REACH units of each
+            # point's own factor L_j past its mode: its offset plus
+            # _BODY_REACH times the largest singular value of the
+            # lower-triangular L_c^-1 L_j, floored at _BODY_REACH
+            a11, a22 = l11[points] / l11[c], l22[points] / l22[c]
+            a21 = (l21[points] - l21[c] * a11) / l22[c]
+            widest = (np.hypot(a11 + a22, a21) + np.hypot(a11 - a22, a21)) / 2.0
+            return max(_BODY_REACH, float((offset(points, c) + _BODY_REACH * widest).max()))
+
+        def within(points, c):  # which points of the slice are near c; NaN is not
+            return (np.maximum(offset(points, c), offset(c, points)) <= _BLOCK_RADIUS) & usable[points]
+
+        def run_end(c):
+            # one distance pass per window of points after c, the window
+            # doubling while every point in it is near c
+            i, width = c + 1, 64
+            while i < grid.size:
+                ahead = slice(i, min(i + width, grid.size))
+                left = np.flatnonzero(~within(ahead, c))
+                if left.size:
+                    return i + int(left[0])
+                i, width = ahead.stop, 2 * width
+            return grid.size
+
+        blocks = []
         i = 0
         with np.errstate(over="ignore", invalid="ignore"):
             while i < grid.size:
-                starts.append(i)
-                first, i, width = i, i + 1, 64
-                while usable[first] and i < grid.size:
-                    ahead = slice(i, min(i + width, grid.size))
-                    dist = np.maximum(offset(ahead, first), offset(first, ahead))
-                    # NaN leaves a block too
-                    left = np.flatnonzero(~(usable[ahead] & (dist <= _BLOCK_RADIUS)))
-                    if left.size:
-                        i += int(left[0])
-                        break
-                    i, width = ahead.stop, 2 * width
-        stops = starts[1:] + [grid.size]
-        return [(slice(i, stop), tuple(centre[:, i])) for i, stop in zip(starts, stops)]
+                c, stop = i, i + 1
+                if usable[i]:
+                    stop = run_end(i)
+                    if _TAIL_DROP / self._tail_fall(*centre[2:, i], grid[i] - self.stats.m_k1) <= _BODY_REACH:
+                        c = stop - 1
+                        while c > i and not within(slice(i, c), c).all():
+                            c -= 1
+                        if c > i:
+                            stop = run_end(c)
+                block = slice(i, stop)
+                blocks.append((block, tuple(centre[:, c]), body(block, c) if c > i else _BODY_REACH))
+                i = stop
+        return blocks
 
     def _node_sets(self, n_nodes: int, grid: np.ndarray, blocks):
         """One sinh node set per block, at (s, r) = centre + L (sinh t_j,
@@ -479,19 +530,15 @@ class MhMarginalKernel:
         double-exponentially on the right. One standardized unit moves r by
         l22 at fixed s, and s by l11 l22 / |(l21, l22)| at fixed r, so the
         slowest tail, at the block's smallest N, falls by e^_TAIL_DROP within
-        _TAIL_DROP / fall units, fall being its rate times that length. The
-        reach sinh T adds that to _BODY_REACH, up to sinh(_MAX_SPAN); a
-        shorter reach leaves a finer grid about the mode for the same node
-        count.
+        _TAIL_DROP / fall units, fall being its rate times that length
+        (``_tail_fall``). The reach sinh T adds that to the block's body
+        from ``_blocks``, up to sinh(_MAX_SPAN); a shorter reach leaves a
+        finer grid about the mode for the same node count.
         """
-        g, st = self.gammas, self.stats
-        a, b, c = g.a, g.b, g.c
-        m, tail = st.m_k1, st.m_k1 - st.f_j[-1]
-        for block, (s0, r0, l11, l21, l22) in blocks:
-            excess = float(grid[block].min()) - m
-            # fall per standardized unit along r (s fixed) and along s (r fixed)
-            fall = min(min(a + m, b + tail + excess) * l22, (a + b + tail) * l11 * l22 / math.hypot(l21, l22))
-            reach = min(math.sinh(_MAX_SPAN), _BODY_REACH + _TAIL_DROP / fall)
+        a, b, c = self.gammas.a, self.gammas.b, self.gammas.c
+        for block, (s0, r0, l11, l21, l22), body in blocks:
+            fall = self._tail_fall(l11, l21, l22, float(grid[block].min()) - self.stats.m_k1)
+            reach = min(math.sinh(_MAX_SPAN), body + _TAIL_DROP / fall)
             t, h = np.linspace(-math.asinh(reach), math.asinh(reach), n_nodes, retstep=True)
             z, logw = np.sinh(t), np.log(h * np.cosh(t))
             # L is lower-triangular: s, and so alpha + beta = e^s, depend on

@@ -260,7 +260,10 @@ def propriety_report(model: str, n_prior: str, fit: FitConfig | None = None, **p
     vals = np.asarray(kernel.log_kernel(union) - s * np.log(union), dtype=float)[where]
     if not np.isfinite(vals[: grid.size]).all():
         raise TailFitError("kernel not finite everywhere on the fit grid")
-    slope, _, stderr = fit_log_log_slope(grid, vals[: grid.size])
+    with np.errstate(over="ignore", invalid="ignore"):  # log kernels near the float limit
+        slope, _, stderr = fit_log_log_slope(grid, vals[: grid.size])
+    if not np.isfinite([slope, stderr]).all():
+        raise TailFitError(f"tail fit not finite (slope {slope}, standard error {stderr})")
     fitted = -slope
     probe = _probe_exponent(centre, vals[grid.size :])
 

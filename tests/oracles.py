@@ -34,7 +34,9 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import betabinom
 
 from crbayes.likelihoods import _check_p, _on_support, log_falling, mh_log_zero_cell
-from crbayes.posterior import _BLOCK_RADIUS, GammaPriors, MhMarginalKernel, PosteriorTable, _log_sum_exp
+from crbayes.posterior import (
+    _BLOCK_RADIUS, _BODY_REACH, _TAIL_DROP, GammaPriors, MhMarginalKernel, PosteriorTable, _log_sum_exp,
+)
 
 
 def enumerate_kahn_log_prob(n_j, n_total: int, p: float) -> float:
@@ -215,7 +217,7 @@ def per_n_centred_sinh_log_expectation(kern, grid, n_nodes: int):
     node sets across N, not for the integrand.
     """
     centre = np.stack(kern._mode_centre(grid))
-    blocks = [(slice(i, i + 1), tuple(centre[:, i])) for i in range(grid.size)]
+    blocks = [(slice(i, i + 1), tuple(centre[:, i]), _BODY_REACH) for i in range(grid.size)]
     return kern._log_expectation(grid, n_nodes, blocks)
 
 
@@ -230,11 +232,18 @@ def per_n_excess_sums(base, log_zero_cell, excess) -> np.ndarray:
 
 
 def walk_blocks(kern, grid) -> list:
-    """``MhMarginalKernel._blocks`` walked one grid point at a time: each
-    point is measured against the open block's first point with
-    ``math.hypot``, both ways, and opens a block of its own unless both
-    offsets are at most ``_BLOCK_RADIUS``. Like ``per_n_excess_sums`` it
-    reuses the kernel's own mode search: it is the reference for the
+    """``MhMarginalKernel._blocks`` walked one grid point at a time, with
+    ``math.hypot`` for every distance. A block starts at its first point i
+    and takes each next point whose offset from i, both ways, is at most
+    ``_BLOCK_RADIUS``. If i's node set would be body-limited (the tail part
+    of its reach at i's own factor and N - M at most ``_BODY_REACH``), the
+    centre moves back from the last point so taken, one point at a time,
+    until every point from i to it lies within the radius of it, and the
+    block starts over from that centre. Such a block's body is the largest,
+    over its points j, of j's offset from the centre c plus ``_BODY_REACH``
+    times the largest singular value of L_c^-1 L_j, and at least
+    ``_BODY_REACH``; any other block's is ``_BODY_REACH``. Like ``per_n_excess_sums`` it reuses
+    the kernel's own mode search and tail rate: it is the reference for the
     vectorized walk, not for the centres.
     """
     centre = np.stack(kern._mode_centre(grid))
@@ -246,15 +255,37 @@ def walk_blocks(kern, grid) -> list:
         z1 = (s[i] - s[j]) / l11[j]
         return math.hypot(z1, (r[i] - r[j] - l21[j] * z1) / l22[j])
 
-    starts: list[int] = []
-    for i in range(grid.size):
-        dist = math.nan
-        if starts and usable[i] and usable[starts[-1]]:
-            dist = max(offset(i, starts[-1]), offset(starts[-1], i))
-        if not dist <= _BLOCK_RADIUS:
-            starts.append(i)
-    stops = starts[1:] + [grid.size]
-    return [(slice(i, stop), tuple(centre[:, i])) for i, stop in zip(starts, stops)]
+    def within(j, c):
+        return usable[j] and max(offset(j, c), offset(c, j)) <= _BLOCK_RADIUS
+
+    def run_end(c):
+        j = c + 1
+        while j < grid.size and within(j, c):
+            j += 1
+        return j
+
+    def body(j, c):  # offset plus _BODY_REACH times the largest singular value of L_c^-1 L_j
+        a11, a22 = l11[j] / l11[c], l22[j] / l22[c]
+        a21 = (l21[j] - l21[c] * a11) / l22[c]
+        return offset(j, c) + _BODY_REACH * (math.hypot(a11 + a22, a21) + math.hypot(a11 - a22, a21)) / 2.0
+
+    blocks = []
+    i = 0
+    while i < grid.size:
+        c, stop, reach = i, i + 1, _BODY_REACH
+        if usable[i]:
+            stop = run_end(i)
+            fall = kern._tail_fall(l11[i], l21[i], l22[i], float(grid[i]) - kern.stats.m_k1)
+            if _TAIL_DROP / fall <= _BODY_REACH:
+                c = stop - 1
+                while c > i and not all(within(j, c) for j in range(i, c)):
+                    c -= 1
+            if c > i:
+                stop = run_end(c)
+                reach = max(_BODY_REACH, max(body(j, c) for j in range(i, stop)))
+        blocks.append((slice(i, stop), tuple(centre[:, c]), reach))
+        i = stop
+    return blocks
 
 
 def reference_posterior_table(log_kernel, n_prior: str, lo: int, n_max: int, level: float = 0.95,

@@ -135,8 +135,9 @@ class TestAnalyze:
 
     def test_mh_data_rich_table_passes_a_tight_rtol(self, tmp_path):
         # 40 animals on 8 occasions over the default support [40, 1e4]: the
-        # node sets share centres, and the 64/96 check still sees quadrature
-        # error only (about 1e-13), not the offset of a shared centre
+        # node sets share centres mid-run, and the 64/96 check still sees
+        # quadrature error only (6.5e-11; the 96-node values stay within
+        # 2e-13 of the table's with a centre on each block's first point)
         path = tmp_path / "rich.json"
         store_history(simulate_mh(50, 2.0, 4.0, 8, seed=6), path)
         rc = run(["analyze", "--data", str(path), "--model", "mh", "--quad-rtol", "1e-8",
@@ -184,6 +185,13 @@ class TestCheckPropriety:
         assert abs(payload["fitted_exponent"] - 2.0) < 1e-8
         assert (tmp_path / "syn.csv").exists()
         assert capsys.readouterr().out == f"synthetic kernel N^-2.0: fitted exponent 2.0000 +- {report.fitted_std_err:.2e}\n"
+
+    def test_synthetic_mode_overflowing_fit_is_numeric_failure(self, tmp_path, capsys):
+        # the log kernel -1e307 log N is finite, its fit is not: exit 5, no report
+        rc = run(["check-propriety", "--synthetic-exponent", "1e307", "--out", str(tmp_path / "syn")])
+        assert rc == 5
+        assert capsys.readouterr().err == "numeric failure: tail fit not finite (slope nan, standard error nan)\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_mh_sufficiency_gap_reported(self, tmp_path):
         path = tmp_path / "small.json"

@@ -278,7 +278,7 @@ class TestMhMarginal:
         blocks = kern._blocks(grid)
         assert blocks[0][0] == slice(0, 1) and blocks[1][0].start == 1
         below = kern._blocks(np.full(3, float(stats.m_k1)))  # points below M are evaluated at M
-        assert [block for block, _ in below] == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert [block for block, *_ in below] == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
     @pytest.mark.parametrize("scale, blocks", [(1.0, [slice(0, 3)]), (0.5, [slice(0, 1), slice(1, 3)])])
     def test_a_point_joins_a_block_only_within_the_radius_both_ways(self, scale, blocks):
@@ -291,7 +291,41 @@ class TestMhMarginal:
                 return np.array([0.0, 2.0, 2.0]), np.zeros(3), width, np.zeros(3), width
 
         kern = Synthetic(TWO_ANIMALS, GammaPriors(2.0, 2.0, 1.0))
-        assert [block for block, _ in kern._blocks(np.array([3.0, 4.0, 5.0]))] == blocks
+        assert [block for block, *_ in kern._blocks(np.array([3.0, 4.0, 5.0]))] == blocks
+
+    @pytest.mark.parametrize(
+        "s, width, blocks, centres, reach",
+        [
+            # unit widths, so the first point is body-limited: its run ends at
+            # s = 3, which every earlier point lies within 3 units of, and the
+            # block runs on from that centre to s = 6, covering both sides
+            ([0, 1, 2, 3, 4, 5, 6, 7], [1] * 8, [slice(0, 7), slice(7, 8)], [3, 7], [15.0, 12.0]),
+            # s = 1 is half as wide: 2 units from s = 3 in its units, 4 in its
+            # own, so the centre falls back to s = 2 and the block ends at s = 5
+            ([0, 1, 2, 3, 4, 5, 6], [1, 0.5, 1, 1, 1, 1, 1], [slice(0, 6), slice(6, 7)], [2, 6], [15.0, 12.0]),
+            # half-width points: the tail part of the first one's reach, 20
+            # units, exceeds 12, so each block keeps its first point as centre
+            ([0, 0.5, 1, 1.5, 2], [0.5] * 5, [slice(0, 4), slice(4, 5)], [0, 2], [12.0, 12.0]),
+            # s = 0 is 1.5 times as wide as the centre at s = 3: its 12 own
+            # units past its mode take 3 + 18 of the centre's
+            ([0, 1, 2, 3], [1.5, 1, 1, 1], [slice(0, 4)], [3], [21.0]),
+        ],
+    )
+    def test_a_body_limited_block_centres_mid_run(self, s, width, blocks, centres, reach):
+        # modes along s only; with two animals under Gamma(2, 2, 1) priors
+        # the slowest tail falls at 4 per unit of width at N - M = 1, so the
+        # tail part of a first point's reach is 10 / its width
+        class Synthetic(MhMarginalKernel):
+            def _mode_centre(self, grid):
+                w = np.array(width, dtype=float)
+                return np.array(s, dtype=float), np.zeros(w.size), w, np.zeros(w.size), w
+
+        kern = Synthetic(TWO_ANIMALS, GammaPriors(2.0, 2.0, 1.0))
+        grid = np.arange(3.0, 3.0 + len(s))
+        for got in (kern._blocks(grid), walk_blocks(kern, grid)):
+            assert [block for block, *_ in got] == blocks
+            assert [centre[0] for _, centre, _ in got] == centres
+            assert [body for *_, body in got] == pytest.approx(reach, rel=1e-15)
 
     def test_node_counts_capped_at_363(self):
         # a node set holds n^2 entries in each of its arrays
@@ -365,6 +399,23 @@ class TestMhMarginal:
         if k == 1:
             want = betaln(shape, shape + grid) - betaln(shape, shape)
             assert np.abs(np.expm1(got - want)).max() <= 1e-6
+
+    @pytest.mark.parametrize("shape, tol", [(0.07, 1.1e-7), (0.3, 5e-10), (1.0, 5e-10), (2.0, 5e-10)])
+    def test_empty_history_table_matches_closed_form(self, shape, tol):
+        # nothing caught on one occasion: B(a, b + N) / B(a, b) over the whole
+        # unit grid [0, 1e4]. The slowest tail sets every node set's reach
+        # here, so no block moves its centre off its first point: a centre up
+        # to 3 units from a point's mode would leave a coarse grid about it
+        # (the 64/96 check saw up to 1.2e-3 at shape 0.07 when every block
+        # centred mid-run)
+        kern = MhMarginalKernel(EMPTY_K1, GammaPriors(shape, shape, 1.0))
+        grid = np.arange(0.0, 10_001.0)
+        got = kern.log_kernel(grid)
+        want = betaln(shape, shape + grid) - betaln(shape, shape)
+        assert np.abs(np.expm1(got - want)).max() <= tol
+        centre = np.stack(kern._mode_centre(grid))
+        for block, first, reach in kern._blocks(grid):
+            assert _bits(first) == _bits(tuple(centre[:, block.start])) and reach == posterior._BODY_REACH
 
     def test_six_occasion_table_converges_at_default_nodes(self):
         # one animal caught once and one caught every time, under a heavy
@@ -443,7 +494,7 @@ def test_kernel_on_a_whole_sparse_table_grid_matches_box_integral(history, a, b,
     grid = np.arange(m, m + 501, dtype=float)
     got = kern.log_kernel(grid)
     assert kern.diagnostics["max_rel_change"] <= 1e-6
-    sample = sorted(set(picks) | {block.stop - 1 for block, _ in kern._blocks(grid)})
+    sample = sorted(set(picks) | {block.stop - 1 for block, *_ in kern._blocks(grid)})
     want = box_mh_marginal_log_kernel(stats, grid[sample], a, b, c)
     assert np.abs(np.expm1(got[sample] - want)).max() <= 1e-8
 
@@ -516,21 +567,22 @@ def _rel(x, y):
 @pytest.mark.parametrize(
     "args, max_centres",
     [
-        ((50, 2.0, 4.0, 8, 6), {"table": 7, "verdict": 22}),
-        ((300, 2.0, 5.0, 5, 2), {"table": 13, "verdict": 40}),
-        ((400, 2.0, 4.0, 6, 1), {"table": 13, "verdict": 40}),
+        ((50, 2.0, 4.0, 8, 6), {"table": 5, "verdict": 14}),
+        ((300, 2.0, 5.0, 5, 2), {"table": 9, "verdict": 26}),
+        ((400, 2.0, 4.0, 6, 1), {"table": 9, "verdict": 26}),
     ],
 )
 def test_shared_centres_match_a_centre_per_n_on_data_rich_sets(args, max_centres):
     # M = 40, 223 and 313; the table grids (the first with the CLI's 141
     # points, the others with 401) and the default propriety fit grid with
-    # its two-point probe. The grids share 6, 10 and 10 (table, N = M with
-    # a centre of its own) and 15, 27 and 27 (verdict) centres; the bounds
-    # allow about 1.5 times that, and stay below the 16, 25 and 26 and 27, 52
-    # and 52 that a one-unit radius gives. A shared centre lies up to 3
+    # its two-point probe. Every block is body-limited, so each centres
+    # mid-run: the grids share 4, 6 and 6 (table, N = M with a centre of its
+    # own) and 10, 19 and 19 (verdict) centres. The bounds allow 1.25 to 1.5
+    # times that, and stay below the 6, 10 and 10 and 15, 27 and 27 of
+    # centring each block on its first point. A shared centre lies up to 3
     # units from a point's own; on these sets the slowest tail is steep, so
-    # each node set reaches about 12 units and its grid is fine enough that
-    # both node counts stay within 1e-12 of a centre per N.
+    # each node set reaches 12 to 17 units and its grid is fine enough that
+    # both node counts stay within 1e-10 of a centre per N.
     stats = summarize(simulate_mh(*args))
     m = stats.m_k1
     kern = MhMarginalKernel(stats, GammaPriors(2.0, 2.0, 1.0))
@@ -549,13 +601,21 @@ def test_shared_centres_match_a_centre_per_n_on_data_rich_sets(args, max_centres
 
 @settings(max_examples=15, deadline=None)
 @given(mh_histories, gamma_shapes, gamma_shapes, st.floats(min_value=0.2, max_value=5.0))
+@example(
+    simulate_mh(142, 3.760123491594741, 1.2251690882835042, 6, seed=676554200),
+    1.245407726643562, 2.354391700173326, 25.83247212213176,
+)
 def test_shared_centres_stay_within_the_quadrature_check(history, a, b, c):
     # Sharing moves a node set by up to _BLOCK_RADIUS = 3 standardized
     # units, so the two kernels differ by the quadrature error of a rule at
     # that distance. Where the 64/96 check sees 1e-12, they agree to 1e-10;
     # where the integrand is rough enough for the check to see more (wide
     # priors on a few animals), the difference stays within twice what the
-    # two checks see.
+    # two checks see. In the example (M = 142 under wide priors) the points
+    # before a mid-run centre near M are up to 1.3 times as wide as it; a
+    # node set that reached 12 of the centre's units, not 12 of each
+    # point's own, missed 1.3e-6 of N = M + 1 at 96 nodes while the checks
+    # saw 4.8e-7.
     stats = summarize(history)
     kern = MhMarginalKernel(stats, GammaPriors(a, b, c))
     m = stats.m_k1
@@ -967,8 +1027,10 @@ def test_blocks_match_point_by_point_walk(history, a, b, c, spacing, size):
     m = stats.m_k1
     grid = np.arange(m, m + size, dtype=float) if spacing == "unit" else np.geomspace(max(m, 1), 40 * max(m, 1), size)
     got, want = kern._blocks(grid), walk_blocks(kern, grid)
-    assert [block for block, _ in got] == [block for block, _ in want]
-    assert [_bits(centre) for _, centre in got] == [_bits(centre) for _, centre in want]
+    assert [block for block, *_ in got] == [block for block, *_ in want]
+    assert [_bits(centre) for _, centre, _ in got] == [_bits(centre) for _, centre, _ in want]
+    # the library takes the widths' singular values with np.hypot
+    assert [reach for *_, reach in got] == pytest.approx([reach for *_, reach in want], rel=1e-14)
 
 
 NO_RECAPTURES = summarize(simulate_m0(400, 0.01, 5, seed=3))

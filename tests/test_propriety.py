@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,17 @@ class TestGammaRatio:
 
 
 class TestProprietyReport:
+    @pytest.mark.parametrize(
+        "d, what", [(1e307, "slope nan, standard error nan"), (1e200, "slope -1.0000000000000005e+200, standard error inf")]
+    )
+    def test_non_finite_fit_raises(self, d, what):
+        # -d log N is finite on the fit grid, but the fit overflows: the
+        # products of centred logs at 1e307, the squared residuals at 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow stays inside the report
+            with pytest.raises(TailFitError, match=re.escape(f"tail fit not finite ({what})")):
+                propriety_report("synthetic", "uniform", synthetic_exponent=d)
+
     def test_m0_proper_case_agrees(self):
         stats = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))  # r = 1
         report = propriety_report("m0", "uniform", stats=stats, beta=BetaParams(1.0, 1.0))
