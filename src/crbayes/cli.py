@@ -4,7 +4,7 @@ Every command writes machine-readable output (JSON, with CSV side files for
 plotting) plus a run manifest, and reports through exit codes:
 
     0  success
-    2  usage or validation error
+    2  usage or validation error, or an unreadable or unwritable file
     3  analysis completed, but the posterior is improper or its table
        warned (tail fit too shallow, support too narrow). analyze and ym
        share this path: when the exact tail exponent of the model's kernel
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import InvalidHistoryError, load_history, simulate_m0, simulate_mh, store_history, summarize, write_json
+from .data import load_history, simulate_m0, simulate_mh, store_history, summarize, write_json
 from .gibbs import DaConfig, m_sweep
 from .likelihoods import BetaParams
 from .posterior import _N_PRIORS, GammaPriors, QuadratureConvergenceError, _prior_power, posterior_table
@@ -377,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _refuse_out_on_data(args)
         return handlers[args.command](args)
-    except (InvalidHistoryError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (QuadratureConvergenceError, TailFitError) as exc:

@@ -383,8 +383,8 @@ def _text(records: np.ndarray) -> bytes:
 
 
 class FloatColumn:
-    """A float array that :func:`write_json` and :func:`write_table_csv` write
-    as the ``repr`` text of its values.
+    """The float array of a posterior table's ``mass``, which :func:`write_json`
+    and :func:`write_table_csv` both write as the ``repr`` text of its values.
 
     The text is rendered once, ``BLOCK`` values at a time, when a writer first
     needs it, and kept as 24 bytes of words per value, which every later write
@@ -396,9 +396,6 @@ class FloatColumn:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float).ravel()
         self._words = None
-
-    def __len__(self) -> int:
-        return self.values.size
 
     def words(self) -> np.ndarray:
         """The (n, 3) words of :func:`_render_floats`, one row per value."""
@@ -416,51 +413,38 @@ _JSON_SEPARATOR = b",\n    "
 def write_json(path: str | Path, payload) -> None:
     """Write ``payload`` as ``json.dumps(payload, indent=2)`` with a final newline.
 
-    A top-level value of a dict payload may be a :class:`FloatColumn` of finite
-    values. Its words are laid out ``BLOCK`` values at a time, each value
-    followed by the separator of an indented array; every other value goes
-    through ``json.dumps``.
+    A dict payload may hold one top-level :class:`FloatColumn`, non-empty and
+    of finite values (``ValueError`` otherwise). The items before it go
+    through one ``json.dumps``, and so do the items after it; the column's
+    words are laid out ``BLOCK`` values at a time, each value followed by the
+    separator of an indented array.
     """
-    if not (isinstance(payload, dict) and any(isinstance(v, FloatColumn) for v in payload.values())):
+    keys = list(payload) if isinstance(payload, dict) else []
+    columns = [i for i, key in enumerate(keys) if isinstance(payload[key], FloatColumn)]
+    if not columns:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
         return
-    # the nonempty columns, and between them runs of other items, each run
-    # written by one json.dumps
-    runs = []
-    for key, value in payload.items():
-        if isinstance(value, FloatColumn):
-            if not np.isfinite(value.values).all():
-                raise ValueError("a FloatColumn written to JSON must hold finite values")
-            if value.values.size:
-                runs.append((key, value))
-                continue
-            value = []
-        if runs and isinstance(runs[-1], dict):
-            runs[-1][key] = value
-        else:
-            runs.append({key: value})
+    at = columns[0]
+    key, column = keys[at], payload[keys[at]]
+    if len(columns) > 1 or not column.values.size or not np.isfinite(column.values).all():
+        raise ValueError("a JSON payload may hold one FloatColumn, non-empty and of finite values")
+    # the items before and after the column at indent level 1, each
+    # '{\n  "key": value,\n ...\n}' without its braces: '' when there are none
+    before, after = (json.dumps({k: payload[k] for k in part}, indent=2)[2:-2]
+                     for part in (keys[:at], keys[at + 1 :]))
+    head = "{\n" + (before + ",\n" if before else "") + json.dumps({key: []}, indent=2)[2:-4] + "[\n    "
+    words = column.words()
+    # per value: three words of text, then one of separator
+    records = np.zeros((min(BLOCK, len(words)), 4), "<u8")
+    records[:, 3] = int.from_bytes(_JSON_SEPARATOR, "little")
     with Path(path).open("wb") as fh:
-        fh.write(b"{\n")
-        for i, run in enumerate(runs):
-            if i:
-                fh.write(b",\n")
-            if isinstance(run, dict):
-                # '{\n  "key": value,\n ...\n}' without its braces: the items at indent level 1
-                fh.write(json.dumps(run, indent=2)[2:-2].encode())
-                continue
-            key, column = run
-            words = column.words()
-            fh.write(json.dumps({key: []}, indent=2)[2:-4].encode() + b"[\n    ")
-            # per value: three words of text, then one of separator
-            records = np.zeros((min(BLOCK, len(words)), 4), "<u8")
-            records[:, 3] = int.from_bytes(_JSON_SEPARATOR, "little")
-            for start in range(0, len(words), BLOCK):
-                block = records[: len(words) - start]
-                block[:, :3] = words[start : start + BLOCK]
-                text = _text(block)
-                fh.write(text if start + BLOCK < len(words) else text[: -len(_JSON_SEPARATOR)])
-            fh.write(b"\n  ]")
-        fh.write(b"\n}\n")
+        fh.write(head.encode())
+        for start in range(0, len(words), BLOCK):
+            block = records[: len(words) - start]
+            block[:, :3] = words[start : start + BLOCK]
+            text = _text(block)
+            fh.write(text if start + BLOCK < len(words) else text[: -len(_JSON_SEPARATOR)])
+        fh.write(("\n  ]" + (",\n" + after if after else "") + "\n}\n").encode())
 
 
 def write_csv(path: str | Path, rows) -> None:
@@ -469,40 +453,30 @@ def write_csv(path: str | Path, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def write_table_csv(path: str | Path, header, start: int, columns) -> None:
-    """Write the rows ``(start + i, columns[0][i], columns[1][i], ...)``, header
-    first, byte for byte as ``csv.writer`` writes them.
+def write_table_csv(path: str | Path, header, start: int, column: FloatColumn, values) -> None:
+    """Write the rows ``(start + i, column.values[i], values[i])``, header
+    first, byte for byte as ``csv.writer`` writes them: each float as its
+    ``repr``.
 
-    ``start`` is a nonnegative integer and the columns are float arrays or
-    :class:`FloatColumn` values of one length; each float is written as its
-    ``repr``, as ``csv.writer`` does. A FloatColumn's cells are its shared
-    words. The rows are written ``BLOCK // p`` at a time, p the number of
-    plain arrays: one call renders a block's plain floats, and its rows are
-    laid out in one record matrix. The header's cells must need no quoting.
+    ``start`` is a nonnegative integer and ``values`` a float array of the
+    column's length. The column's cells are its shared words. The rows go
+    ``BLOCK`` at a time: one call renders a block of ``values``, and the
+    block's rows are laid out in one record matrix. The header's cells must
+    need no quoting.
     """
-    columns = [c if isinstance(c, FloatColumn) else np.asarray(c, dtype=float).ravel() for c in columns]
-    plain = [column for column in columns if not isinstance(column, FloatColumn)]
-    n_rows, n_cols = len(columns[0]), len(columns)
-    rows = BLOCK // max(len(plain), 1)
+    words, values = column.words(), np.asarray(values, dtype=float).ravel()
     # per row: three words of the integer and one of ',', then the same for
     # each float, with a line end after the last one
-    records = np.zeros((min(rows, n_rows), 4 * n_cols + 4), "<u8")
+    records = np.zeros((min(BLOCK, len(words)), 12), "<u8")
     records[:, 3::4] = ord(",")
     records[:, -1] = int.from_bytes(b"\r\n", "little")
     with Path(path).open("wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for first in range(0, n_rows, rows):
-            block = records[: n_rows - first]
-            m = len(block)
-            block[:, :3] = _render_ints(np.arange(start + first, start + first + m)).T
-            if plain:
-                words = _render_floats(np.concatenate([column[first : first + m] for column in plain])).T
-            for col, column in enumerate(columns):
-                if isinstance(column, FloatColumn):
-                    cells = column.words()[first : first + m]
-                else:
-                    cells, words = words[:m], words[m:]
-                block[:, 4 + 4 * col : 7 + 4 * col] = cells
+        for first in range(0, len(words), BLOCK):
+            block = records[: len(words) - first]
+            block[:, :3] = _render_ints(np.arange(start + first, start + first + len(block))).T
+            block[:, 4:7] = words[first : first + BLOCK]
+            block[:, 8:11] = _render_floats(values[first : first + BLOCK]).T
             fh.write(_text(block))
 
 

@@ -1,8 +1,9 @@
 """Log-domain likelihood kernels for closed-population abundance models.
 
-All functions work with log-gamma as the only special-function primitive so
-that population sizes in the millions never overflow, and all of them accept
-either a scalar N or an array of (possibly non-integer) N values. Support
+The kernels are sums of log-gamma terms, so that population sizes in the
+millions never overflow; the mh factors add ``log`` and ``log1p`` terms, and
+Kahn's count likelihood ``xlogy`` and ``xlog1py``. All of them accept either
+a scalar N or an array of (possibly non-integer) N values. Support
 violations met during grid scans (N below the number of observed animals)
 come back as ``-inf`` rather than exceptions, so optimizers and tail fitters
 can scan freely.
@@ -87,22 +88,22 @@ def kahn_log_prob(n_j: Sequence[int], n, p: float):
 
         sum_j log C(N, n_j) + n. log p + (K N - n.) log(1 - p).
 
-    N below max(n_j) is rejected: the count model is undefined there.
+    N below max(n_j), where the count model is undefined, gives ``-inf``.
     """
     _check_p(p)
     counts = np.asarray(n_j, dtype=int)
     if counts.ndim != 1 or counts.size == 0 or (counts < 0).any():
         raise ValueError("n_j must be a non-empty vector of nonnegative counts")
-    grid, scalar = _as_grid(n)
-    if (grid < counts.max()).any():
-        raise ValueError(f"N must be at least max(n_j) = {counts.max()}")
-    k = counts.size
-    n_dot = int(counts.sum())
-    out = np.zeros_like(grid)
-    for c in counts:
-        out += log_falling(grid, c) - gammaln(c + 1)
-    out += xlogy(n_dot, p) + xlog1py(k * grid - n_dot, -p)
-    return _maybe_scalar(out, scalar)
+    k, n_dot = counts.size, int(counts.sum())
+
+    def body(safe):
+        out = np.zeros_like(safe)
+        for c in counts:
+            out += log_falling(safe, c) - gammaln(c + 1)
+        out += xlogy(n_dot, p) + xlog1py(k * safe - n_dot, -p)
+        return out
+
+    return _on_support(n, counts.max(), body)
 
 
 def mh_log_obs_factor(f_j: Sequence[int], alpha, beta, log_alpha, log_beta, log_total):

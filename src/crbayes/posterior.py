@@ -634,7 +634,7 @@ class PosteriorTable:
         write_json(path, {**payload, **(extra or {})})
 
     def write_csv(self, path: str | Path) -> None:
-        write_table_csv(path, ("N", "mass", "log_kernel"), self.n_min, (self._mass_column, self.log_kernel))
+        write_table_csv(path, ("N", "mass", "log_kernel"), self.n_min, self._mass_column, self.log_kernel)
 
 
 def _line_fit(lx: np.ndarray, ly: np.ndarray) -> tuple[float, float, float]:

@@ -152,6 +152,14 @@ class TestAnalyze:
                   "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_directory_as_data_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "d.json").mkdir()
+        rc = run(["analyze", "--data", str(tmp_path / "d.json"), "--model", "m0",
+                  "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json"]
+
 
 class TestCheckPropriety:
     def test_three_scenarios_match_theory(self, m0_dataset, r0_dataset, tmp_path):

@@ -244,12 +244,21 @@ def _first_difference(got: str, expected: str):
     return i, got[max(i - 20, 0) : i + 20], expected[max(i - 20, 0) : i + 20]
 
 
-@pytest.mark.parametrize("n", COLUMN_LENGTHS)
-def test_write_json_column_matches_json_dumps(tmp_path, n):
+@pytest.mark.parametrize("at", [0, 2, 5], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("n", COLUMN_LENGTHS[1:])
+def test_write_json_column_matches_json_dumps(tmp_path, n, at):
     values = _floats(n, seed=n)
-    payload = {"support": [1, n], "mass": values.tolist(), "mean": 2.5, "warnings": ["a,b"], "inf": np.inf}
+    items = [("support", [1, n]), ("mean", 2.5), ("warnings", ["a,b"]), ("inf", np.inf), ("tail", {"k": [0.5]})]
+    payload = dict(items[:at] + [("mass", values.tolist())] + items[at:])
     write_json(tmp_path / "c.json", {**payload, "mass": FloatColumn(values)})
     assert _first_difference((tmp_path / "c.json").read_text(), json.dumps(payload, indent=2) + "\n") is None
+
+
+def test_write_json_refuses_an_empty_or_second_column(tmp_path):
+    for payload in ({"support": [1, 0], "mass": FloatColumn([])}, {"a": FloatColumn([1.0]), "b": FloatColumn([2.0])}):
+        with pytest.raises(ValueError, match="one FloatColumn, non-empty"):
+            write_json(tmp_path / "c.json", payload)
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_write_json_rejects_non_finite_column(tmp_path):
@@ -269,11 +278,9 @@ def test_write_csv_matches_csv_writer(tmp_path, n):
         log_kernel = np.log(np.abs(mass))  # -inf at the zeros
     rows = [("N", "mass", "log_kernel"), *zip(range(7, n + 7), mass.tolist(), log_kernel.tolist())]
     expected = _csv_writer_text(rows)
-    write_table_csv(tmp_path / "c.csv", ("N", "mass", "log_kernel"), 7, (mass, log_kernel))
+    # the column lays out its shared words, and log_kernel is rendered BLOCK rows at a time
+    write_table_csv(tmp_path / "c.csv", ("N", "mass", "log_kernel"), 7, FloatColumn(mass), log_kernel)
     assert _first_difference((tmp_path / "c.csv").read_bytes().decode(), expected) is None
-    # a FloatColumn lays out its shared words, with BLOCK rows to a block
-    write_table_csv(tmp_path / "f.csv", ("N", "mass", "log_kernel"), 7, (FloatColumn(mass), log_kernel))
-    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
     if n >= len(EDGE_FLOATS):
         assert "\r\n7,0.0,-inf\r\n8,-0.0,-inf\r\n9,5e-324,-744.4400719213812\r\n" in expected
         assert "\r\n12,1e-05,-11.512925464970229\r\n" in expected
@@ -320,8 +327,8 @@ def test_render_matches_repr_on_powers_of_two_and_layout_cuts():
 def test_write_table_csv_matches_csv_writer_on_any_floats(tmp_path_factory, pairs, start):
     # st.floats() draws subnormals, both zeros, both infinities and NaN
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    columns = np.array(pairs).T
-    write_table_csv(path, ("N", "x", "y"), start, columns)
+    x, y = np.array(pairs).T
+    write_table_csv(path, ("N", "x", "y"), start, FloatColumn(x), y)
     rows = [("N", "x", "y"), *((start + i, x, y) for i, (x, y) in enumerate(pairs))]
     assert path.read_bytes().decode() == _csv_writer_text(rows)
 

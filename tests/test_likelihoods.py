@@ -39,9 +39,11 @@ class TestKahn:
         expected = enumerate_kahn_log_prob([2, 1], 3, 0.4)
         assert kahn_log_prob([2, 1], 3, 0.4) == pytest.approx(expected, rel=1e-12)
 
-    def test_rejects_n_below_max_count(self):
-        with pytest.raises(ValueError, match="max"):
-            kahn_log_prob([2, 1], 1, 0.4)
+    def test_below_max_count_is_neg_inf_not_error(self):
+        assert kahn_log_prob([2, 1], 1, 0.4) == -np.inf
+        vals = kahn_log_prob([2, 1], np.array([0.0, 1.5, 2.0, 3.0]), 0.4)
+        assert vals[0] == vals[1] == -np.inf
+        assert vals[2] == kahn_log_prob([2, 1], 2, 0.4) and vals[3] == kahn_log_prob([2, 1], 3, 0.4)
 
     def test_zero_probability_edges(self):
         assert kahn_log_prob([1, 0], 2, 0.0) == -np.inf
@@ -306,10 +308,9 @@ REFERENCE_KERNELS = {
     ),
     "kahn_log_prob": (
         lambda n: kahn_log_prob([2, 0, 3], n, 0.25),
-        lambda n: np.atleast_1d(sum(
-            gammaln(np.asarray(n, dtype=float) + 1) - gammaln(np.asarray(n, dtype=float) - c + 1) - gammaln(c + 1)
-            for c in (2, 0, 3)
-        ) + (xlogy(5, 0.25) + xlog1py(3 * np.asarray(n, dtype=float) - 5, -0.25))),
+        lambda n: _masked(n, 3, lambda safe: sum(
+            gammaln(safe + 1) - gammaln(safe - c + 1) - gammaln(c + 1) for c in (2, 0, 3)
+        ) + (xlogy(5, 0.25) + xlog1py(3 * safe - 5, -0.25))),
     ),
 }
 
@@ -320,7 +321,7 @@ def test_kernel_bodies_match_their_formulas_on_scalars_and_arrays(name):
     # must not be written, and every value must equal the formula's bit for bit
     kernel, reference = REFERENCE_KERNELS[name]
     grid = np.array([4.0, 4.5, 7.0, 40.0, 1e3, 3e5, 1e8])
-    if name not in ("log_falling", "kahn_log_prob"):
+    if name != "log_falling":
         grid = np.concatenate([[-1.0, 2.0, 3.5], grid])
     before = grid.copy()
     got = kernel(grid)
