@@ -106,54 +106,66 @@ def kahn_log_prob(n_j: Sequence[int], n, p: float):
     return _on_support(n, counts.max(), body)
 
 
-def mh_log_obs_factor(f_j: Sequence[int], alpha, beta, log_alpha, log_beta, log_total):
-    """Log product of the observed animals' integrated-likelihood factors.
+def _mh_log_factors(f_j: Sequence[int], alpha, beta, log_alpha, log_beta, log_total):
+    """(log observed-animal factor, log zero-cell factor) of the Beta-heterogeneous likelihood.
 
     An animal caught y of K times contributes
     (alpha)_y (beta)_(K-y) / (alpha+beta)_K with rising factorials
-    (x)_n = x (x+1) ... (x+n-1), so the data enter only through the
-    capture frequencies f_y:
+    (x)_n = x (x+1) ... (x+n-1), so the observed animals enter only through
+    the capture frequencies f_y:
 
         sum_{j<K} [c_j log(alpha+j) + z_j log(beta+j)] - M sum_{j<K} log(alpha+beta+j)
 
     with c_j = sum_{y>j} f_y animals caught and z_j = sum_{y<K-j} f_y
-    missed more than j times; a term whose count is 0 is skipped, z_0 * log
-    beta included, so ``log_beta`` may be infinite when K = 1 or every
-    animal was caught on all K occasions. The j = 0
-    logs come in as ``log_alpha``, ``log_beta`` and ``log_total`` =
-    log(alpha + beta), which the callers already hold; the other terms of
-    the last sum are taken from e^log_total, one log per entry of
-    ``log_total`` and term. So ``log_total`` may have fewer entries than
-    ``alpha``: a row of nodes that shares alpha + beta costs K - 1 logs,
-    not K - 1 per node. All arguments broadcast against each other.
+    missed more than j times. An animal never caught contributes the zero
+    cell, prod_{j<K} (beta+j)/(alpha+beta+j) = exp(-sum_j t_j) with t_j =
+    log1p(alpha/(beta+j)): summed term by term, since the log-gamma form
+    cancels terms far larger than the result and the kernels multiply the
+    rounding left over by N - M.
+
+    Each cell j forms beta + j and t_j once, and both factors share them:
+    for j >= 1, log(beta+j) = log(alpha+beta+j) - t_j. The j = 0 logs come
+    in as ``log_alpha``, ``log_beta`` and ``log_total`` = log(alpha + beta),
+    which the callers already hold; log(alpha+beta+j) for j >= 1 is taken
+    from e^log_total, one log per entry of ``log_total`` and term. So
+    ``log_total`` may have fewer entries than ``alpha``: a row of nodes that
+    shares alpha + beta costs K - 1 logs, not K - 1 per node, and a node
+    costs K ``log1p`` calls and one log per nonzero c_j, j >= 1. A term
+    whose count is 0 is skipped, z_0 log beta included, so ``log_beta`` may
+    be infinite when K = 1 or every animal was caught on all K occasions.
+    All arguments broadcast against each other; both results have their
+    broadcast shape.
     """
     freqs = [int(v) for v in f_j]
     k, m = len(freqs), sum(freqs)
+    shape = np.broadcast_shapes(*map(np.shape, (alpha, beta, log_alpha, log_beta, log_total)))
+    log_obs, log_zero, work = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.multiply(log_alpha, m, out=log_obs)  # c_0 = M
     missed = sum(freqs[: k - 1])
-    out = m * log_alpha + (missed * log_beta if missed else 0.0)  # c_0 = M
+    if missed:
+        log_obs += missed * log_beta
+    np.divide(alpha, beta, out=log_zero)
+    np.log1p(log_zero, out=log_zero)
+    np.negative(log_zero, out=log_zero)
+    # the per-row terms: -M log(alpha + beta + j), plus z_j of them for j >= 1
+    total, row = np.exp(log_total), -m * log_total
     for j in range(1, k):
         caught, missed = sum(freqs[j:]), sum(freqs[: k - 1 - j])
-        if caught:
-            out = out + caught * np.log(alpha + j)
+        np.add(beta, j, out=work)
+        np.divide(alpha, work, out=work)
+        np.log1p(work, out=work)  # t_j
+        log_zero -= work
+        row = row + (missed - m) * np.log(total + j)
         if missed:
-            out = out + missed * np.log(beta + j)
-    total, log_rising = np.exp(log_total), log_total
-    for j in range(1, k):
-        log_rising = log_rising + np.log(total + j)
-    return out - m * log_rising
-
-
-def mh_log_zero_cell(alpha, beta, k: int):
-    """log prod_{j<K} (beta+j)/(alpha+beta+j), the chance that a Beta-mixed animal is never caught.
-
-    Summed term by term as -log1p(alpha/(beta+j)): the log-gamma form cancels
-    terms far larger than the result, and the kernels multiply the rounding
-    left over by N - M. ``alpha`` and ``beta`` broadcast against each other.
-    """
-    out = 0.0
-    for j in range(k):
-        out = out - np.log1p(alpha / (beta + j))
-    return out
+            work *= missed
+            log_obs -= work
+        if caught:
+            np.add(alpha, j, out=work)
+            np.log(work, out=work)
+            work *= caught
+            log_obs += work
+    log_obs += row
+    return log_obs, log_zero
 
 
 def york_madigan_log_kernel(n_grid, n_obs: int, k: int, delta: float):

@@ -19,10 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .data import FloatColumn, SufficientStats, write_json, write_table_csv
-from .likelihoods import (
-    BetaParams, _as_grid, _gammaln_over, _maybe_scalar, _on_support, log_falling, mh_log_obs_factor,
-    mh_log_zero_cell,
-)
+from .likelihoods import BetaParams, _as_grid, _gammaln_over, _maybe_scalar, _mh_log_factors, _on_support, log_falling
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -217,11 +214,64 @@ _CONVERGENCE_ADVICE = (
 )
 
 # Newton search for the mode in (log alpha, log beta): at most this many
-# steps, each at most this long per coordinate, stopping once every step is
-# shorter than the tolerance.
+# steps, each at most this long per coordinate; a point stops once its step
+# is shorter than the tolerance.
 _MODE_MAX_ITER = 100
 _MODE_MAX_STEP = 3.0
 _MODE_TOL = 1e-8
+
+
+def _cholesky_centre(u, v, huu, hvv, huv) -> np.ndarray:
+    """(s, r, l11, l21, l22) at (u, v) = (log alpha, log beta), given the
+    Hessian (huu, hvv, huv) of the log integrand there: the point in (s, r) =
+    (log(alpha + beta), log(alpha/beta)) and the lower Cholesky factor of
+    (-H)^-1 in (s, r), in closed form. Not finite or not positive on its
+    diagonal where H is not negative definite (``_usable``)."""
+    # J has columns (1, 1) for s and (1 - p, -p) for r, p = alpha/(alpha + beta)
+    p = 1.0 / (1.0 + np.exp(v - u))
+    hss = huu + 2.0 * huv + hvv
+    hsr = (1.0 - p) * huu + (1.0 - 2.0 * p) * huv - p * hvv
+    hrr = (1.0 - p) ** 2 * huu - 2.0 * p * (1.0 - p) * huv + p**2 * hvv
+    det = hss * hrr - hsr**2
+    return np.stack([np.logaddexp(u, v), u - v, np.sqrt(-hrr / det), hsr / np.sqrt(-hrr * det), 1.0 / np.sqrt(-hrr)])
+
+
+def _uphill_step(gu, gv, huu, hvv, huv):
+    """The Newton step -|H|^-1 g for the gradient (gu, gv) and Hessian (huu,
+    hvv, huv), where |H| has H's eigenvectors and the magnitudes of its
+    eigenvalues, floored at 1e-6: where H is not negative definite, a step
+    uphill along every eigenvector, scaled by its curvature. A gradient step
+    instead crawls along a ridge whose curvature across is far larger than
+    along it, zigzagging across it."""
+    theta = 0.5 * np.arctan2(2.0 * huv, huu - hvv)
+    cos, sin = np.cos(theta), np.sin(theta)
+    curv1 = np.abs(huu * cos * cos + 2.0 * huv * sin * cos + hvv * sin * sin)
+    curv2 = np.abs(huu * sin * sin - 2.0 * huv * sin * cos + hvv * cos * cos)
+    d1 = (gu * cos + gv * sin) / np.maximum(curv1, 1e-6)
+    d2 = (gv * cos - gu * sin) / np.maximum(curv2, 1e-6)
+    return d1 * cos - d2 * sin, d1 * sin + d2 * cos
+
+
+def _usable(centre) -> np.ndarray:
+    """Which columns of a ``_cholesky_centre`` array are finite, with a
+    positive diagonal: a mode whose node set can be built."""
+    centre = np.asarray(centre)
+    return np.isfinite(centre).all(axis=0) & (centre[2] > 0) & (centre[4] > 0)
+
+
+def _offsets(centre: np.ndarray, i, j) -> np.ndarray:
+    """|L_j^-1 (mode_i - mode_j)| for columns i and j of a 5-row centre
+    array (s, r, l11, l21, l22), one of i, j an index array or a slice."""
+    s, r, l11, l21, l22 = centre
+    z1 = (s[i] - s[j]) / l11[j]
+    z2 = (r[i] - r[j] - l21[j] * z1) / l22[j]
+    dist = np.hypot(z1, z2)
+    # np.hypot (the C library's) and math.hypot may differ in the last bit:
+    # within 1e-9 of the radius math.hypot decides, so the blocks do not
+    # depend on the C library
+    near = np.flatnonzero(np.abs(dist - _BLOCK_RADIUS) < 1e-9)
+    dist[near] = [math.hypot(*z) for z in zip(z1[near].tolist(), z2[near].tolist())]
+    return dist
 
 
 class MhMarginalKernel:
@@ -229,9 +279,9 @@ class MhMarginalKernel:
 
     Combines the combinatorial term with the expectation of the integrated
     likelihood's data factor over the Gamma priors on (alpha, beta): the
-    observed-animal product (``_log_obs``, which the mode search and the
-    node sets both call) times the zero-cell factor
-    (:func:`mh_log_zero_cell`) to the power N - M.
+    observed-animal product times the zero-cell factor to the power N - M,
+    both from one pass over the cells (``_log_factors``), which the mode
+    search and the node sets both call.
 
     One rule integrates it, a trapezoid rule on a double-exponential (sinh)
     map about the integrand's mode (Takahasi & Mori 1974). It works in
@@ -257,10 +307,10 @@ class MhMarginalKernel:
     per N after an exact pass at the run's start; a run ends after 256
     steps, or sooner where a node could gain more than 600 on another, so
     a term floored at e^-700 at the start stays negligible. A node set
-    hands the observed-animal factor the log alpha and log
-    beta it has built and, row by row, log(alpha + beta) = s (``_nodes_at``),
-    so a node costs at most 2K - 3 logs and K ``log1p`` calls, and a row
-    K - 1 logs more.
+    hands the data factor the log alpha and log beta it has built and, row
+    by row, log(alpha + beta) = s (``_nodes_at``), so a node costs K
+    ``log1p`` calls, shared by both factors, and at most K - 1 logs, and a
+    row K - 1 logs more.
 
     Every evaluation is repeated at ``check_nodes`` per axis on the same
     blocks; if any grid point moves by more than ``rtol`` in relative terms
@@ -300,30 +350,30 @@ class MhMarginalKernel:
     def _log_expectation(self, grid: np.ndarray, n_nodes: int, blocks) -> np.ndarray:
         """Log prior expectation of the data factor at each N, summed over the
         node sets of ``_node_sets`` on ``blocks`` (from ``_blocks``). A node
-        set is ``(rows, alpha, beta, base, log_scale)``: the grid points it
-        serves, its nodes, their log weights plus the log observed-animal
-        factor, and a constant added to each sum."""
-        m, k = self.stats.m_k1, self.stats.k
+        set is ``(rows, base, log_zero_cell, log_scale)``: the grid points it
+        serves, its nodes' log weights plus the log observed-animal factor,
+        their log zero-cell factor, and a constant added to each sum."""
+        m = self.stats.m_k1
         out = np.empty_like(grid)
-        for rows, alpha, beta, base, log_scale in self._node_sets(n_nodes, grid, blocks):
-            out[rows] = _excess_sums(base, mh_log_zero_cell(alpha, beta, k), grid[rows] - m) + log_scale
+        for rows, base, log_zero_cell, log_scale in self._node_sets(n_nodes, grid, blocks):
+            out[rows] = _excess_sums(base, log_zero_cell, grid[rows] - m) + log_scale
         g = self.gammas  # the weights leave out the Gamma priors' normalizer
         return out - (g.a + g.b) * np.log(g.c) - gammaln(g.a) - gammaln(g.b)
 
-    def _log_obs(self, alpha, beta, log_alpha, log_beta, log_total) -> np.ndarray:
-        """Log product of the per-animal rising-factorial factors (see
-        :func:`mh_log_obs_factor` for the arguments)."""
-        return mh_log_obs_factor(self.stats.f_j, alpha, beta, log_alpha, log_beta, log_total)
+    def _log_factors(self, alpha, beta, log_alpha, log_beta, log_total):
+        """Log observed-animal factor and log zero-cell factor (see
+        :func:`likelihoods._mh_log_factors` for the arguments)."""
+        return _mh_log_factors(self.stats.f_j, alpha, beta, log_alpha, log_beta, log_total)
 
     def _log_data(self, u, v, excess) -> np.ndarray:
         """Log data factor at (alpha, beta) = (e^u, e^v) with ``excess`` = N - M animals never caught."""
-        alpha, beta = np.exp(u), np.exp(v)
-        log_obs = self._log_obs(alpha, beta, u, v, np.logaddexp(u, v))
-        return log_obs + excess * mh_log_zero_cell(alpha, beta, self.stats.k)
+        log_obs, log_zero_cell = self._log_factors(np.exp(u), np.exp(v), u, v, np.logaddexp(u, v))
+        return log_obs + excess * log_zero_cell
 
     def _nodes_at(self, s, r):
-        """alpha, beta, log(alpha/(alpha + beta)) and the log observed-animal
-        factor at the nodes (s, r): ``s`` a column, nondecreasing down the
+        """alpha, beta, log(alpha/(alpha + beta)), the log observed-animal
+        factor and the log zero-cell factor at the nodes (s, r): ``s`` a
+        column, nondecreasing down the
         rows and at most _MAX_LOG_SHAPE, ``r`` one row of nodes per entry of
         ``s``. The data factor sees log alpha and log beta floored at
         -_MAX_LOG_SHAPE, and log(alpha + beta) = s on the rows at or above
@@ -334,19 +384,108 @@ class MhMarginalKernel:
         u = s + log_share
         u, v = np.maximum(u, -_MAX_LOG_SHAPE), np.maximum(u - r, -_MAX_LOG_SHAPE)
         alpha, beta = np.exp(u), np.exp(v)
-        log_obs = np.empty(np.broadcast_shapes(s.shape, r.shape))
         low = int(np.count_nonzero(s < _ROW_TOTAL_MIN))
-        if low:
-            lo = slice(low)
-            log_obs[lo] = self._log_obs(alpha[lo], beta[lo], u[lo], v[lo], np.logaddexp(u[lo], v[lo]))
-        hi = slice(low, None)
-        log_obs[hi] = self._log_obs(alpha[hi], beta[hi], u[hi], v[hi], s[hi])
-        return alpha, beta, log_share, log_obs
+        if not low:
+            return alpha, beta, log_share, *self._log_factors(alpha, beta, u, v, s)
+        log_obs, log_zero_cell = np.empty((2, *np.broadcast_shapes(s.shape, r.shape)))
+        for rows, log_total in ((slice(low), np.logaddexp(u[:low], v[:low])), (slice(low, None), s[low:])):
+            factors = self._log_factors(alpha[rows], beta[rows], u[rows], v[rows], log_total)
+            log_obs[rows], log_zero_cell[rows] = factors
+        return alpha, beta, log_share, log_obs, log_zero_cell
+
+    def _log_integrand(self, u, v, grid):
+        """Log integrand at (alpha, beta) = (e^u, e^v) and each N of ``grid``,
+        up to constants: the Gamma priors times the data factor."""
+        g = self.gammas
+        return g.a * u + g.b * v - (np.exp(u) + np.exp(v)) / g.c + self._log_data(u, v, grid - self.stats.m_k1)
+
+    def _climb(self, grid: np.ndarray, u: np.ndarray, v: np.ndarray):
+        """Damped Newton on the log integrand from (u, v) = (log alpha, log
+        beta) at each N of ``grid``. Returns the end points, the log
+        integrand there and the ``_mode_centre`` 5-row array of each.
+
+        Each step takes the gradient and Hessian from one set of (K, n)
+        reciprocals 1/(alpha + i), 1/(beta + i) and 1/(alpha + beta + i),
+        summed over i < K with the counts on axis 0, with no Python loop over
+        the cells; its line search takes the log integrand from the data
+        factor of the node sets (``_log_data``). Where the Hessian is not
+        negative definite the step is ``_uphill_step``; every step is capped
+        at _MODE_MAX_STEP per coordinate, and a halving line search keeps it
+        uphill. A point leaves the iteration once its step is shorter than
+        _MODE_TOL, so the derivatives of its last step are those at its end
+        point, and the search runs on the points still moving.
+        """
+        g, st = self.gammas, self.stats
+        a, b, c = g.a, g.b, g.c
+        f, k, m = st.f_j, st.k, st.m_k1
+        # one row per i < K: w_i animals caught and z_i missed more than i
+        # times; every sum over i below is a sum over axis 0
+        i = np.arange(k, dtype=float)[:, None]
+        caught = np.array([sum(f[j:]) for j in range(k)], dtype=float)[:, None]
+        missed = np.array([sum(f[: k - 1 - j]) for j in range(k)], dtype=float)[:, None]
+        caught_i, missed_i = caught * i, missed * i
+
+        def derivatives(u, v, n):
+            # with ra, rb, rc = 1/(alpha + i), 1/(beta + i), 1/(alpha + beta + i)
+            # every term is alpha or beta times a sum over i of products of
+            # these and the counts; n and e = N - M come out of the sums
+            alpha, beta = np.exp(u), np.exp(v)
+            ai = alpha + i
+            ra, rb, rc = 1.0 / ai, 1.0 / (beta + i), 1.0 / (ai + beta)
+            ra2, rb2, rc2 = ra * ra, rb * rb, rc * rc
+            sc, sc2 = (caught * ra).sum(axis=0), (caught_i * ra2).sum(axis=0)
+            sz, sz2, si2 = (missed * rb).sum(axis=0), (missed_i * rb2).sum(axis=0), (i * rb2).sum(axis=0)
+            s1, s2, si = rc.sum(axis=0), rc2.sum(axis=0), (i * rc2).sum(axis=0)
+            sbc = (rb * rc).sum(axis=0)
+            e, ab = n - m, alpha * beta
+            gu = a - alpha / c + alpha * (sc - n * s1)
+            # the excess terms of d/dv cancel to e alpha beta rb rc
+            gv = b - beta / c + beta * (sz - m * s1) + e * ab * sbc
+            huu = -alpha / c + alpha * (sc2 - n * (beta * s2 + si))
+            hvv = -beta / c + beta * (sz2 + e * si2 - n * (alpha * s2 + si))
+            huv = n * ab * s2
+            return gu, gv, huu, hvv, huv
+
+        u, v = u.copy(), v.copy()
+        hessian = np.empty((3, grid.size))
+        live = np.arange(grid.size)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            value = self._log_integrand(u, v, grid)
+            for _ in range(_MODE_MAX_ITER):
+                n, lu, lv = grid[live], u[live], v[live]
+                gu, gv, huu, hvv, huv = derivatives(lu, lv, n)
+                hessian[:, live] = huu, hvv, huv
+                det = huu * hvv - huv**2
+                concave = (huu < 0) & (det > 0)
+                du, dv = (huv * gv - hvv * gu) / det, (huv * gu - huu * gv) / det
+                if not concave.all():
+                    flat = ~concave
+                    du[flat], dv[flat] = _uphill_step(gu[flat], gv[flat], huu[flat], hvv[flat], huv[flat])
+                shrink = _MODE_MAX_STEP / np.maximum(_MODE_MAX_STEP, np.maximum(np.abs(du), np.abs(dv)))
+                du, dv = du * shrink, dv * shrink
+                size = np.maximum(np.abs(du), np.abs(dv))
+                moving = size >= _MODE_TOL  # NaN stops too
+                if not moving.any():
+                    break
+                live, n, lu, lv, du, dv, size = (x[moving] for x in (live, n, lu, lv, du, dv, size))
+                base = value[live]
+                step, trial = np.ones(live.size), np.empty(live.size)
+                todo = np.arange(live.size)
+                while todo.size:
+                    trial[todo] = self._log_integrand(
+                        lu[todo] + step[todo] * du[todo], lv[todo] + step[todo] * dv[todo], n[todo]
+                    )
+                    todo = todo[~(trial[todo] >= base[todo]) & (step[todo] * size[todo] >= _MODE_TOL)]
+                    step[todo] /= 2.0
+                u[live], v[live], value[live] = lu + step * du, lv + step * dv, trial
+            else:  # out of steps: the live points have moved since their last derivatives
+                hessian[:, live] = derivatives(u[live], v[live], grid[live])[2:]
+            return u, v, value, _cholesky_centre(u, v, *hessian)
 
     def _mode_centre(self, grid: np.ndarray):
         """Mode (s, r) of the log integrand at each N and the Cholesky factor
         (l11, l21, l22) of the inverse negative Hessian there, in (s, r) =
-        (log(alpha + beta), log(alpha/beta)).
+        (log(alpha + beta), log(alpha/beta)), as one 5-row array.
 
         In (u, v) = (log alpha, log beta), with e = N - M, the log integrand is,
         up to constants,
@@ -355,77 +494,74 @@ class MhMarginalKernel:
             + sum_i (z_i + e) log(beta + i) - N sum_i log(alpha + beta + i)
 
         over i < K, where w_i animals were caught and z_i missed more than i
-        times. Damped Newton runs on the whole grid at once: the gradient and
-        Hessian are summed over i from (K, grid) arrays, with no Python loop
-        over the cells. Where the Hessian is not negative definite it takes a
-        gradient step instead, and a halving line search keeps every step
-        uphill. The map u = s - log(1 + e^-r), v = s - log(1 + e^r) has unit
-        Jacobian, so the mode in (u, v) is the mode in (s, r), and there the
-        Hessian becomes J^T H J with J = d(u, v)/d(s, r). The quadrature does
-        not centre on each of these: ``_blocks`` groups nearby N under one of
-        them.
+        times. Near alpha = 0 it rises like alpha^(a + M) and falls like
+        e^(-e alpha S) for an S of order one, so the mode lies near alpha of
+        order (a + M)/e once e exceeds a + M: the step that gives the tail
+        exponent a. Damped Newton (``_climb``) starts each N at the prior
+        mode (log ac, log bc) with alpha scaled down by 1 + e/(a + M) to
+        match, all N at once. A point that ends on a non-finite or not
+        negative-definite centre restarts from the prior mode, then from the
+        mode of its nearest usable point on the left, then on the right.
+        Wherever two neighbouring modes lie more than _BLOCK_RADIUS apart in
+        either one's units, each point runs again from the other's mode and
+        keeps the end with the higher log integrand by more than rounding,
+        so a start that climbed to a lower local mode gives way to its
+        neighbour's; the check moves on to the neighbours of each point so
+        replaced. The map u = s - log(1 + e^-r), v = s - log(1 + e^r) has
+        unit Jacobian, so the mode in (u, v) is the mode in (s, r), and there
+        the Hessian becomes J^T H J with J = d(u, v)/d(s, r). The quadrature
+        does not centre on each of these: ``_blocks`` groups nearby N under
+        one of them.
         """
-        g, st = self.gammas, self.stats
-        a, b, c = g.a, g.b, g.c
-        f, k, m = st.f_j, st.k, st.m_k1
-        # one row per i < K: every sum over i below is a sum over axis 0
-        i = np.arange(k, dtype=float)[:, None]
-        caught = np.array([sum(f[j:]) for j in range(k)], dtype=float)[:, None]
-        missed = np.array([sum(f[: k - 1 - j]) for j in range(k)], dtype=float)[:, None]
-        excess = grid - m
+        g, m = self.gammas, self.stats.m_k1
+        u0, v0 = math.log(g.a * g.c), math.log(g.b * g.c)
+        u, v, value, centre = self._climb(grid, u0 - np.log1p((grid - m) / (g.a + m)), np.full_like(grid, v0))
 
-        def objective(u, v):
-            return a * u + b * v - (np.exp(u) + np.exp(v)) / c + self._log_data(u, v, excess)
+        def keep(points, ends, higher=False):
+            """Keep each usable end of a ``_climb`` of ``points``; where
+            ``higher``, only ends whose log integrand beats the old one by
+            more than rounding. Returns the points that changed."""
+            nu, nv, new, ends = ends
+            take = _usable(ends)
+            if higher:
+                take &= new > value[points] + 1e-10 * np.abs(value[points])
+            points = points[take]
+            u[points], v[points], value[points], centre[:, points] = nu[take], nv[take], new[take], ends[:, take]
+            return points
 
-        def derivatives(u, v):
-            alpha, beta = np.exp(u), np.exp(v)
-            ai, bi, ci = alpha + i, beta + i, alpha + beta + i
-            gu = a - alpha / c + (caught * alpha / ai - grid * alpha / ci).sum(axis=0)
-            # the excess terms of d/dv cancel to e*alpha*beta/(bi*ci); summed that way
-            gv = b - beta / c + (
-                missed * beta / bi - m * beta / ci + excess * alpha * beta / (bi * ci)
-            ).sum(axis=0)
-            huu = -alpha / c + (caught * alpha * i / ai**2 - grid * alpha * bi / ci**2).sum(axis=0)
-            hvv = -beta / c + ((missed + excess) * beta * i / bi**2 - grid * beta * ai / ci**2).sum(axis=0)
-            huv = (grid * alpha * beta / ci**2).sum(axis=0)
-            return gu, gv, huu, hvv, huv
+        def climb_from(points, lend):  # each point from the mode of the point at its place in ``lend``
+            return self._climb(grid[points], u[lend], v[lend])
 
-        u = np.full_like(grid, np.log(a * c))
-        v = np.full_like(grid, np.log(b * c))
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            base = objective(u, v)
-            for _ in range(_MODE_MAX_ITER):
-                gu, gv, huu, hvv, huv = derivatives(u, v)
-                det = huu * hvv - huv**2
-                concave = (huu < 0) & (det > 0)
-                gnorm = np.maximum(1.0, np.maximum(np.abs(gu), np.abs(gv)))
-                du = np.where(concave, (huv * gv - hvv * gu) / det, gu / gnorm)
-                dv = np.where(concave, (huv * gu - huu * gv) / det, gv / gnorm)
-                shrink = _MODE_MAX_STEP / np.maximum(_MODE_MAX_STEP, np.maximum(np.abs(du), np.abs(dv)))
-                du, dv = du * shrink, dv * shrink
-                size = np.maximum(np.abs(du), np.abs(dv))
-                todo = size >= _MODE_TOL
-                if not todo.any():
-                    break
-                step = np.ones_like(grid)
-                while todo.any():
-                    trial = objective(u + step * du, v + step * dv)
-                    todo &= ~(trial >= base) & (step * size >= _MODE_TOL)
-                    step = np.where(todo, step / 2.0, step)
-                # the last trial was taken at every point's final step
-                u, v, base = u + step * du, v + step * dv, trial
-            _, _, huu, hvv, huv = derivatives(u, v)
-            # J has columns (1, 1) for s and (1 - p, -p) for r, p = alpha/(alpha + beta)
-            p = 1.0 / (1.0 + np.exp(v - u))
-            hss = huu + 2.0 * huv + hvv
-            hsr = (1.0 - p) * huu + (1.0 - 2.0 * p) * huv - p * hvv
-            hrr = (1.0 - p) ** 2 * huu - 2.0 * p * (1.0 - p) * huv + p**2 * hvv
-            det = hss * hrr - hsr**2
-            # lower Cholesky factor of (-H)^-1 in closed form
-            l11 = np.sqrt(-hrr / det)
-            l21 = hsr / np.sqrt(-hrr * det)
-            l22 = 1.0 / np.sqrt(-hrr)
-        return np.logaddexp(u, v), u - v, l11, l21, l22
+        bad = np.flatnonzero(~_usable(centre))
+        if bad.size:
+            keep(bad, self._climb(grid[bad], np.full(bad.size, u0), np.full(bad.size, v0)))
+        for side in (-1, 0):  # the nearest usable point on the left, then on the right
+            usable = _usable(centre)
+            bad, good = np.flatnonzero(~usable), np.flatnonzero(usable)
+            if not (bad.size and good.size):
+                break
+            near = np.searchsorted(good, bad) + side
+            has = (near >= 0) & (near < good.size)
+            keep(bad[has], climb_from(bad[has], good[near[has]]))
+
+        pairs = np.arange(grid.size - 1)
+        while pairs.size:
+            usable = _usable(centre)
+            pairs = pairs[usable[pairs] & usable[pairs + 1]]
+            with np.errstate(invalid="ignore"):
+                apart = np.maximum(_offsets(centre, pairs, pairs + 1), _offsets(centre, pairs + 1, pairs))
+            far = pairs[apart > _BLOCK_RADIUS]
+            if not far.size:
+                break
+            # one climb: each point from its right neighbour's mode, then
+            # from its left one's, kept in that order
+            points = np.concatenate([far, far + 1])
+            ends = climb_from(points, np.concatenate([far + 1, far]))
+            halves = (slice(far.size), slice(far.size, None))
+            moved = np.concatenate([keep(points[h], [x[..., h] for x in ends], True) for h in halves])
+            pairs = np.unique(np.concatenate([moved - 1, moved]))
+            pairs = pairs[(pairs >= 0) & (pairs < grid.size - 1)]
+        return centre
 
     def _tail_fall(self, l11, l21, l22, excess) -> float:
         """Fall per standardized unit of the integrand's slowest exponential
@@ -461,20 +597,8 @@ class MhMarginalKernel:
         N without the zero-cell factor.
         """
         centre = np.stack(self._mode_centre(grid))
-        finite = np.isfinite(centre).all(axis=0) & (centre[2] > 0) & (centre[4] > 0)
-        usable = finite & (grid > self.stats.m_k1)
-        s, r, l11, l21, l22 = centre
-
-        def offset(i, j):  # |L_j^-1 (centre_i - centre_j)|; one of i, j a slice
-            z1 = (s[i] - s[j]) / l11[j]
-            z2 = (r[i] - r[j] - l21[j] * z1) / l22[j]
-            dist = np.hypot(z1, z2)
-            # np.hypot (the C library's) and math.hypot may differ in the last
-            # bit: within 1e-9 of the radius math.hypot decides, so the
-            # blocks do not depend on the C library
-            near = np.flatnonzero(np.abs(dist - _BLOCK_RADIUS) < 1e-9)
-            dist[near] = [math.hypot(*z) for z in zip(z1[near].tolist(), z2[near].tolist())]
-            return dist
+        usable = _usable(centre) & (grid > self.stats.m_k1)
+        _, _, l11, l21, l22 = centre
 
         def body(points, c):
             # units of c's factor L_c that reach _BODY_REACH units of each
@@ -484,10 +608,11 @@ class MhMarginalKernel:
             a11, a22 = l11[points] / l11[c], l22[points] / l22[c]
             a21 = (l21[points] - l21[c] * a11) / l22[c]
             widest = (np.hypot(a11 + a22, a21) + np.hypot(a11 - a22, a21)) / 2.0
-            return max(_BODY_REACH, float((offset(points, c) + _BODY_REACH * widest).max()))
+            return max(_BODY_REACH, float((_offsets(centre, points, c) + _BODY_REACH * widest).max()))
 
         def within(points, c):  # which points of the slice are near c; NaN is not
-            return (np.maximum(offset(points, c), offset(c, points)) <= _BLOCK_RADIUS) & usable[points]
+            apart = np.maximum(_offsets(centre, points, c), _offsets(centre, c, points))
+            return (apart <= _BLOCK_RADIUS) & usable[points]
 
         def run_end(c):
             # one distance pass per window of points after c, the window
@@ -546,21 +671,24 @@ class MhMarginalKernel:
             # s, which rises down the rows (l11 > 0)
             s = np.minimum(s0 + l11 * z, _MAX_LOG_SHAPE)
             r = r0 + l21 * z[:, None] + l22 * z[None, :]
-            alpha, beta, log_share, log_obs = self._nodes_at(s[:, None], r)
+            _, _, log_share, log_obs, log_zero_cell = self._nodes_at(s[:, None], r)
             # a u + b v with v = u - r, and the prior's -(alpha + beta)/c
             row = logw + (a + b) * s - np.exp(s) / c
-            log_weight = (a + b) * log_share - b * r + row[:, None] + logw[None, :]
-            yield block, alpha, beta, log_weight + log_obs, np.log(l11 * l22)
+            log_obs += (a + b) * log_share - b * r + row[:, None] + logw[None, :]
+            yield block, log_obs, log_zero_cell, np.log(l11 * l22)
 
     def log_kernel(self, n):
         """Log kernel values; raises QuadratureConvergenceError if unsettled."""
         m = self.stats.m_k1
         grid, scalar = _as_grid(n)
+        no_mode = np.zeros(grid.size, dtype=bool)  # where the mode search failed
 
         def both_counts(safe):
             # the blocks are found once and shared by both node counts
             blocks = self._blocks(safe)
             self.diagnostics["centres"] = len(blocks)
+            for block, centre, _ in blocks:
+                no_mode[block] = not _usable(centre)
             log_e = [self._log_expectation(safe, n_nodes, blocks) for n_nodes in (self.nodes, self.check_nodes)]
             return log_falling(safe, m) - gammaln(m + 1) + np.stack(log_e)
 
@@ -573,13 +701,19 @@ class MhMarginalKernel:
         self.diagnostics["max_rel_change"] = worst
         if not worst <= self.rtol:
             nodes = f"{self.nodes}^2 and {self.check_nodes}^2 nodes"
+            advice = _CONVERGENCE_ADVICE
             if np.isnan(worst):
-                first_nan = grid[np.flatnonzero(np.isnan(rel))[0]]
-                what = f"returned NaN at {nodes} (first at N = {first_nan:.15g})"
+                first = np.flatnonzero(np.isnan(rel))[0]
+                what = f"returned NaN at {nodes} (first at N = {grid[first]:.15g})"
+                if no_mode[first]:
+                    advice = (
+                        f"the mode search failed at N = {grid[first]:.15g}: no start reached a finite mode "
+                        "with a negative definite Hessian, and more nodes cannot mend that"
+                    )
             else:
                 what = f"changed by {worst:.3e} (> rtol {self.rtol:.1e}) between {nodes}"
             raise QuadratureConvergenceError(
-                f"sinh quadrature {what}; {_CONVERGENCE_ADVICE}",
+                f"sinh quadrature {what}; {advice}",
                 log_coarse=_maybe_scalar(log_coarse, scalar),
                 log_fine=_maybe_scalar(log_fine, scalar),
                 max_rel_change=worst,

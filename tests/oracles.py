@@ -6,7 +6,7 @@ integrated by adaptive quadrature, and expectations are Monte Carlo
 averaged. Slow but trustworthy.
 
 Some entries are closed forms instead, built on the library's
-``log_falling``, support mask and zero-cell factor:
+``log_falling`` and support mask, and on this module's ``mh_log_zero_cell``:
 
 - the m0 full-history and profile likelihoods and the profile MLE, which
   acceptance criteria 09 and 10 use;
@@ -33,7 +33,7 @@ from scipy.special import betaln, gammaln, logsumexp, xlog1py, xlogy
 from scipy.stats import beta as beta_dist
 from scipy.stats import betabinom
 
-from crbayes.likelihoods import _check_p, _on_support, log_falling, mh_log_zero_cell
+from crbayes.likelihoods import _check_p, _on_support, log_falling
 from crbayes.posterior import (
     _BLOCK_RADIUS, _BODY_REACH, _TAIL_DROP, GammaPriors, MhMarginalKernel, PosteriorTable, _log_sum_exp,
 )
@@ -487,6 +487,19 @@ def mh_complete_log_lik(stats, n, params):
     return _on_support(n, m, lambda safe: (
         log_falling(safe, m) - gammaln(m + 1) + log_data(math.log(params.a), math.log(params.b), safe - m)
     ))
+
+
+def mh_log_zero_cell(alpha, beta, k: int):
+    """log prod_{j<K} (beta+j)/(alpha+beta+j), the chance that a Beta-mixed
+    animal is never caught, summed term by term as -log1p(alpha/(beta+j)) on
+    its own, with nothing shared with the observed-animal factor (the
+    log-gamma form cancels terms far larger than the result). ``alpha`` and
+    ``beta`` broadcast against each other.
+    """
+    out = 0.0
+    for j in range(k):
+        out = out - np.log1p(alpha / (beta + j))
+    return out
 
 
 def beta_binomial_log_pmf(j, k: int, params):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from crbayes.cli import build_parser, main
 from crbayes.data import load_history, store_history, simulate_m0, simulate_mh
 from crbayes.data import CaptureHistory
+from crbayes.posterior import MhMarginalKernel
 from crbayes.propriety import propriety_report
 
 
@@ -132,6 +133,25 @@ class TestAnalyze:
                   "--quad-rtol", "1e-10", "--out", str(tmp_path / "mh")])
         assert rc == 5
         assert "quadrature" in capsys.readouterr().err
+
+    def test_mh_failed_mode_search_is_numeric_failure_with_its_own_advice(self, tmp_path, capsys, monkeypatch):
+        # a mode search that ends without a usable centre at one N: exit 5,
+        # and the error names the mode search, not the node counts
+        real = MhMarginalKernel._mode_centre
+
+        def no_mode_at_9(self, grid):
+            centre = real(self, grid)
+            centre[:, grid == 9.0] = float("nan")
+            return centre
+
+        monkeypatch.setattr(MhMarginalKernel, "_mode_centre", no_mode_at_9)
+        path = tmp_path / "small.json"
+        store_history(CaptureHistory(k=3, rows=((1, 0, 0), (1, 1, 0), (0, 1, 1))), path)
+        rc = run(["analyze", "--data", str(path), "--model", "mh", "--n-max", "40", "--out", str(tmp_path / "mh")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "(first at N = 9)" in err and "the mode search failed at N = 9" in err
+        assert "raise nodes" not in err
 
     def test_mh_data_rich_table_passes_a_tight_rtol(self, tmp_path):
         # 40 animals on 8 occasions over the default support [40, 1e4]: the

@@ -1,9 +1,11 @@
-"""The f_j-grouped observed-animal factor of the Beta-heterogeneous model.
+"""The f_j-grouped data factor of the Beta-heterogeneous model.
 
 The library computes the product of the observed animals' rising-factorial
-factors from the capture frequencies alone; these tests hold every place
-that uses it to the per-animal log-gamma oracle: the factor itself, the mh
-kernel's mode search (``_log_data``) and its node sets (``_nodes_at``).
+factors from the capture frequencies alone, and the zero-cell factor from
+the same per-cell terms, in one function (``_mh_log_factors``). These tests
+hold every place that uses it to the per-animal log-gamma oracle and to the
+term-by-term zero cell of the oracles: the function itself, the mh kernel's
+mode search (``_log_data``) and its node sets (``_nodes_at``).
 """
 
 import math
@@ -15,11 +17,12 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from crbayes.data import CaptureHistory, simulate_mh, summarize
-from crbayes.likelihoods import BetaParams, log_falling, mh_log_obs_factor
+from crbayes.likelihoods import BetaParams, _mh_log_factors, log_falling
 from crbayes.posterior import _MAX_LOG_SHAPE, _ROW_TOTAL_MIN, GammaPriors, MhMarginalKernel
 
 from oracles import (
     mh_complete_log_lik,
+    mh_log_zero_cell,
     mh_summary_log_prob,
     per_animal_counts,
     per_animal_log_obs,
@@ -60,7 +63,9 @@ def test_grouped_factor_matches_per_animal_oracle(history, alpha, beta):
     want = float(per_animal_log_obs(per_animal_counts(stats.f_j), stats.k, alpha, beta))
     scale = stats.m_k1 * log_gamma_scale(alpha, beta, stats.k)
     logs = math.log(alpha), math.log(beta), math.log(alpha + beta)
-    assert_agrees(float(mh_log_obs_factor(stats.f_j, alpha, beta, *logs)), want, scale)
+    log_obs, log_zero_cell = map(float, _mh_log_factors(stats.f_j, alpha, beta, *logs))
+    assert_agrees(log_obs, want, scale)
+    assert_agrees(log_zero_cell, float(mh_log_zero_cell(alpha, beta, stats.k)), 0.0)
     # the mode search's data factor at N = M, where the zero cell drops out
     kern = MhMarginalKernel(stats, GammaPriors(2.0, 2.0))
     assert_agrees(float(kern._log_data(np.array([logs[0]]), np.array([logs[1]]), 0.0)[0]), want, scale)
@@ -71,8 +76,8 @@ def test_factor_skips_log_beta_when_no_animal_was_missed(f_j):
     # z_0 = 0, so log beta has no count and may even be -inf
     alpha, beta = 1.5, 0.25
     logs = math.log(alpha), math.log(alpha + beta)
-    got = mh_log_obs_factor(f_j, alpha, beta, logs[0], -math.inf, logs[1])
-    assert got == mh_log_obs_factor(f_j, alpha, beta, logs[0], math.log(beta), logs[1])
+    got = _mh_log_factors(f_j, alpha, beta, logs[0], -math.inf, logs[1])[0]
+    assert got == _mh_log_factors(f_j, alpha, beta, logs[0], math.log(beta), logs[1])[0]
     assert_agrees(got, float(per_animal_log_obs(per_animal_counts(f_j), len(f_j), alpha, beta)), 10.0)
 
 
@@ -96,19 +101,26 @@ node_r = st.one_of(
     st.lists(node_r, min_size=1, max_size=6),
 )
 def test_node_set_factor_matches_per_animal_oracle(history, s_rows, r_row):
-    """Every node of a node set against the oracle at the node's floored
-    (alpha, beta), the pair its data factor is documented to see."""
+    """Every node of a node set against the oracles at the node's floored
+    (alpha, beta), the pair its data factor is documented to see: the
+    observed-animal factor against the per-animal one, and the zero cell,
+    which shares its per-cell log1p terms with it, against the term-by-term
+    zero cell."""
     stats = summarize(history)
     kern = MhMarginalKernel(stats, GammaPriors(2.0, 2.0))
     s = np.sort(np.array(s_rows))[:, None]
     r = np.array(r_row)[None, :] + np.linspace(0.0, 1.0, s.size)[:, None]
-    alpha, beta, _, log_obs = kern._nodes_at(s, r)
-    assert log_obs.shape == r.shape and not np.isnan(log_obs).any()
+    alpha, beta, _, log_obs, log_zero_cell = kern._nodes_at(s, r)
+    assert log_obs.shape == log_zero_cell.shape == r.shape
+    assert not (np.isnan(log_obs).any() or np.isnan(log_zero_cell).any())
     floor = math.exp(-_MAX_LOG_SHAPE)
     assert (alpha >= floor).all() and (beta >= floor).all()
     want = per_animal_log_obs(per_animal_counts(stats.f_j), stats.k, alpha, beta)
     for got_i, want_i, a_i, b_i in zip(log_obs.flat, want.flat, alpha.flat, beta.flat):
         assert_agrees(got_i, want_i, stats.m_k1 * log_gamma_scale(a_i, b_i, stats.k))
+    want = mh_log_zero_cell(alpha, beta, stats.k)
+    for got_i, want_i in zip(log_zero_cell.flat, want.flat):
+        assert_agrees(got_i, want_i, 0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -137,10 +149,12 @@ def test_summary_and_integrated_forms_differ_by_a_constant_in_n(history, alpha, 
 
 
 class PerAnimalKernel(MhMarginalKernel):
-    """The mh kernel with its observed-animal factor summed animal by animal."""
+    """The mh kernel with its observed-animal factor summed animal by animal
+    and its zero cell term by term, each on its own."""
 
-    def _log_obs(self, alpha, beta, *logs):
-        return per_animal_log_obs(per_animal_counts(self.stats.f_j), self.stats.k, alpha, beta)
+    def _log_factors(self, alpha, beta, *logs):
+        k = self.stats.k
+        return per_animal_log_obs(per_animal_counts(self.stats.f_j), k, alpha, beta), mh_log_zero_cell(alpha, beta, k)
 
 
 def test_kernel_and_verdict_points_match_per_animal_kernel():

@@ -113,16 +113,41 @@ class TestBetaExpectation:
 
 
 class TestMhMarginal:
-    @pytest.mark.parametrize("shapes", [(1.5, 2.0), (0.5, 1.0), (3.0, 1.0), (2.5, 3.0)])
-    def test_empty_dataset_single_occasion_closed_form(self, shapes):
+    @pytest.mark.parametrize(
+        "shapes, rtol, tol",
+        [
+            # at most 4.2e-11 off on [0, 1e4] and 9.5e-10 at N = 1e6
+            ((1.5, 2.0), 1e-5, 2e-9),
+            ((0.5, 1.0), 1e-5, 2e-9),
+            ((3.0, 1.0), 1e-5, 2e-9),
+            ((2.5, 3.0), 1e-5, 2e-9),
+            # small shapes send the prior's tails far out along s: 5.5e-10
+            # and 9.3e-8 off, and at 0.1 the check sees 3.2e-5, within the
+            # default rtol but not 1e-5
+            ((0.3, 0.3), 1e-5, 2e-9),
+            ((0.1, 0.1), 1e-4, 2e-7),
+        ],
+    )
+    def test_empty_dataset_single_occasion_closed_form(self, shapes, rtol, tol):
         # with one occasion the zero-cell factor is beta/(alpha+beta) = 1 - X
-        # and X = alpha/(alpha+beta) ~ Beta(a, b) under common-scale Gammas
+        # and X = alpha/(alpha+beta) ~ Beta(a, b) under common-scale Gammas,
+        # so the kernel is log E[(1 - X)^N] = log B(a, b + N) - log B(a, b).
+        # On the whole grid [0, 1e4], and at N = 1e6 after it, the mode
+        # search's scaled start, its neighbour check and the blocks all run
         a, b = shapes
-        kern = MhMarginalKernel(EMPTY_K1, GammaPriors(a, b, 1.0), rtol=1e-5)
-        for n_val in (0, 1, 5, 100, 10_000, 10**6):
-            got = kern.log_kernel(float(n_val))
-            expected = betaln(a, b + n_val) - betaln(a, b)  # log E[(1 - X)^N]
-            assert got == pytest.approx(expected, abs=1e-7)
+        kern = MhMarginalKernel(EMPTY_K1, GammaPriors(a, b, 1.0), rtol=rtol)
+        grid = np.append(np.arange(0.0, 10_001.0), 1e6)
+        got = kern.log_kernel(grid)
+        assert 1 <= kern.diagnostics["centres"] < 10
+        assert np.abs(got - (betaln(a, b + grid) - betaln(a, b))).max() <= tol
+
+    def test_empty_dataset_single_occasion_fails_the_check_at_tiny_shapes(self):
+        # at a = b = 0.05 the tails reach beyond what the node sets cover:
+        # the 64/96 check sees 4.2e-5 and fails at rtol 1e-5 instead of
+        # returning values up to 6.6e-7 off the closed form
+        kern = MhMarginalKernel(EMPTY_K1, GammaPriors(0.05, 0.05, 1.0), rtol=1e-5)
+        with pytest.raises(QuadratureConvergenceError, match="changed by"):
+            kern.log_kernel(np.append(np.arange(0.0, 10_001.0), 1e6))
 
     def test_observed_animals_single_occasion_closed_form(self):
         stats = summarize(CaptureHistory(k=1, rows=((1,), (1,))))
@@ -194,6 +219,8 @@ class TestMhMarginal:
             assert "sinh quadrature returned NaN" in message
             assert "(first at N = 10)" in message
             assert "changed by nan" not in message
+            # the mode search found N = 10's mode: the advice is the node counts'
+            assert "raise nodes/check_nodes" in message and "mode search failed" not in message
 
     @pytest.mark.parametrize("rtol", [math.inf, math.nan, 0.0])
     def test_rejects_rtol_that_is_not_finite_and_positive(self, rtol):
@@ -229,9 +256,10 @@ class TestMhMarginal:
     @pytest.mark.parametrize("entry", range(5), ids=["s", "r", "l11", "l21", "l22"])
     @pytest.mark.parametrize("role", ["opens-block", "inside-block"])
     def test_non_finite_centre_neither_joins_nor_lends_a_block(self, entry, role):
-        # a Newton search stopped on a saddle can leave a non-finite centre;
+        # a mode search that no start mends can leave a non-finite centre;
         # that N must still read NaN and fail the check, and no other N may
-        # share its nodes or lend it theirs
+        # share its nodes or lend it theirs. The error says that the mode
+        # search failed there, not that more nodes would help
         stats = summarize(simulate_mh(50, 2.0, 4.0, 8, seed=6))
         gammas = GammaPriors(2.0, 2.0, 1.0)
         grid = np.arange(stats.m_k1, stats.m_k1 + 60, dtype=float)
@@ -248,7 +276,9 @@ class TestMhMarginal:
 
         with pytest.raises(QuadratureConvergenceError) as info:
             Poisoned(stats, gammas).log_kernel(grid)
-        assert f"sinh quadrature returned NaN at 64^2 and 96^2 nodes (first at N = {poisoned:g})" in str(info.value)
+        message = str(info.value)
+        assert f"sinh quadrature returned NaN at 64^2 and 96^2 nodes (first at N = {poisoned:g})" in message
+        assert f"the mode search failed at N = {poisoned:g}" in message and "raise nodes" not in message
         for values in (info.value.log_coarse, info.value.log_fine):
             np.testing.assert_array_equal(np.isnan(values), grid == poisoned)
         np.testing.assert_allclose(
@@ -417,6 +447,34 @@ class TestMhMarginal:
         for block, first, reach in kern._blocks(grid):
             assert _bits(first) == _bits(tuple(centre[:, block.start])) and reach == posterior._BODY_REACH
 
+    @pytest.mark.parametrize(
+        "n, shapes, k, priors, seed",
+        [
+            # wide-prior set 0, as CI runs it: when every N started at the
+            # prior mode, the search stopped on a saddle at N = 145, and the
+            # table failed with NaN at 64/96 and at 128/192
+            (168, (1.3288, 3.3045), 3, (1.9554, 0.7353, 21.497), 667038328),
+            # set 9: its integrands have a second mode near large shapes;
+            # without the neighbour check the table fails by 1.8e-3
+            (134, (1.188237339202433, 1.1310063929508332), 3,
+             (2.3805585459231935, 1.9174446861322807, 28.81619515924395), 801935232),
+        ],
+        ids=["set0", "set9"],
+    )
+    def test_wide_prior_table_converges_and_matches_box_oracle(self, n, shapes, k, priors, seed):
+        # Gamma priors of scale 21-29 on 90 and 96 animals: over the default
+        # support every N gets a usable mode, the table settles at 64/96,
+        # and its values match the box oracle at drawn N and at the last
+        # point of every block, where a point lies farthest from its centre
+        stats = summarize(simulate_mh(n, *shapes, k, seed=seed))
+        kern = MhMarginalKernel(stats, GammaPriors(*priors))
+        grid = np.arange(stats.m_k1, 10_001, dtype=float)
+        got = kern.log_kernel(grid)
+        assert kern.diagnostics["max_rel_change"] <= 1e-4
+        sample = sorted({0, 1, 2, 20, 55, 60, 150, 1000} | {block.stop - 1 for block, *_ in kern._blocks(grid)})
+        want = box_mh_marginal_log_kernel(stats, grid[sample], *priors)
+        assert np.abs(np.expm1(got[sample] - want)).max() <= 1e-6
+
     def test_six_occasion_table_converges_at_default_nodes(self):
         # one animal caught once and one caught every time, under a heavy
         # left tail in beta; an earlier rule failed this table over the
@@ -518,7 +576,16 @@ def _standardized_derivatives(phi, step):
 
 
 @settings(max_examples=25, deadline=None)
-@given(mh_histories, gamma_shapes, gamma_shapes, st.floats(min_value=0.2, max_value=5.0))
+@given(mh_histories, gamma_shapes, gamma_shapes, st.floats(min_value=0.2, max_value=30.0))
+# with gradient steps where the Hessian is not negative definite, the search
+# at N = 55 crawled along a ridge for all its steps and ended 0.064 units of
+# gradient off the mode
+@example(
+    CaptureHistory(
+        k=5, rows=((1, 0, 0, 0, 0),) * 3 + ((1, 1, 0, 0, 0),) + ((1, 1, 0, 1, 0),) * 4 + ((1, 1, 0, 0, 1),) * 2
+    ),
+    2.0, 4.0, 13.0,
+)
 def test_mode_centre_is_the_mode_of_the_oracle_integrand(history, a, b, c):
     # The sinh nodes sit at centre + L sinh(t), so the rule needs the
     # centre to be a stationary point and L L^T = (-H)^-1 there. In the units
@@ -528,28 +595,30 @@ def test_mode_centre_is_the_mode_of_the_oracle_integrand(history, a, b, c):
     # its Hessian is -I. The integrand is
     # the box oracle's, written with log-gamma differences, not the
     # library's K-term sums; its derivatives are taken by finite differences
-    # of 2e-3 and 1e-3 units, Richardson-extrapolated. Over 932 random sets
-    # with steep left tails and 300 of any kind the worst seen was 5.1e-8 in
-    # the gradient (the Newton search stops on steps below 1e-8, not on the
-    # gradient) and 6.3e-6 in the Hessian; the bounds leave a margin of about
-    # 20 and 16 over those.
+    # of 2e-3 and 1e-3 units, Richardson-extrapolated. The grid is a whole
+    # table's head and a geometric tail, so the scaled start, the restarts
+    # and the neighbour check all run, and scales up to 30 give the wide
+    # priors whose integrands can have two modes; every centre must come out
+    # usable. Over 3000 random sets of this kind the worst seen was 1.0e-7
+    # in the gradient (the Newton search stops on steps below 1e-8, not on
+    # the gradient) and 2.9e-5 in the Hessian; the bounds leave a margin of
+    # about 10 and 3 over those.
     stats = summarize(history)
     kern = MhMarginalKernel(stats, GammaPriors(a, b, c))
     m = stats.m_k1
-    grid = np.concatenate([np.arange(m, m + 60, dtype=float), m + np.geomspace(100, 1e6 * max(m, 1), 8)])
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        centre = np.stack(kern._mode_centre(grid))
-    finite = np.isfinite(centre).all(axis=0)
-    s0, r0, l11, l21, l22 = centre[:, finite]
-    excess = grid[finite] - m
+    grid = np.concatenate([np.arange(m, m + 300, dtype=float), m + np.geomspace(300, 1e6 * max(m, 1), 20)])
+    centre = kern._mode_centre(grid)
+    assert posterior._usable(centre).all()
+    s0, r0, l11, l21, l22 = centre
+    excess = grid - m
 
     def phi(z1, z2):
         s, r = s0 + l11 * z1, r0 + l21 * z1 + l22 * z2
         return mh_log_integrand(stats, a, b, c, s - np.logaddexp(0.0, -r), s - np.logaddexp(0.0, r), excess)
 
     grad, hess = _standardized_derivatives(phi, 1e-3)
-    assert np.abs(grad).max(initial=0.0) <= 1e-6
-    assert np.abs(hess - np.array([[-1.0], [0.0], [-1.0]])).max(initial=0.0) <= 1e-4
+    assert np.abs(grad).max() <= 1e-6
+    assert np.abs(hess - np.array([[-1.0], [0.0], [-1.0]])).max() <= 1e-4
 
 
 def _shared_and_per_n_centres(kern, grid):
