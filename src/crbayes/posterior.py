@@ -181,14 +181,27 @@ _MAX_NODES = 363
 # node sets and fewer data-factor evaluations per grid.
 _BLOCK_RADIUS = 3.0
 
+# A block centred mid-run has a node set on a sinh map scaled to its modes'
+# spread (``MhMarginalKernel._node_sets``), so its nodes stay about as fine
+# as at the centre out to its farthest mode. It also takes in points up to
+# _SHAPE_RADIUS units away, both ways, where the point's factor L_j is
+# within _SHAPE_RATIO of the centre's L_c: both singular values of
+# L_c^-1 L_j in [1/_SHAPE_RATIO, _SHAPE_RATIO]. That is the regime of the
+# propriety fit grid, where successive N only shift the integrand. A point
+# of another shape keeps _BLOCK_RADIUS: one narrower than the centre sees a
+# coarser grid in its own units, and one wider widens the block's body.
+_SHAPE_RADIUS = 6.0
+_SHAPE_RATIO = 1.1
+
 # Reach of a node set, in standardized units on either side of its centre:
 # _BODY_REACH covers a Gaussian body to e^-40 (9 units) about a point's own
-# mode, which lies up to _BLOCK_RADIUS units from the block's centre. A
-# block centred mid-run holds points whose units are wider than the
-# centre's, and reaches _BODY_REACH of each point's own units past its mode
-# (at least _BODY_REACH of the centre's). Beyond that body the slowest
-# exponential tail of the integrand must fall by e^_TAIL_DROP. The reach
-# never exceeds sinh(_MAX_SPAN) = 202 units.
+# mode, which lies up to _BLOCK_RADIUS units from the centre of a block
+# whose tail sets the reach. A block centred mid-run holds points up to
+# _SHAPE_RADIUS units away, and wider than the centre, and reaches
+# _BODY_REACH of each point's own units past its mode (at least _BODY_REACH
+# of the centre's); _BODY_REACH also decides which blocks centre mid-run.
+# Beyond that body the slowest exponential tail of the integrand must fall
+# by e^_TAIL_DROP. The reach never exceeds sinh(_MAX_SPAN) = 202 units.
 _BODY_REACH = 9.0 + _BLOCK_RADIUS
 _TAIL_DROP = 40.0
 _MAX_SPAN = 6.0
@@ -267,11 +280,21 @@ def _offsets(centre: np.ndarray, i, j) -> np.ndarray:
     z2 = (r[i] - r[j] - l21[j] * z1) / l22[j]
     dist = np.hypot(z1, z2)
     # np.hypot (the C library's) and math.hypot may differ in the last bit:
-    # within 1e-9 of the radius math.hypot decides, so the blocks do not
+    # within 1e-9 of a radius math.hypot decides, so the blocks do not
     # depend on the C library
-    near = np.flatnonzero(np.abs(dist - _BLOCK_RADIUS) < 1e-9)
+    near = np.flatnonzero((np.abs(dist - _BLOCK_RADIUS) < 1e-9) | (np.abs(dist - _SHAPE_RADIUS) < 1e-9))
     dist[near] = [math.hypot(*z) for z in zip(z1[near].tolist(), z2[near].tolist())]
     return dist
+
+
+def _sinh_map(reach: float, spread: float, n_nodes: int):
+    """Nodes z = spread sinh(t / spread) and their log weights log(h cosh(t /
+    spread)), t on an even grid of ``n_nodes`` points and step h over [-T, T]
+    with T = spread asinh(reach / spread): the nodes reach +-reach. At spread
+    1 this is the plain map z = sinh t, bit for bit."""
+    end = spread * math.asinh(reach / spread)
+    t, h = np.linspace(-end, end, n_nodes, retstep=True)
+    return spread * np.sinh(t / spread), np.log(h * np.cosh(t / spread))
 
 
 class MhMarginalKernel:
@@ -291,18 +314,21 @@ class MhMarginalKernel:
     Jacobian from (log alpha, log beta)). The mode and the Cholesky factor L
     of the inverse negative Hessian there come from ``_mode_centre``; each
     axis takes an even grid of t on [-T, T], and the nodes sit at centre +
-    L (sinh t_j, sinh t_k) with weights h cosh t. Near the mode the nodes
-    follow an integrand that sharpens like a posterior as animals
-    accumulate; far from it the map turns the exponential tails, heavy on
-    sparse data, into double-exponential ones. The reach sinh T of a node
-    set is set by its slowest tail (``_node_sets``), so data-rich sets get
-    a fine grid over a short reach and sparse ones a long reach.
-    ``_blocks`` groups consecutive N into blocks that share one centre, so
-    each block gets one node set (runs of grid points that share nodes and
-    log weights with the prior and the observed-animal factor folded in);
-    where the integrand's body sets the reach, the centre sits mid-run and
-    modes on both sides of it share its nodes,
-    and ``_excess_sums`` adds the zero-cell factor on every set. It sums
+    L (z_j, z_k), z = spread sinh(t / spread), with weights h cosh(t /
+    spread). Near the mode the nodes follow an integrand that sharpens like
+    a posterior as animals accumulate; far from it the map turns the
+    exponential tails, heavy on sparse data, into double-exponential ones.
+    The reach of a node set is set by its slowest tail (``_node_sets``), so
+    data-rich sets get a fine grid over a short reach and sparse ones a
+    long reach. ``_blocks`` groups consecutive N into blocks that share one
+    centre, so each block gets one node set (runs of grid points that share
+    nodes and log weights with the prior and the observed-animal factor
+    folded in); where the integrand's body sets the reach, the centre sits
+    mid-run, modes on both sides of it share its nodes, points of its
+    shape join it up to 6 units away, and the spread of its map is its
+    modes' largest offset from it, so that each of them sees about the
+    centre's node spacing; elsewhere the spread is 1, the plain map z =
+    sinh t. ``_excess_sums`` adds the zero-cell factor on every set. It sums
     runs of consecutive N by a running product, one multiply and one sum
     per N after an exact pass at the run's start; a run ends after 256
     steps, or sooner where a node could gain more than 600 on another, so
@@ -575,23 +601,29 @@ class MhMarginalKernel:
     def _blocks(self, grid: np.ndarray) -> list:
         """Consecutive runs of grid points that share one centre.
 
-        Returns ``(block, centre, body)`` triples: ``block`` a slice of the
-        grid, ``centre`` the (s, r, l11, l21, l22) of ``_mode_centre`` at one
-        of its points and ``body`` the part of its node set's reach that
-        covers the integrand's body. Two points are near when their modes
-        lie within ``_BLOCK_RADIUS`` = 3 of each other, both in the units z
-        = L^-1 (ds, dr) of the one's Cholesky factor L and in those of the
-        other's. A block starts at its first point i and runs while its
-        points are near i. Where i's node set would be body-limited (the
-        tail part of its reach, ``_TAIL_DROP / fall`` at i's own factor and
-        N - M, is at most ``_BODY_REACH``), the centre moves to the last
-        point c of that run that is near every point from i to c, and the
-        block runs on past c while its points are near c. Points before c
-        tend to be wider than c, so that body reaches ``_BODY_REACH`` units
-        of each point's own factor past its mode. Where the tail sets the
-        reach, a centre up to 3 units from a mode would leave a coarse grid
-        about it: the block keeps i as centre and ``_BODY_REACH`` as body.
-        A point whose centre is not finite, or whose factor has a
+        Returns ``(block, centre, body, spread)`` tuples: ``block`` a slice
+        of the grid, ``centre`` the (s, r, l11, l21, l22) of ``_mode_centre``
+        at one of its points, ``body`` the part of its node set's reach that
+        covers the integrand's body and ``spread`` the scale of its sinh map
+        (``_node_sets``). Two points are near when their modes lie within
+        ``_BLOCK_RADIUS`` = 3 of each other, both in the units z = L^-1 (ds,
+        dr) of the one's Cholesky factor L and in those of the other's. A
+        block starts at its first point i. Where the tail sets i's reach
+        (the tail part of it, ``_TAIL_DROP / fall`` at i's own factor and
+        N - M, exceeds ``_BODY_REACH``), the block runs while its points are
+        near i and keeps i as centre, ``_BODY_REACH`` as body and spread 1:
+        its reach is long, and a centre up to 3 units from a mode would
+        leave a coarse grid about it. Otherwise i's node set is
+        body-limited, and a point j is also near a centre c within
+        ``_SHAPE_RADIUS`` = 6 both ways where both singular values of
+        L_c^-1 L_j lie within a factor ``_SHAPE_RATIO`` = 1.1 of 1. The
+        centre moves to the last point c of i's run that is near every point
+        from i to c, and the block runs on past c while its points are near
+        c.
+        Points before c tend to be wider than c, so the body reaches
+        ``_BODY_REACH`` units of each point's own factor past its mode, and
+        the spread is the largest offset of a mode from c in c's units, at
+        least 1. A point whose centre is not finite, or whose factor has a
         non-positive diagonal, opens a block of its own and lends its nodes
         to no other point, so its NaN stays its own. So does N = M, the only
         N without the zero-cell factor.
@@ -600,27 +632,37 @@ class MhMarginalKernel:
         usable = _usable(centre) & (grid > self.stats.m_k1)
         _, _, l11, l21, l22 = centre
 
-        def body(points, c):
-            # units of c's factor L_c that reach _BODY_REACH units of each
-            # point's own factor L_j past its mode: its offset plus
-            # _BODY_REACH times the largest singular value of the
-            # lower-triangular L_c^-1 L_j, floored at _BODY_REACH
+        def stretch(points, c):
+            # the largest and smallest singular values of the lower-triangular
+            # L_c^-1 L_j for each point j, its product a11 a22 over the first
             a11, a22 = l11[points] / l11[c], l22[points] / l22[c]
             a21 = (l21[points] - l21[c] * a11) / l22[c]
             widest = (np.hypot(a11 + a22, a21) + np.hypot(a11 - a22, a21)) / 2.0
-            return max(_BODY_REACH, float((_offsets(centre, points, c) + _BODY_REACH * widest).max()))
+            return widest, a11 * a22 / widest
 
-        def within(points, c):  # which points of the slice are near c; NaN is not
+        def reach(points, c):
+            # units of c's factor L_c that reach _BODY_REACH units of each
+            # point's own factor past its mode, floored at _BODY_REACH, and
+            # the largest offset of a mode from c, floored at 1
+            offset = _offsets(centre, points, c)
+            body = max(_BODY_REACH, float((offset + _BODY_REACH * stretch(points, c)[0]).max()))
+            return body, max(1.0, float(offset.max()))
+
+        def within(points, c, mid):  # which points of the slice are near c; NaN is not
             apart = np.maximum(_offsets(centre, points, c), _offsets(centre, c, points))
-            return (apart <= _BLOCK_RADIUS) & usable[points]
+            if not mid:
+                return (apart <= _BLOCK_RADIUS) & usable[points]
+            widest, narrowest = stretch(points, c)
+            same = (widest <= _SHAPE_RATIO) & (narrowest >= 1.0 / _SHAPE_RATIO)
+            return (apart <= np.where(same, _SHAPE_RADIUS, _BLOCK_RADIUS)) & usable[points]
 
-        def run_end(c):
+        def run_end(c, mid):
             # one distance pass per window of points after c, the window
             # doubling while every point in it is near c
             i, width = c + 1, 64
             while i < grid.size:
                 ahead = slice(i, min(i + width, grid.size))
-                left = np.flatnonzero(~within(ahead, c))
+                left = np.flatnonzero(~within(ahead, c, mid))
                 if left.size:
                     return i + int(left[0])
                 i, width = ahead.stop, 2 * width
@@ -630,24 +672,26 @@ class MhMarginalKernel:
         i = 0
         with np.errstate(over="ignore", invalid="ignore"):
             while i < grid.size:
-                c, stop = i, i + 1
+                c, stop, mid = i, i + 1, False
                 if usable[i]:
-                    stop = run_end(i)
-                    if _TAIL_DROP / self._tail_fall(*centre[2:, i], grid[i] - self.stats.m_k1) <= _BODY_REACH:
+                    mid = _TAIL_DROP / self._tail_fall(*centre[2:, i], grid[i] - self.stats.m_k1) <= _BODY_REACH
+                    stop = run_end(i, mid)
+                    if mid:
                         c = stop - 1
-                        while c > i and not within(slice(i, c), c).all():
+                        while c > i and not within(slice(i, c), c, True).all():
                             c -= 1
                         if c > i:
-                            stop = run_end(c)
+                            stop = run_end(c, True)
                 block = slice(i, stop)
-                blocks.append((block, tuple(centre[:, c]), body(block, c) if c > i else _BODY_REACH))
+                body, spread = reach(block, c) if mid else (_BODY_REACH, 1.0)
+                blocks.append((block, tuple(centre[:, c]), body, spread))
                 i = stop
         return blocks
 
     def _node_sets(self, n_nodes: int, grid: np.ndarray, blocks):
-        """One sinh node set per block, at (s, r) = centre + L (sinh t_j,
-        sinh t_k) with t on an even grid of step h over [-T, T] and weights
-        h cosh t.
+        """One sinh node set per block, at (s, r) = centre + L (z_j, z_k)
+        with z = spread sinh(t / spread), t on an even grid of step h over
+        [-T, T] and weights h cosh(t / spread).
 
         In (s, r) the log integrand falls at rate a + M as alpha -> 0 (r to
         -inf), b + (M - f_K) + (N - M) as beta -> 0 (r to +inf) and a + b +
@@ -656,16 +700,19 @@ class MhMarginalKernel:
         l22 at fixed s, and s by l11 l22 / |(l21, l22)| at fixed r, so the
         slowest tail, at the block's smallest N, falls by e^_TAIL_DROP within
         _TAIL_DROP / fall units, fall being its rate times that length
-        (``_tail_fall``). The reach sinh T adds that to the block's body
-        from ``_blocks``, up to sinh(_MAX_SPAN); a shorter reach leaves a
-        finer grid about the mode for the same node count.
+        (``_tail_fall``). The reach R = spread sinh(T / spread) adds that to
+        the block's body from ``_blocks``, up to sinh(_MAX_SPAN); a shorter
+        reach leaves a finer grid about the mode for the same node count.
+        Nodes lie h sqrt(1 + (z / spread)^2) apart, so a block whose modes
+        spread up to that many units from its centre keeps a grid about as
+        fine as at the centre at every mode; at spread 1 the map is plain
+        z = sinh t (Takahasi & Mori 1974).
         """
         a, b, c = self.gammas.a, self.gammas.b, self.gammas.c
-        for block, (s0, r0, l11, l21, l22), body in blocks:
+        for block, (s0, r0, l11, l21, l22), body, spread in blocks:
             fall = self._tail_fall(l11, l21, l22, float(grid[block].min()) - self.stats.m_k1)
             reach = min(math.sinh(_MAX_SPAN), body + _TAIL_DROP / fall)
-            t, h = np.linspace(-math.asinh(reach), math.asinh(reach), n_nodes, retstep=True)
-            z, logw = np.sinh(t), np.log(h * np.cosh(t))
+            z, logw = _sinh_map(reach, spread, n_nodes)
             # L is lower-triangular: s, and so alpha + beta = e^s, depend on
             # the row node only; u = log alpha and v = log beta never exceed
             # s, which rises down the rows (l11 > 0)
@@ -678,16 +725,17 @@ class MhMarginalKernel:
             yield block, log_obs, log_zero_cell, np.log(l11 * l22)
 
     def log_kernel(self, n):
-        """Log kernel values; raises QuadratureConvergenceError if unsettled."""
+        """Log kernel values in the shape of ``n``; raises QuadratureConvergenceError if unsettled."""
         m = self.stats.m_k1
         grid, scalar = _as_grid(n)
+        shape, grid = grid.shape, grid.ravel()  # blocks run along one axis
         no_mode = np.zeros(grid.size, dtype=bool)  # where the mode search failed
 
         def both_counts(safe):
             # the blocks are found once and shared by both node counts
             blocks = self._blocks(safe)
             self.diagnostics["centres"] = len(blocks)
-            for block, centre, _ in blocks:
+            for block, centre, *_ in blocks:
                 no_mode[block] = not _usable(centre)
             log_e = [self._log_expectation(safe, n_nodes, blocks) for n_nodes in (self.nodes, self.check_nodes)]
             return log_falling(safe, m) - gammaln(m + 1) + np.stack(log_e)
@@ -714,11 +762,11 @@ class MhMarginalKernel:
                 what = f"changed by {worst:.3e} (> rtol {self.rtol:.1e}) between {nodes}"
             raise QuadratureConvergenceError(
                 f"sinh quadrature {what}; {advice}",
-                log_coarse=_maybe_scalar(log_coarse, scalar),
-                log_fine=_maybe_scalar(log_fine, scalar),
+                log_coarse=_maybe_scalar(log_coarse.reshape(shape), scalar),
+                log_fine=_maybe_scalar(log_fine.reshape(shape), scalar),
                 max_rel_change=worst,
             )
-        return _maybe_scalar(log_fine, scalar)
+        return _maybe_scalar(log_fine.reshape(shape), scalar)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ from scipy.stats import betabinom
 
 from crbayes.likelihoods import _check_p, _on_support, log_falling
 from crbayes.posterior import (
-    _BLOCK_RADIUS, _BODY_REACH, _TAIL_DROP, GammaPriors, MhMarginalKernel, PosteriorTable, _log_sum_exp,
+    _BLOCK_RADIUS, _BODY_REACH, _SHAPE_RADIUS, _SHAPE_RATIO, _TAIL_DROP, GammaPriors, MhMarginalKernel,
+    PosteriorTable, _log_sum_exp,
 )
 
 
@@ -217,7 +218,7 @@ def per_n_centred_sinh_log_expectation(kern, grid, n_nodes: int):
     node sets across N, not for the integrand.
     """
     centre = np.stack(kern._mode_centre(grid))
-    blocks = [(slice(i, i + 1), tuple(centre[:, i]), _BODY_REACH) for i in range(grid.size)]
+    blocks = [(slice(i, i + 1), tuple(centre[:, i]), _BODY_REACH, 1.0) for i in range(grid.size)]
     return kern._log_expectation(grid, n_nodes, blocks)
 
 
@@ -233,18 +234,23 @@ def per_n_excess_sums(base, log_zero_cell, excess) -> np.ndarray:
 
 def walk_blocks(kern, grid) -> list:
     """``MhMarginalKernel._blocks`` walked one grid point at a time, with
-    ``math.hypot`` for every distance. A block starts at its first point i
-    and takes each next point whose offset from i, both ways, is at most
-    ``_BLOCK_RADIUS``. If i's node set would be body-limited (the tail part
-    of its reach at i's own factor and N - M at most ``_BODY_REACH``), the
-    centre moves back from the last point so taken, one point at a time,
-    until every point from i to it lies within the radius of it, and the
+    ``math.hypot`` for every distance. A block starts at its first point i.
+    If the tail sets i's reach (the tail part of it at i's own factor and
+    N - M exceeds ``_BODY_REACH``), the block takes each next point whose
+    offset from i, both ways, is at most ``_BLOCK_RADIUS``, with body
+    ``_BODY_REACH`` and spread 1. Otherwise a point j is near a centre c
+    when its offset, both ways, is at most ``_BLOCK_RADIUS``, or at most
+    ``_SHAPE_RADIUS`` where both singular values of L_c^-1 L_j lie in
+    [1 / ``_SHAPE_RATIO``, ``_SHAPE_RATIO``]. The block takes each next
+    point near i, the centre moves back from the last point so taken, one
+    point at a time, until every point from i to it is near it, and the
     block starts over from that centre. Such a block's body is the largest,
     over its points j, of j's offset from the centre c plus ``_BODY_REACH``
     times the largest singular value of L_c^-1 L_j, and at least
-    ``_BODY_REACH``; any other block's is ``_BODY_REACH``. Like ``per_n_excess_sums`` it reuses
-    the kernel's own mode search and tail rate: it is the reference for the
-    vectorized walk, not for the centres.
+    ``_BODY_REACH``; its spread is the largest such offset, and at least 1.
+    Like ``per_n_excess_sums`` it reuses the kernel's own mode search and
+    tail rate: it is the reference for the vectorized walk, not for the
+    centres.
     """
     centre = np.stack(kern._mode_centre(grid))
     finite = np.isfinite(centre).all(axis=0) & (centre[2] > 0) & (centre[4] > 0)
@@ -255,35 +261,43 @@ def walk_blocks(kern, grid) -> list:
         z1 = (s[i] - s[j]) / l11[j]
         return math.hypot(z1, (r[i] - r[j] - l21[j] * z1) / l22[j])
 
-    def within(j, c):
-        return usable[j] and max(offset(j, c), offset(c, j)) <= _BLOCK_RADIUS
-
-    def run_end(c):
-        j = c + 1
-        while j < grid.size and within(j, c):
-            j += 1
-        return j
-
-    def body(j, c):  # offset plus _BODY_REACH times the largest singular value of L_c^-1 L_j
+    def singular_values(j, c):  # of the lower-triangular L_c^-1 L_j, largest first
         a11, a22 = l11[j] / l11[c], l22[j] / l22[c]
         a21 = (l21[j] - l21[c] * a11) / l22[c]
-        return offset(j, c) + _BODY_REACH * (math.hypot(a11 + a22, a21) + math.hypot(a11 - a22, a21)) / 2.0
+        widest = (math.hypot(a11 + a22, a21) + math.hypot(a11 - a22, a21)) / 2.0
+        return widest, a11 * a22 / widest
+
+    def within(j, c, mid):
+        radius = _BLOCK_RADIUS
+        if mid:
+            widest, narrowest = singular_values(j, c)
+            if 1.0 / _SHAPE_RATIO <= narrowest and widest <= _SHAPE_RATIO:
+                radius = _SHAPE_RADIUS
+        return usable[j] and max(offset(j, c), offset(c, j)) <= radius
+
+    def run_end(c, mid):
+        j = c + 1
+        while j < grid.size and within(j, c, mid):
+            j += 1
+        return j
 
     blocks = []
     i = 0
     while i < grid.size:
-        c, stop, reach = i, i + 1, _BODY_REACH
+        c, stop, reach, spread = i, i + 1, _BODY_REACH, 1.0
         if usable[i]:
-            stop = run_end(i)
             fall = kern._tail_fall(l11[i], l21[i], l22[i], float(grid[i]) - kern.stats.m_k1)
-            if _TAIL_DROP / fall <= _BODY_REACH:
+            mid = _TAIL_DROP / fall <= _BODY_REACH
+            stop = run_end(i, mid)
+            if mid:
                 c = stop - 1
-                while c > i and not all(within(j, c) for j in range(i, c)):
+                while c > i and not all(within(j, c, True) for j in range(i, c)):
                     c -= 1
-            if c > i:
-                stop = run_end(c)
-                reach = max(_BODY_REACH, max(body(j, c) for j in range(i, stop)))
-        blocks.append((slice(i, stop), tuple(centre[:, c]), reach))
+                stop = run_end(c, True)
+                points = range(i, stop)
+                reach = max(_BODY_REACH, max(offset(j, c) + _BODY_REACH * singular_values(j, c)[0] for j in points))
+                spread = max(1.0, max(offset(j, c) for j in points))
+        blocks.append((slice(i, stop), tuple(centre[:, c]), reach, spread))
         i = stop
     return blocks
 

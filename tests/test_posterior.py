@@ -42,6 +42,7 @@ from oracles import (
 
 TWO_ANIMALS = summarize(CaptureHistory(k=2, rows=((1, 0), (1, 1))))
 EMPTY_K1 = SufficientStats(0, 1, 0, (0,), (0,))
+SIX_OCCASIONS = summarize(CaptureHistory(k=6, rows=((1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1))))
 
 
 def test_m0_marginal_small_case_closed_form():
@@ -314,7 +315,8 @@ class TestMhMarginal:
     def test_a_point_joins_a_block_only_within_the_radius_both_ways(self, scale, blocks):
         # the second point's mode lies 2 units from the first's in the first
         # one's units; in its own units, half as wide, that is 4, beyond the
-        # radius of 3, so it opens a block, which the third point joins
+        # radius of 3 for a point of another shape, so it opens a block,
+        # which the third point joins
         class Synthetic(MhMarginalKernel):
             def _mode_centre(self, grid):
                 width = np.array([1.0, scale, 1.0])
@@ -324,24 +326,32 @@ class TestMhMarginal:
         assert [block for block, *_ in kern._blocks(np.array([3.0, 4.0, 5.0]))] == blocks
 
     @pytest.mark.parametrize(
-        "s, width, blocks, centres, reach",
+        "s, width, blocks, centres, reach, spread",
         [
-            # unit widths, so the first point is body-limited: its run ends at
-            # s = 3, which every earlier point lies within 3 units of, and the
-            # block runs on from that centre to s = 6, covering both sides
-            ([0, 1, 2, 3, 4, 5, 6, 7], [1] * 8, [slice(0, 7), slice(7, 8)], [3, 7], [15.0, 12.0]),
-            # s = 1 is half as wide: 2 units from s = 3 in its units, 4 in its
-            # own, so the centre falls back to s = 2 and the block ends at s = 5
-            ([0, 1, 2, 3, 4, 5, 6], [1, 0.5, 1, 1, 1, 1, 1], [slice(0, 6), slice(6, 7)], [2, 6], [15.0, 12.0]),
+            # unit widths, so the first point is body-limited and every point
+            # has its shape: its run ends at s = 6, which every earlier point
+            # lies within 6 units of, and the block runs on from that centre
+            # to s = 12, covering both sides on a map of spread 6
+            (list(range(14)), [1] * 14, [slice(0, 13), slice(13, 14)], [6, 13], [18.0, 12.0], [6.0, 1.0]),
+            # s = 1 is half as wide, a shape of its own: 2 units from s = 3 in
+            # its units, 4 in its own, so the centre falls back to s = 2 and
+            # the block ends at s = 8
+            (list(range(10)), [1, 0.5] + [1] * 8, [slice(0, 9), slice(9, 10)], [2, 9], [18.0, 12.0], [6.0, 1.0]),
             # half-width points: the tail part of the first one's reach, 20
             # units, exceeds 12, so each block keeps its first point as centre
-            ([0, 0.5, 1, 1.5, 2], [0.5] * 5, [slice(0, 4), slice(4, 5)], [0, 2], [12.0, 12.0]),
+            # and the plain map
+            ([0, 0.5, 1, 1.5, 2], [0.5] * 5, [slice(0, 4), slice(4, 5)], [0, 2], [12.0, 12.0], [1.0, 1.0]),
             # s = 0 is 1.5 times as wide as the centre at s = 3: its 12 own
             # units past its mode take 3 + 18 of the centre's
-            ([0, 1, 2, 3], [1.5, 1, 1, 1], [slice(0, 4)], [3], [21.0]),
+            ([0, 1, 2, 3], [1.5, 1, 1, 1], [slice(0, 4)], [3], [21.0], [3.0]),
+            # a point of the same shape 5 units on joins the block; one 1.3
+            # times narrower, 4.94 units on in its own units (3.8 in the
+            # first one's), opens its own
+            ([0, 5], [1, 1], [slice(0, 2)], [5], [17.0], [5.0]),
+            ([0, 3.8], [1, 1 / 1.3], [slice(0, 1), slice(1, 2)], [0, 3.8], [12.0, 12.0], [1.0, 1.0]),
         ],
     )
-    def test_a_body_limited_block_centres_mid_run(self, s, width, blocks, centres, reach):
+    def test_a_body_limited_block_centres_mid_run(self, s, width, blocks, centres, reach, spread):
         # modes along s only; with two animals under Gamma(2, 2, 1) priors
         # the slowest tail falls at 4 per unit of width at N - M = 1, so the
         # tail part of a first point's reach is 10 / its width
@@ -354,8 +364,42 @@ class TestMhMarginal:
         grid = np.arange(3.0, 3.0 + len(s))
         for got in (kern._blocks(grid), walk_blocks(kern, grid)):
             assert [block for block, *_ in got] == blocks
-            assert [centre[0] for _, centre, _ in got] == centres
-            assert [body for *_, body in got] == pytest.approx(reach, rel=1e-15)
+            assert [centre[0] for _, centre, *_ in got] == centres
+            assert [body for _, _, body, _ in got] == pytest.approx(reach, rel=1e-15)
+            assert [scale for *_, scale in got] == pytest.approx(spread, rel=1e-15)
+
+    def test_a_two_dimensional_grid_gives_values_of_its_shape(self):
+        # the blocks run along one axis, so the grid is raveled and the
+        # values take its shape, as the m0 and ym kernels' do
+        kern = MhMarginalKernel(TWO_ANIMALS, GammaPriors(2.0, 2.0, 1.0))
+        grid = TWO_ANIMALS.m_k1 + np.array([[1.0, 2.0], [3.0, 4.0]])
+        got = kern.log_kernel(grid)
+        assert got.shape == (2, 2)
+        np.testing.assert_array_equal(got, kern.log_kernel(grid.ravel()).reshape(2, 2))
+        with pytest.raises(QuadratureConvergenceError) as info:
+            MhMarginalKernel(TWO_ANIMALS, GammaPriors(2.0, 2.0, 1.0), nodes=2, check_nodes=3).log_kernel(grid)
+        assert info.value.log_coarse.shape == info.value.log_fine.shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "stats, gammas, centres",
+        [
+            (SIX_OCCASIONS, GammaPriors(2.0, 0.25, 4.0), 7),
+            (summarize(CaptureHistory(k=4, rows=((0, 1, 0, 0),))), GammaPriors(1.5, 0.8, 2.0), 6),
+            (EMPTY_K1, GammaPriors(1.0, 1.0, 1.0), 4),
+            (summarize(CaptureHistory(k=4, rows=())), GammaPriors(1.0, 1.0, 1.0), 4),
+        ],
+        ids=["six-occasion", "one-animal", "empty-k1", "empty-k4"],
+    )
+    def test_sparse_tables_keep_the_plain_sinh_map(self, stats, gammas, centres):
+        # the slowest tail sets every block's reach on these sets, so each
+        # block keeps its first point as centre and spread 1, where the
+        # scaled map is the plain z = sinh t with weights h cosh t bit for
+        # bit: their tables and centres are those of the plain map
+        kern = MhMarginalKernel(stats, gammas)
+        grid = np.arange(stats.m_k1, 10_001, dtype=float)
+        blocks = kern._blocks(grid)
+        assert len(blocks) == centres
+        assert all(spread == 1.0 for *_, spread in blocks)
 
     def test_node_counts_capped_at_363(self):
         # a node set holds n^2 entries in each of its arrays
@@ -444,8 +488,9 @@ class TestMhMarginal:
         want = betaln(shape, shape + grid) - betaln(shape, shape)
         assert np.abs(np.expm1(got - want)).max() <= tol
         centre = np.stack(kern._mode_centre(grid))
-        for block, first, reach in kern._blocks(grid):
+        for block, first, reach, spread in kern._blocks(grid):
             assert _bits(first) == _bits(tuple(centre[:, block.start])) and reach == posterior._BODY_REACH
+            assert spread == 1.0
 
     @pytest.mark.parametrize(
         "n, shapes, k, priors, seed",
@@ -458,11 +503,17 @@ class TestMhMarginal:
             # without the neighbour check the table fails by 1.8e-3
             (134, (1.188237339202433, 1.1310063929508332), 3,
              (2.3805585459231935, 1.9174446861322807, 28.81619515924395), 801935232),
+            # set 32 (M = 53): on the plain sinh map with blocks of radius 3
+            # the 64-node value at N = 56 missed 1.4e-4, and the table failed
+            # the check; on blocks as wide as 6 units under a map scaled to
+            # them the check reads 5.2e-6
+            (54, (3.01617425579408, 0.7722227492771312), 5,
+             (2.6660981794695062, 2.6907247806096346, 29.436665720249252), 445768007),
         ],
-        ids=["set0", "set9"],
+        ids=["set0", "set9", "set32"],
     )
     def test_wide_prior_table_converges_and_matches_box_oracle(self, n, shapes, k, priors, seed):
-        # Gamma priors of scale 21-29 on 90 and 96 animals: over the default
+        # Gamma priors of scale 21-29 on 53 to 96 animals: over the default
         # support every N gets a usable mode, the table settles at 64/96,
         # and its values match the box oracle at drawn N and at the last
         # point of every block, where a point lies farthest from its centre
@@ -479,7 +530,7 @@ class TestMhMarginal:
         # one animal caught once and one caught every time, under a heavy
         # left tail in beta; an earlier rule failed this table over the
         # default support [2, 1e4] (6.8e-3 at 64/96), so `analyze` exited 5
-        stats = summarize(CaptureHistory(k=6, rows=((1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1))))
+        stats = SIX_OCCASIONS
         kern = MhMarginalKernel(stats, GammaPriors(2.0, 0.25, 4.0))
         table = posterior_table(kern.log_kernel, "uniform", stats=stats)
         assert kern.diagnostics["max_rel_change"] <= 1e-8
@@ -636,22 +687,25 @@ def _rel(x, y):
 @pytest.mark.parametrize(
     "args, max_centres",
     [
-        ((50, 2.0, 4.0, 8, 6), {"table": 5, "verdict": 14}),
-        ((300, 2.0, 5.0, 5, 2), {"table": 9, "verdict": 26}),
-        ((400, 2.0, 4.0, 6, 1), {"table": 9, "verdict": 26}),
+        ((50, 2.0, 4.0, 8, 6), {"table": 3, "verdict": 5, "table-1e4": 6}),
+        ((300, 2.0, 5.0, 5, 2), {"table": 5, "verdict": 12, "table-1e4": 8}),
+        ((400, 2.0, 4.0, 6, 1), {"table": 5, "verdict": 12, "table-1e4": 9}),
     ],
 )
 def test_shared_centres_match_a_centre_per_n_on_data_rich_sets(args, max_centres):
     # M = 40, 223 and 313; the table grids (the first with the CLI's 141
     # points, the others with 401) and the default propriety fit grid with
-    # its two-point probe. Every block is body-limited, so each centres
-    # mid-run: the grids share 4, 6 and 6 (table, N = M with a centre of its
-    # own) and 10, 19 and 19 (verdict) centres. The bounds allow 1.25 to 1.5
-    # times that, and stay below the 6, 10 and 10 and 15, 27 and 27 of
-    # centring each block on its first point. A shared centre lies up to 3
-    # units from a point's own; on these sets the slowest tail is steep, so
-    # each node set reaches 12 to 17 units and its grid is fine enough that
-    # both node counts stay within 1e-10 of a centre per N.
+    # its two-point probe. Every block but N = M's is body-limited, so each
+    # centres mid-run, and points of the centre's shape join it up to 6
+    # units away on a map scaled to their spread: the grids share 3, 5 and 5
+    # (table, N = M with a centre of its own) and 5, 12 and 12 (verdict)
+    # centres, against 4, 6 and 6 and 10, 19 and 19 with blocks of radius 3
+    # on the plain sinh map, and 6, 10 and 10 and 15, 27 and 27 when each
+    # block centred on its first point. The [M, 1e4] tables, checked for
+    # their count alone, share 6, 8 and 9 (9, 13 and 14 with radius 3). On
+    # these sets the slowest tail is steep, so the spacing of each node set
+    # stays fine enough at every mode that both node counts stay within
+    # 1e-10 of a centre per N.
     stats = summarize(simulate_mh(*args))
     m = stats.m_k1
     kern = MhMarginalKernel(stats, GammaPriors(2.0, 2.0, 1.0))
@@ -665,6 +719,8 @@ def test_shared_centres_match_a_centre_per_n_on_data_rich_sets(args, max_centres
         shared, per_n = _shared_and_per_n_centres(kern, grid)
         for n_nodes, got, want in zip((64, 96), shared, per_n):
             assert _rel(got, want).max() <= 1e-10, (m, name, n_nodes)
+    grids["table-1e4"] = np.arange(m, 10_001, dtype=float)
+    for name, grid in grids.items():
         assert len(kern._blocks(grid)) <= max_centres[name], (m, name)
 
 
@@ -675,7 +731,7 @@ def test_shared_centres_match_a_centre_per_n_on_data_rich_sets(args, max_centres
     1.245407726643562, 2.354391700173326, 25.83247212213176,
 )
 def test_shared_centres_stay_within_the_quadrature_check(history, a, b, c):
-    # Sharing moves a node set by up to _BLOCK_RADIUS = 3 standardized
+    # Sharing moves a node set by up to _SHAPE_RADIUS = 6 standardized
     # units, so the two kernels differ by the quadrature error of a rule at
     # that distance. Where the 64/96 check sees 1e-12, they agree to 1e-10;
     # where the integrand is rough enough for the check to see more (wide
@@ -711,6 +767,34 @@ def test_log_sum_exp_floor_is_bit_exact(offsets, shift):
     with np.errstate(under="ignore"):
         unfloored = float(top + np.log(np.exp(values - top).sum()))
     assert _log_sum_exp(values) == unfloored
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(min_value=1.0, max_value=math.sinh(6.0)), st.integers(min_value=2, max_value=363))
+def test_sinh_map_at_spread_one_is_the_plain_map(reach, n_nodes):
+    # a block of spread 1 (every tail-limited or one-point block) gets the
+    # nodes z = sinh t and log weights log(h cosh t) bit for bit
+    end = math.asinh(reach)
+    t, h = np.linspace(-end, end, n_nodes, retstep=True)
+    z, logw = posterior._sinh_map(reach, 1.0, n_nodes)
+    assert z.tobytes() == np.sinh(t).tobytes()
+    assert logw.tobytes() == np.log(h * np.cosh(t)).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(min_value=1.0, max_value=math.sinh(6.0)),
+    st.floats(min_value=1.0, max_value=6.0),
+    st.integers(min_value=2, max_value=363),
+)
+def test_sinh_map_reaches_its_reach_with_steps_of_about_h_within_its_spread(reach, spread, n_nodes):
+    # the nodes run from -reach to reach, symmetric about 0, and lie
+    # h sqrt(1 + (z / spread)^2) apart (up to the step's own change), so
+    # they keep the centre's spacing out to the spread
+    z, logw = posterior._sinh_map(reach, spread, n_nodes)
+    assert z[-1] == pytest.approx(reach, rel=1e-12) and np.allclose(z, -z[::-1], rtol=0, atol=1e-12 * reach)
+    h = 2.0 * spread * math.asinh(reach / spread) / (n_nodes - 1)
+    np.testing.assert_allclose(np.exp(logw), h * np.sqrt(1.0 + (z / spread) ** 2), rtol=1e-12)
 
 
 def test_log_sum_exp_keeps_infinities_and_nan():
@@ -1097,9 +1181,10 @@ def test_blocks_match_point_by_point_walk(history, a, b, c, spacing, size):
     grid = np.arange(m, m + size, dtype=float) if spacing == "unit" else np.geomspace(max(m, 1), 40 * max(m, 1), size)
     got, want = kern._blocks(grid), walk_blocks(kern, grid)
     assert [block for block, *_ in got] == [block for block, *_ in want]
-    assert [_bits(centre) for _, centre, _ in got] == [_bits(centre) for _, centre, _ in want]
+    assert [_bits(centre) for _, centre, *_ in got] == [_bits(centre) for _, centre, *_ in want]
     # the library takes the widths' singular values with np.hypot
-    assert [reach for *_, reach in got] == pytest.approx([reach for *_, reach in want], rel=1e-14)
+    for part in (2, 3):  # the bodies and the spreads
+        assert [x[part] for x in got] == pytest.approx([x[part] for x in want], rel=1e-14)
 
 
 NO_RECAPTURES = summarize(simulate_m0(400, 0.01, 5, seed=3))
