@@ -92,8 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--beta", type=_positive, help="Beta shape for per-animal rates (mh)")
     sim.add_argument("--k", type=_positive_int, required=True, help="sampling occasions")
     sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--out", type=Path, required=True)
-    sim.add_argument("--format", choices=("json", "csv"), default=None)
+    sim.add_argument("--out", type=Path, required=True, help="dataset file, written as .json or .csv by its suffix")
 
     # priors and quadrature settings shared by analyze and check-propriety
     priors = argparse.ArgumentParser(add_help=False)
@@ -171,7 +170,7 @@ def _cmd_simulate(args) -> int:
         if args.alpha is None or args.beta is None:
             raise ValueError("simulate --model mh needs --alpha and --beta")
         history = simulate_mh(args.n, args.alpha, args.beta, args.k, args.seed)
-    store_history(history, args.out, fmt=args.format)
+    store_history(history, args.out)
     _write_manifest(args, args.out, args.out)
     print(f"wrote {history.n_observed} observed histories over {history.k} occasions to {args.out}")
     return EXIT_OK

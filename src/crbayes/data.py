@@ -144,13 +144,11 @@ def simulate_mh(n_true: int, alpha: float, beta: float, k: int, seed: int) -> Ca
     return _keep_observed(full, k)
 
 
-def _format_from_path(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        return fmt
+def _format_from_path(path: Path) -> str:
     suffix = path.suffix.lower().lstrip(".")
     if suffix in ("json", "csv"):
         return suffix
-    raise ValueError(f"cannot infer dataset format from {path.name}; pass fmt=")
+    raise ValueError(f"cannot tell the dataset format of {path.name}: name it .json or .csv")
 
 
 BLOCK = 4096
@@ -480,28 +478,25 @@ def write_table_csv(path: str | Path, header, start: int, column: FloatColumn, v
             fh.write(_text(block))
 
 
-def store_history(history: CaptureHistory, path: str | Path, fmt: str | None = None) -> None:
+def store_history(history: CaptureHistory, path: str | Path) -> None:
     """Write a dataset as JSON ({"K": ..., "histories": [...]}) or header-less CSV.
 
     CSV infers K from the row length, so a history with no rows is refused
     before the file is opened.
     """
     path = Path(path)
-    fmt = _format_from_path(path, fmt)
-    if fmt == "json":
+    if _format_from_path(path) == "json":
         write_json(path, {"K": history.k, "histories": [list(row) for row in history.rows]})
-    elif fmt == "csv":
-        if not history.rows:
-            raise ValueError(
-                f"cannot store a history with no rows as CSV: its occasion count K = {history.k} "
-                "would be lost; use JSON, which keeps K"
-            )
-        write_csv(path, history.rows)
+    elif not history.rows:
+        raise ValueError(
+            f"cannot store a history with no rows as CSV: its occasion count K = {history.k} "
+            "would be lost; use JSON, which keeps K"
+        )
     else:
-        raise ValueError(f"unknown dataset format {fmt!r}")
+        write_csv(path, history.rows)
 
 
-def load_history(path: str | Path, fmt: str | None = None) -> CaptureHistory:
+def load_history(path: str | Path) -> CaptureHistory:
     """Read a dataset written by :func:`store_history`.
 
     Raises InvalidHistoryError for all-zero rows, ragged rows, or non-binary
@@ -509,8 +504,7 @@ def load_history(path: str | Path, fmt: str | None = None) -> CaptureHistory:
     from the row length.
     """
     path = Path(path)
-    fmt = _format_from_path(path, fmt)
-    if fmt == "json":
+    if _format_from_path(path) == "json":
         try:
             payload = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
@@ -523,13 +517,11 @@ def load_history(path: str | Path, fmt: str | None = None) -> CaptureHistory:
             if isinstance(exc, InvalidHistoryError):
                 raise
             raise InvalidHistoryError(f"malformed JSON dataset: {exc}") from exc
-    if fmt == "csv":
-        with path.open(newline="") as fh:
-            try:
-                rows = [tuple(int(v) for v in row) for row in csv.reader(fh) if row]
-            except ValueError as exc:
-                raise InvalidHistoryError(f"non-integer CSV entry: {exc}") from exc
-        if not rows:
-            raise InvalidHistoryError("empty CSV dataset: occasion count cannot be inferred")
-        return CaptureHistory(k=len(rows[0]), rows=tuple(rows))
-    raise ValueError(f"unknown dataset format {fmt!r}")
+    with path.open(newline="") as fh:
+        try:
+            rows = [tuple(int(v) for v in row) for row in csv.reader(fh) if row]
+        except ValueError as exc:
+            raise InvalidHistoryError(f"non-integer CSV entry: {exc}") from exc
+    if not rows:
+        raise InvalidHistoryError("empty CSV dataset: occasion count cannot be inferred")
+    return CaptureHistory(k=len(rows[0]), rows=tuple(rows))

@@ -525,15 +525,16 @@ class MhMarginalKernel:
         order (a + M)/e once e exceeds a + M: the step that gives the tail
         exponent a. Damped Newton (``_climb``) starts each N at the prior
         mode (log ac, log bc) with alpha scaled down by 1 + e/(a + M) to
-        match, all N at once. A point that ends on a non-finite or not
-        negative-definite centre restarts from the prior mode, then from the
-        mode of its nearest usable point on the left, then on the right.
-        Wherever two neighbouring modes lie more than _BLOCK_RADIUS apart in
-        either one's units, each point runs again from the other's mode and
-        keeps the end with the higher log integrand by more than rounding,
-        so a start that climbed to a lower local mode gives way to its
-        neighbour's; the check moves on to the neighbours of each point so
-        replaced. The map u = s - log(1 + e^-r), v = s - log(1 + e^r) has
+        match, all N at once. A point that ends on a centre that is not
+        ``_usable`` restarts from the prior mode. Then one rule repairs the
+        rest: wherever one of two neighbours is usable and the other not, or
+        both are and their modes lie more than _BLOCK_RADIUS apart in either
+        one's units, each point runs again from the other's end and keeps a
+        usable end if its own centre is unusable or the end's log integrand
+        is higher by more than rounding. So a start that failed, or climbed
+        to a lower local mode, gives way to its neighbour's; the check moves
+        on to the neighbours of each point so replaced, one point per round.
+        The map u = s - log(1 + e^-r), v = s - log(1 + e^r) has
         unit Jacobian, so the mode in (u, v) is the mode in (s, r), and there
         the Hessian becomes J^T H J with J = d(u, v)/d(s, r). The quadrature
         does not centre on each of these: ``_blocks`` groups nearby N under
@@ -543,48 +544,39 @@ class MhMarginalKernel:
         u0, v0 = math.log(g.a * g.c), math.log(g.b * g.c)
         u, v, value, centre = self._climb(grid, u0 - np.log1p((grid - m) / (g.a + m)), np.full_like(grid, v0))
 
-        def keep(points, ends, higher=False):
-            """Keep each usable end of a ``_climb`` of ``points``; where
-            ``higher``, only ends whose log integrand beats the old one by
-            more than rounding. Returns the points that changed."""
-            nu, nv, new, ends = ends
-            take = _usable(ends)
-            if higher:
-                take &= new > value[points] + 1e-10 * np.abs(value[points])
-            points = points[take]
-            u[points], v[points], value[points], centre[:, points] = nu[take], nv[take], new[take], ends[:, take]
-            return points
-
-        def climb_from(points, lend):  # each point from the mode of the point at its place in ``lend``
-            return self._climb(grid[points], u[lend], v[lend])
-
         bad = np.flatnonzero(~_usable(centre))
-        if bad.size:
-            keep(bad, self._climb(grid[bad], np.full(bad.size, u0), np.full(bad.size, v0)))
-        for side in (-1, 0):  # the nearest usable point on the left, then on the right
-            usable = _usable(centre)
-            bad, good = np.flatnonzero(~usable), np.flatnonzero(usable)
-            if not (bad.size and good.size):
-                break
-            near = np.searchsorted(good, bad) + side
-            has = (near >= 0) & (near < good.size)
-            keep(bad[has], climb_from(bad[has], good[near[has]]))
+        if bad.size:  # the prior mode: the only other start a one-point grid has
+            nu, nv, new, ends = self._climb(grid[bad], np.full(bad.size, u0), np.full(bad.size, v0))
+            take = _usable(ends)
+            bad = bad[take]
+            u[bad], v[bad], value[bad], centre[:, bad] = nu[take], nv[take], new[take], ends[:, take]
 
         pairs = np.arange(grid.size - 1)
         while pairs.size:
             usable = _usable(centre)
-            pairs = pairs[usable[pairs] & usable[pairs + 1]]
+            left, right = usable[pairs], usable[pairs + 1]
+            # an unusable centre has no units to measure in: an inf entry of
+            # its factor can give a finite offset
+            both = pairs[left & right]
             with np.errstate(invalid="ignore"):
-                apart = np.maximum(_offsets(centre, pairs, pairs + 1), _offsets(centre, pairs + 1, pairs))
-            far = pairs[apart > _BLOCK_RADIUS]
+                apart = np.maximum(_offsets(centre, both, both + 1), _offsets(centre, both + 1, both))
+            repair = left != right
+            repair[left & right] = apart > _BLOCK_RADIUS
+            far = pairs[repair]
             if not far.size:
                 break
-            # one climb: each point from its right neighbour's mode, then
-            # from its left one's, kept in that order
-            points = np.concatenate([far, far + 1])
-            ends = climb_from(points, np.concatenate([far + 1, far]))
-            halves = (slice(far.size), slice(far.size, None))
-            moved = np.concatenate([keep(points[h], [x[..., h] for x in ends], True) for h in halves])
+            # one climb: each point from its right neighbour's end, then from
+            # its left one's, kept in that order
+            lend = np.concatenate([far + 1, far])
+            ends = self._climb(grid[np.concatenate([far, far + 1])], u[lend], v[lend])
+            moved = []
+            for h, p in ((slice(far.size), far), (slice(far.size, None), far + 1)):
+                nu, nv, new, end = (x[..., h] for x in ends)
+                take = _usable(end) & (~_usable(centre[:, p]) | (new > value[p] + 1e-10 * np.abs(value[p])))
+                p = p[take]
+                u[p], v[p], value[p], centre[:, p] = nu[take], nv[take], new[take], end[:, take]
+                moved.append(p)
+            moved = np.concatenate(moved)
             pairs = np.unique(np.concatenate([moved - 1, moved]))
             pairs = pairs[(pairs >= 0) & (pairs < grid.size - 1)]
         return centre

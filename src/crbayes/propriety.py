@@ -237,8 +237,8 @@ def propriety_report(model: str, n_prior: str, fit: FitConfig | None = None, **p
     ``fit.tolerance``.
 
     The fit is a least-squares line of log(prior * kernel) against log N on
-    ``fit.points`` geometric points of the resolved range, which must span a
-    factor of at least 4 with at least 10 points; d_hat is its negated slope.
+    ``fit.points`` >= 10 geometric points of the resolved range, which must
+    start on the support and span a factor of 4 or more; d_hat is minus its slope.
     Prior * kernel is evaluated once, on the sorted union of that grid and the
     pair of ``_probe_exponent`` at the grid's geometric centre, and the fit
     and the probe both read their values from it: for ``mh`` that is one mode
@@ -250,6 +250,8 @@ def propriety_report(model: str, n_prior: str, fit: FitConfig | None = None, **p
 
     kernel = model_kernel(model, **params)
     n_lo, n_hi = fit.resolve(kernel.support_start)
+    if n_lo < kernel.support_start:
+        raise ValueError(f"fit range starts at N = {n_lo:g}, below the kernel's support start {kernel.support_start}")
     if n_hi < 4.0 * n_lo:
         raise ValueError("fit range too short: need n_hi >= 4 * n_lo")
     if fit.points < 10:

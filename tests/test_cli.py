@@ -62,7 +62,7 @@ class TestSimulate:
     def test_csv_output(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = run(["simulate", "--model", "m0", "--n", "30", "--p", "0.5",
-                  "--k", "3", "--seed", "2", "--out", str(out), "--format", "csv"])
+                  "--k", "3", "--seed", "2", "--out", str(out)])
         assert rc == 0
         assert load_history(out).k == 3
 
@@ -236,7 +236,7 @@ class TestCheckPropriety:
         assert rc == 4
 
 
-USAGE_ERRORS = {  # argv without --out, and the one line written to stderr
+USAGE_ERRORS = {  # argv, with --out where it matters, and the one line written to stderr
     "simulate-m0-without-p": (
         ["simulate", "--model", "m0", "--n", "10", "--k", "2", "--seed", "1"],
         "simulate --model m0 needs --p",
@@ -246,7 +246,7 @@ USAGE_ERRORS = {  # argv without --out, and the one line written to stderr
         "simulate --model mh needs --alpha and --beta",
     ),
     "simulate-empty-csv": (
-        ["simulate", "--model", "m0", "--n", "5", "--p", "0", "--k", "3", "--seed", "1", "--format", "csv"],
+        ["simulate", "--model", "m0", "--n", "5", "--p", "0", "--k", "3", "--seed", "1", "--out", "{tmp}/x.csv"],
         "cannot store a history with no rows as CSV: its occasion count K = 3 would be lost; "
         "use JSON, which keeps K",
     ),
@@ -283,6 +283,14 @@ USAGE_ERRORS = {  # argv without --out, and the one line written to stderr
          "--thin", "1800"],
         "iters 2000, burnin 200 and thin 1800 keep 1 draw(s); a chain's sd needs at least 2",
     ),
+    "check-propriety-fit-below-support": (
+        ["check-propriety", "--model", "m0", "--data", "{data}", "--fit-lo", "10", "--fit-hi", "1000"],
+        "fit range starts at N = 10, below the kernel's support start 57",
+    ),
+    "simulate-unknown-suffix": (
+        ["simulate", "--model", "m0", "--n", "5", "--p", "0.5", "--k", "3", "--seed", "1", "--out", "{tmp}/x.txt"],
+        "cannot tell the dataset format of x.txt: name it .json or .csv",
+    ),
     "analyze-mh-check-nodes-above-cap": (
         ["analyze", "--data", "{data}", "--model", "mh", "--check-nodes", "364"],
         "at most 363 quadrature nodes per axis, got 364",
@@ -293,12 +301,14 @@ USAGE_ERRORS = {  # argv without --out, and the one line written to stderr
 @pytest.mark.parametrize("case", list(USAGE_ERRORS))
 def test_missing_model_parameters_is_usage_error(case, m0_dataset, tmp_path, capsys):
     argv, message = USAGE_ERRORS[case]
-    argv = [a.format(data=m0_dataset) for a in argv] + ["--out", str(tmp_path / "x.json")]
+    argv = [a.format(data=m0_dataset, tmp=tmp_path) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "x.json")]
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
-    assert not any(tmp_path.glob("x.json*"))
+    assert not any(tmp_path.glob("x*"))
 
 
 NON_FINITE_FLAGS = {  # argv without the flag and --out
@@ -381,7 +391,7 @@ OUT_ON_DATA = [
 @pytest.mark.parametrize("argv, name", OUT_ON_DATA)
 def test_out_prefix_that_would_overwrite_the_dataset_is_refused(argv, name, tmp_path, monkeypatch, capsys):
     data = tmp_path / name
-    store_history(simulate_m0(100, 0.3, 5, seed=7), data, fmt="csv" if name.endswith(".csv") else "json")
+    store_history(simulate_m0(100, 0.3, 5, seed=7), data)
     before = data.read_bytes()
     monkeypatch.chdir(tmp_path)  # a relative --out against an absolute --data: paths compare resolved
     rc = run([*argv, "--data", str(data), "--out", "d"])
@@ -415,7 +425,7 @@ def test_every_file_a_command_writes_is_refused_on_data(command, tmp_path, capsy
         folder = tmp_path / f"refused{i}"
         folder.mkdir()
         data = folder / f"d{suffix}"
-        store_history(history, data, fmt="csv" if suffix.endswith(".csv") else "json")
+        store_history(history, data)
         before = data.read_bytes()
         capsys.readouterr()
         assert run([*argv, "--data", str(data), "--out", str(folder / "d")]) == 2, suffix

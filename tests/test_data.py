@@ -166,6 +166,18 @@ def test_store_refuses_empty_dataset_as_csv(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("name", ["d.txt", "d", "d.json.bak"])
+def test_suffix_is_the_format(tmp_path, name):
+    # the suffix alone says the format: any other is refused before a file is touched
+    path = tmp_path / name
+    with pytest.raises(ValueError, match=r"name it \.json or \.csv$"):
+        store_history(CaptureHistory(k=2, rows=((1, 0),)), path)
+    assert not path.exists()
+    path.write_text('{"K": 2, "histories": [[1, 0]]}')
+    with pytest.raises(ValueError, match=r"name it \.json or \.csv$"):
+        load_history(path)
+
+
 def test_cross_format_stats_agree(tmp_path):
     history = simulate_m0(80, 0.4, 4, seed=2)
     store_history(history, tmp_path / "d.json")

@@ -647,10 +647,12 @@ def test_mode_centre_is_the_mode_of_the_oracle_integrand(history, a, b, c):
     # the box oracle's, written with log-gamma differences, not the
     # library's K-term sums; its derivatives are taken by finite differences
     # of 2e-3 and 1e-3 units, Richardson-extrapolated. The grid is a whole
-    # table's head and a geometric tail, so the scaled start, the restarts
-    # and the neighbour check all run, and scales up to 30 give the wide
+    # table's head and a geometric tail, and scales up to 30 give the wide
     # priors whose integrands can have two modes; every centre must come out
-    # usable. Over 3000 random sets of this kind the worst seen was 1.0e-7
+    # usable. The scaled start alone finds a usable centre on such sets, and
+    # the neighbour check runs where it climbed to a lower mode; the repairs
+    # of failed climbs are tested in test_mode_centre_repairs_failed_climbs.
+    # Over 3000 random sets of this kind the worst seen was 1.0e-7
     # in the gradient (the Newton search stops on steps below 1e-8, not on
     # the gradient) and 2.9e-5 in the Hessian; the bounds leave a margin of
     # about 10 and 3 over those.
@@ -670,6 +672,62 @@ def test_mode_centre_is_the_mode_of_the_oracle_integrand(history, a, b, c):
     grad, hess = _standardized_derivatives(phi, 1e-3)
     assert np.abs(grad).max() <= 1e-6
     assert np.abs(hess - np.array([[-1.0], [0.0], [-1.0]])).max() <= 1e-4
+
+
+def _failing_climbs(points, prior_fails, poison):
+    """An mh kernel whose first ``_climb`` ends unusable at ``points``, and
+    whose second, the prior-mode restart, everywhere if ``prior_fails``:
+    "nan" makes the whole end NaN and "inf" sets its l11 to inf alone, which
+    leaves its offsets to a neighbour finite."""
+
+    class Failing(MhMarginalKernel):
+        climbs = 0
+
+        def _climb(self, grid, u, v):
+            u, v, value, centre = super()._climb(grid, u, v)
+            self.climbs += 1
+            hit = points if self.climbs == 1 else slice(None) if self.climbs == 2 and prior_fails else []
+            if poison == "nan":
+                u[hit] = v[hit] = value[hit] = centre[:, hit] = np.nan
+            else:
+                centre[2, hit] = np.inf
+            return u, v, value, centre
+
+    return Failing
+
+
+@pytest.mark.parametrize("poison", ["nan", "inf"])
+@pytest.mark.parametrize("prior_fails", [False, True], ids=["first-climb", "prior-too"])
+@pytest.mark.parametrize("points", [[17], [30, 31, 32], [0], [59], [0, 59]],
+                         ids=["one", "run-of-three", "first", "last", "both-ends"])
+def test_mode_centre_repairs_failed_climbs(points, prior_fails, poison):
+    # wherever a climb ends unusable, the prior mode or a usable neighbour's
+    # mode repairs it, one point further per round, to the clean search's mode
+    stats = summarize(simulate_mh(50, 2.0, 4.0, 8, seed=6))
+    gammas = GammaPriors(2.0, 2.0, 1.0)
+    grid = np.arange(stats.m_k1, stats.m_k1 + 60, dtype=float)
+    clean = MhMarginalKernel(stats, gammas)._mode_centre(grid)
+    assert posterior._usable(clean).all()
+    kern = _failing_climbs(points, prior_fails, poison)(stats, gammas)
+    centre = kern._mode_centre(grid)
+    assert kern.climbs >= 2 + prior_fails  # the prior-mode restart ran, and the neighbour check where it failed
+    assert posterior._usable(centre).all()
+    assert np.abs(centre - clean).max() <= 1e-7
+
+
+@pytest.mark.parametrize("poison", ["nan", "inf"])
+def test_mode_centre_on_one_point_restarts_from_the_prior_mode(poison):
+    # a one-point grid has no neighbour: the prior mode is its one repair
+    stats = summarize(simulate_mh(50, 2.0, 4.0, 8, seed=6))
+    gammas = GammaPriors(2.0, 2.0, 1.0)
+    grid = np.array([stats.m_k1 + 30.0])
+    kern = _failing_climbs([0], False, poison)(stats, gammas)
+    centre = kern._mode_centre(grid)
+    assert kern.climbs == 2
+    assert posterior._usable(centre).all()
+    assert np.abs(centre - MhMarginalKernel(stats, gammas)._mode_centre(grid)).max() <= 1e-7
+    failing = _failing_climbs([0], True, poison)(stats, gammas)
+    assert not posterior._usable(failing._mode_centre(grid)).any()
 
 
 def _shared_and_per_n_centres(kern, grid):

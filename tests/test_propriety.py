@@ -181,9 +181,23 @@ class TestFitTailExponent:
             propriety_report("synthetic", "uniform", fit=FitConfig(n_lo=100.0, n_hi=300.0), **synthetic)
         with pytest.raises(ValueError, match="points"):
             propriety_report("synthetic", "uniform", fit=FitConfig(n_lo=10.0, n_hi=1000.0, points=5), **synthetic)
-        # the ym kernel is -inf below its support start, here the whole grid
-        with pytest.raises(TailFitError, match="^kernel not finite everywhere on the fit grid$"):
+        # the ym kernel is -inf below its support start N = n, here the whole
+        # grid: a fit range that starts there is refused, not fitted
+        with pytest.raises(ValueError, match="^fit range starts at N = 10, below the kernel's support start 2000$"):
             propriety_report("ym", "uniform", fit=FitConfig(n_lo=10.0, n_hi=1000.0), ym_n=2000, ym_k=3, ym_delta=1.0)
+
+    def test_fit_range_starts_on_the_support(self, monkeypatch):
+        stats = summarize(CaptureHistory(k=3, rows=((1, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 1)) * 5))
+        m0 = {"stats": stats, "beta": BetaParams(1.0, 1.0)}
+        with pytest.raises(ValueError, match="^fit range starts at N = 19.5, below the kernel's support start 20$"):
+            propriety_report("m0", "uniform", fit=FitConfig(n_lo=19.5, n_hi=1e4), **m0)
+        report = propriety_report("m0", "uniform", fit=FitConfig(n_lo=20.0, n_hi=1e4), **m0)
+        assert report.fit_range == (20.0, 1e4)
+        # a kernel that is not finite on its own support still fails the fit
+        broken = propriety.ModelKernel(lambda n: np.where(n > 50.0, np.nan, -2.0 * np.log(n)), 1, 2.0)
+        monkeypatch.setattr(propriety, "model_kernel", lambda *args, **kwargs: broken)
+        with pytest.raises(TailFitError, match="^kernel not finite everywhere on the fit grid$"):
+            propriety_report("synthetic", "uniform", fit=FitConfig(n_lo=10.0, n_hi=1000.0))
 
 
 def m0_tail_ratio_deviation(x: float, a: float, b: float) -> float:
